@@ -1,8 +1,13 @@
 """Shared fixtures for the benchmark suite.
 
-Each benchmark regenerates one of the paper's artefacts (see DESIGN.md's
-per-experiment index) at laptop scale and prints the resulting table —
-run with ``pytest benchmarks/ --benchmark-only -s`` to see them.
+Each benchmark either regenerates one of the paper's artefacts (Figures
+1 and 4, Table 1, Section 5, recall) at laptop scale or times one engine
+or oracle feature, and prints the resulting table.  Run the whole suite
+with ``PYTHONPATH=src python -m pytest benchmarks/ -s``.  Do not add
+``--benchmark-only``: it skips every test that takes no ``benchmark``
+fixture, and such tests make assertions too (the compile bench's 2x
+geomean check is one).  The layered end-to-end benchmark lives in
+``layerbench/`` (see its README).
 """
 
 import random

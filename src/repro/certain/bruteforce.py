@@ -7,6 +7,23 @@ simply enumerates valuations over a sufficient finite domain — viable
 only for the small databases used in tests and in the Section 4/7
 ground-truth comparisons, which is precisely its role.
 
+The world phase evaluates ``Q`` once per distinct world, up to renaming
+of the fresh constants, not once per valuation.  Two exact reductions
+do this:
+
+* **orbits** — renaming the fresh constants among themselves maps a
+  world and its answers alike, so a valuation accepts a candidate iff
+  every renaming of it does; only the canonical valuation of each
+  renaming class is enumerated
+  (:func:`~repro.data.valuation.canonical_valuations`).  ``LIKE`` reads
+  a fresh constant's string form and so can tell them apart; a query
+  holding ``like`` or ``not like`` gets every valuation;
+* **identical worlds** — evaluation is set-semantic, so valuations
+  that give every relation the same row set share one evaluation and
+  one answer set.
+
+``SearchStats.worlds`` and ``SearchStats.world_evals`` count the two.
+
 Because that role includes serving as an *anytime* oracle under harness
 deadlines, the search is **best-first**: each candidate is probed
 against a small sample of worlds, and since any rejecting world is a
@@ -34,14 +51,29 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
+from repro.algebra.conditions import And, Comparison, Not, Or
 from repro.algebra.evaluate import evaluate
-from repro.algebra.expr import Expr
+from repro.algebra.expr import Expr, walk
 from repro.data.database import Database
 from repro.data.nulls import is_null
 from repro.data.relation import Relation
-from repro.data.valuation import Valuation, enumerate_valuations
+from repro.data.valuation import (
+    Valuation,
+    canonical_valuations,
+    enumerate_valuations,
+)
 from repro.engine.limits import CancelToken
 from repro.engine.stats import SourceStats
 
@@ -107,6 +139,12 @@ class SearchStats:
     preamble both exploration orders pay identically before any tuple
     *can* be confirmed (no emission without all worlds), so anytime
     benchmarks budget against ``elapsed - world_elapsed``.
+
+    World counters: ``worlds`` is how many valuations the world phase
+    checked — one per renaming class of the fresh constants, or every
+    valuation for a query with ``LIKE`` — and ``world_evals`` how many
+    times the query was evaluated for them (identical worlds share one
+    evaluation, so ``world_evals <= worlds``).
     """
 
     arity: int = 0
@@ -124,6 +162,8 @@ class SearchStats:
     world_reorders: int = 0
     cancelled: bool = False
     emitted: int = 0
+    worlds: int = 0
+    world_evals: int = 0
 
     def summary(self) -> Dict[str, object]:
         """JSON-serialisable counter dump (checkpoint/bench payloads)."""
@@ -141,6 +181,8 @@ class SearchStats:
             "complete": self.complete,
             "cancelled": self.cancelled,
             "emitted": self.emitted,
+            "worlds": self.worlds,
+            "world_evals": self.world_evals,
             "elapsed": self.elapsed,
             "world_elapsed": self.world_elapsed,
         }
@@ -220,50 +262,140 @@ def _seed_candidates(
     return list(candidates)
 
 
-def _world_layout(
-    db: Database,
-) -> List[Tuple[str, Tuple[str, ...], List[Tuple[Row, List[int]]]]]:
-    """Per-relation rows paired with their null positions, computed once.
+#: Per relation: name, attributes, complete rows, and the rows holding
+#: nulls paired with their null positions.
+_Layout = List[
+    Tuple[str, Tuple[str, ...], FrozenSet[Row], List[Tuple[Row, List[int]]]]
+]
+
+#: Per relation with nulls, in layout order: the rows a valuation adds to
+#: the relation's complete rows.  Equal keys mean equal worlds.
+_WorldKey = Tuple[FrozenSet[Row], ...]
+
+
+def _world_layout(db: Database) -> _Layout:
+    """Per-relation rows split by whether they hold nulls, computed once.
 
     Building a possible world is then a few dict probes per incomplete
-    row (complete rows are reused as-is) instead of a generic
-    ``Valuation.apply_database`` traversal — the world-evaluation phase
-    runs once per valuation, so this is the other hot loop of the
-    search.
+    row (complete rows never change) instead of a generic
+    ``Valuation.apply_database`` traversal — the world phase runs once
+    per valuation, so this is the other hot loop of the search.
     """
-    return [
-        (
-            name,
-            rel.attributes,
-            [
-                (tuple(row), [i for i, value in enumerate(row) if is_null(value)])
-                for row in rel.rows
-            ],
-        )
-        for name, rel in db.relations.items()
-    ]
-
-
-def _apply_world(
-    db: Database,
-    layout: List[Tuple[str, Tuple[str, ...], List[Tuple[Row, List[int]]]]],
-    v: Valuation,
-) -> Database:
-    """``v(D)`` via the precomputed :func:`_world_layout`."""
-    mapping = v.mapping
-    relations: Dict[str, Relation] = {}
-    for name, attrs, rows in layout:
-        patched: List[Row] = []
-        for row, null_pos in rows:
+    layout: _Layout = []
+    for name, rel in db.relations.items():
+        complete: List[Row] = []
+        incomplete: List[Tuple[Row, List[int]]] = []
+        for row in rel.rows:
+            null_pos = [i for i, value in enumerate(row) if is_null(value)]
             if null_pos:
-                image = list(row)
-                for i in null_pos:
-                    image[i] = mapping[row[i]]
-                patched.append(tuple(image))
+                incomplete.append((row, null_pos))
             else:
-                patched.append(row)
-        relations[name] = Relation(attrs, patched)
+                complete.append(row)
+        layout.append((name, rel.attributes, frozenset(complete), incomplete))
+    return layout
+
+
+def _world_key(layout: _Layout, v: Valuation) -> _WorldKey:
+    """The rows ``v`` adds to each relation holding nulls, as a dict key."""
+    mapping = v.mapping
+    key: List[FrozenSet[Row]] = []
+    for _name, _attrs, complete, incomplete in layout:
+        if not incomplete:
+            continue
+        added: Set[Row] = set()
+        for row, null_pos in incomplete:
+            image = list(row)
+            for i in null_pos:
+                image[i] = mapping[row[i]]
+            added.add(tuple(image))
+        added.difference_update(complete)
+        key.append(frozenset(added))
+    return tuple(key)
+
+
+def _apply_world(db: Database, layout: _Layout, key: _WorldKey) -> Database:
+    """The world a :func:`_world_key` stands for.
+
+    Relations without nulls are shared with ``db``; row order is
+    immaterial, since evaluation is set-semantic.
+    """
+    added = iter(key)
+    relations: Dict[str, Relation] = {}
+    for name, attrs, complete, incomplete in layout:
+        if incomplete:
+            relations[name] = Relation(attrs, itertools.chain(complete, next(added)))
+        else:
+            relations[name] = db.relations[name]
     return Database(relations, schema=db.schema)
+
+
+class _WorldAnswers:
+    """``Q(v(D))`` per valuation, evaluating each distinct world once.
+
+    Evaluation is set-semantic, so ``Q(W)`` depends only on each
+    relation's row set.  The :func:`_world_key` fixes those row sets,
+    and with them ``adom(W)`` (so ``AdomPower`` is covered too);
+    valuations with equal keys share one evaluation and one answer set.
+    ``evals`` counts the evaluations that actually ran; ``attributes``
+    are the answer attributes, known after the first call.
+    """
+
+    def __init__(self, query: Expr, db: Database):
+        self.query = query
+        self.db = db
+        self.layout = _world_layout(db)
+        self.evals = 0
+        self.attributes: Tuple[str, ...] = ()
+        self._answers: Dict[_WorldKey, Set[Row]] = {}
+
+    def __call__(self, v: Valuation) -> Set[Row]:
+        """The answer rows on ``v(D)``."""
+        key = _world_key(self.layout, v)
+        rows = self._answers.get(key)
+        if rows is None:
+            world = _apply_world(self.db, self.layout, key)
+            result = evaluate(self.query, world, semantics="naive")
+            self.attributes = result.attributes
+            rows = self._answers[key] = set(result.rows)
+            self.evals += 1
+        return rows
+
+
+def _distinguishes_fresh(query: Expr) -> bool:
+    """Whether *query* can tell fresh constants apart.
+
+    Only ``LIKE`` can: it matches the string form ``c•<tag>`` of a fresh
+    constant.  Equality treats them as anonymous values, and an order
+    comparison raises ``TypeError`` for every renaming of a world alike.
+    """
+    pending = [getattr(node, "condition", None) for node in walk(query)]
+    while pending:
+        cond = pending.pop()
+        if isinstance(cond, (And, Or)):
+            pending.extend(cond.items)
+        elif isinstance(cond, Not):
+            pending.append(cond.item)
+        elif isinstance(cond, Comparison) and cond.op in ("like", "not like"):
+            return True
+    return False
+
+
+def _orbit_valuations(
+    query: Expr, db: Database, extra_constants: Optional[int]
+) -> Iterator[Valuation]:
+    """One valuation per renaming class of the fresh constants, or every
+    valuation when *query* can tell fresh constants apart.
+
+    Let ``π`` permute the fresh constants and fix ``Const(D)``.  For a
+    tuple ``ā`` over ``adom(D)``, ``(π∘v)(ā) = π(v(ā))``, and a query
+    that sees fresh constants only through equality answers ``π(W)``
+    with ``π(Q(W))``.  So ``v(ā) ∈ Q(v(D))`` iff
+    ``(π∘v)(ā) ∈ Q((π∘v)(D))``: any check of that shape holds for every
+    valuation iff it holds for the canonical ones.
+    """
+    if _distinguishes_fresh(query):
+        return enumerate_valuations(db, extra_constants=extra_constants)
+    return canonical_valuations(db, extra_constants)
 
 
 def _best_first_stream(
@@ -431,7 +563,10 @@ def certain_answers_with_nulls(
     For every candidate tuple ``ā`` over ``adom(D)`` and every valuation
     ``v`` into ``Const(D)`` plus fresh constants, check
     ``v(ā) ∈ Q(v(D))``.  The default number of fresh constants (one per
-    null) is sufficient for first-order queries by genericity.
+    null) is sufficient for first-order queries by genericity.  Only one
+    valuation per renaming class of the fresh constants is checked
+    (every valuation if the query uses ``LIKE``), and identical worlds
+    are evaluated once; see the module docstring.
 
     With ``prune=True`` (the default) the candidate set is seeded from
     the first world's answers instead of all of ``adom^arity``, and each
@@ -482,14 +617,14 @@ def certain_answers_with_nulls(
     # A search-scoped budget leaves the world preamble unmetered; its
     # cutoff is fixed only once the preamble's actual cost is known.
     cutoff = None if deadline is None or search_scoped else start + deadline
-    valuations = list(enumerate_valuations(db, extra_constants=extra_constants))
-    layout = _world_layout(db)
-    # Evaluate the query on every possible world once.
+    # One world per renaming class of the fresh constants; identical
+    # worlds share one evaluation.
+    world_answers = _WorldAnswers(query, db)
     worlds: List[Tuple[Valuation, Set[Row]]] = []
     result_attrs: Optional[Tuple[str, ...]] = attributes
     cancelled = False
     timed_out = False
-    for v in valuations:
+    for v in _orbit_valuations(query, db, extra_constants):
         if cancel is not None and cancel.cancelled:
             cancelled = True
             if worlds:
@@ -501,11 +636,9 @@ def certain_answers_with_nulls(
             # keeps its attributes.)
             timed_out = True
             break
-        complete = _apply_world(db, layout, v)
-        answer = evaluate(query, complete, semantics="naive")
+        worlds.append((v, world_answers(v)))
         if result_attrs is None:
-            result_attrs = answer.attributes
-        worlds.append((v, set(answer.rows)))
+            result_attrs = world_answers.attributes
         if cancelled:
             break
     if result_attrs is None:  # pragma: no cover - no valuations is impossible
@@ -520,6 +653,8 @@ def certain_answers_with_nulls(
         exhaustive_candidates=len(db.active_domain()) ** arity,
         strategy=order,
         world_elapsed=world_elapsed,
+        worlds=len(worlds),
+        world_evals=world_answers.evals,
     )
     if timed_out or cancelled:
         stats.complete = False
@@ -623,11 +758,17 @@ def certain_answers(query: Expr, db: Database, **kwargs) -> Relation:
 def possible_answer_union(
     query: Expr, db: Database, extra_constants: Optional[int] = None
 ) -> Set[Row]:
-    """``⋃_v Q(v(D))`` over the enumerated valuations (maybe-answers)."""
+    """``⋃_v Q(v(D))`` over the enumerated valuations (maybe-answers).
+
+    Every valuation counts here, not one per renaming class of the fresh
+    constants: the union holds the fresh constants themselves, so it is
+    not invariant under renaming them.  Identical worlds still share one
+    evaluation.
+    """
+    world_answers = _WorldAnswers(query, db)
     everything: Set[Row] = set()
     for v in enumerate_valuations(db, extra_constants=extra_constants):
-        complete = v.apply_database(db)
-        everything |= set(evaluate(query, complete, semantics="naive").rows)
+        everything |= world_answers(v)
     return everything
 
 
@@ -640,13 +781,13 @@ def represents_potential_answers(
     """Check Definition 3: ``Q(v(D)) ⊆ v(A)`` for every valuation ``v``.
 
     Used to validate the ``Q?`` side of the improved translation
-    (Lemma 2) on small instances.
+    (Lemma 2) on small instances.  Renaming the fresh constants maps
+    both sides alike, so one valuation per renaming class decides it.
     """
-    for v in enumerate_valuations(db, extra_constants=extra_constants):
-        complete = v.apply_database(db)
-        answers = set(evaluate(query, complete, semantics="naive").rows)
+    world_answers = _WorldAnswers(query, db)
+    for v in _orbit_valuations(query, db, extra_constants):
         image = {v.apply_row(row) for row in candidate.rows}
-        if not answers <= image:
+        if not world_answers(v) <= image:
             return False
     return True
 

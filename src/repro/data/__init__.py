@@ -11,7 +11,12 @@ from repro.data.nulls import Null, fresh_null, is_null, codd_null_factory
 from repro.data.relation import Relation
 from repro.data.schema import Attribute, RelationSchema, DatabaseSchema, ForeignKey
 from repro.data.database import Database
-from repro.data.valuation import Valuation, enumerate_valuations, sample_valuations
+from repro.data.valuation import (
+    Valuation,
+    canonical_valuations,
+    enumerate_valuations,
+    sample_valuations,
+)
 
 __all__ = [
     "Null",
@@ -26,5 +31,6 @@ __all__ = [
     "Database",
     "Valuation",
     "enumerate_valuations",
+    "canonical_valuations",
     "sample_valuations",
 ]
