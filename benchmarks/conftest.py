@@ -5,9 +5,8 @@ Each benchmark either regenerates one of the paper's artefacts (Figures
 or oracle feature, and prints the resulting table.  Run the whole suite
 with ``PYTHONPATH=src python -m pytest benchmarks/ -s``.  Do not add
 ``--benchmark-only``: it skips every test that takes no ``benchmark``
-fixture, and such tests make assertions too (the compile bench's 2x
-geomean check is one).  The layered end-to-end benchmark lives in
-``layerbench/`` (see its README).
+fixture, and such tests make assertions too.  The layered end-to-end
+benchmark lives in ``layerbench/`` (see its README).
 """
 
 import random

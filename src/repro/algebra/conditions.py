@@ -274,10 +274,13 @@ def negate(cond: Condition) -> Condition:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1024)
-def _like_regex(pattern: str) -> "re.Pattern[str]":
+@lru_cache(maxsize=1024, typed=True)
+def _like_regex(pattern: object) -> "re.Pattern[str]":
+    """Regex for a ``LIKE`` pattern; a non-text pattern is matched as
+    its text, as SQL engines do (``12 LIKE 1`` is false, ``1 LIKE 1``
+    true).  Typed cache, so ``1`` and ``True`` do not share a regex."""
     out = []
-    for ch in pattern:
+    for ch in str(pattern):
         if ch == "%":
             out.append(".*")
         elif ch == "_":
@@ -287,8 +290,9 @@ def _like_regex(pattern: str) -> "re.Pattern[str]":
     return re.compile("^" + "".join(out) + "$", re.DOTALL)
 
 
-def like_match(value: str, pattern: str) -> bool:
-    """SQL ``LIKE`` with ``%`` and ``_`` wildcards."""
+def like_match(value: object, pattern: object) -> bool:
+    """SQL ``LIKE`` with ``%`` and ``_`` wildcards, over the text of
+    both operands."""
     return _like_regex(pattern).match(str(value)) is not None
 
 

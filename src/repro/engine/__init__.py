@@ -19,7 +19,6 @@ Use :func:`execute_sql` for text or parsed queries, and
 estimates" of Section 7 are visible there for the unsplit ``Q+4``).
 """
 
-from repro.engine.compile import NO_COMPILE_ENV, compile_enabled
 from repro.engine.executor import (
     Executor,
     PreparedQuery,
@@ -52,6 +51,4 @@ __all__ = [
     "RowBudgetExceeded",
     "QueryCancelled",
     "CancelToken",
-    "NO_COMPILE_ENV",
-    "compile_enabled",
 ]

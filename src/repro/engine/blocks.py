@@ -9,8 +9,9 @@ A :class:`CompiledBlock` is the engine's unit of execution.  Compiling a
    *equi-joins* (plain ``a = b`` across two local tables), *probes*
    (``local = <outer expression>``) and *residuals* (everything else —
    ``OR`` conditions, subquery predicates, …);
-3. compiles scalar expressions and conditions into evaluator objects
-   with SQL's three-valued semantics.
+3. builds scalar expressions and conditions as an IR that
+   :mod:`repro.engine.compile` lowers to closures with SQL's
+   three-valued semantics.
 
 At run time the block lazily picks a greedy left-deep join order (hash
 joins on available equality keys, Cartesian products otherwise — which
@@ -61,7 +62,6 @@ class ExecContext:
         memoize_probes: bool = True,
         decorrelate: bool = True,
         limits: Optional[ResourceLimits] = None,
-        compile_predicates: Optional[bool] = None,
     ):
         self.db = db
         self.params = dict(params or {})
@@ -93,15 +93,6 @@ class ExecContext:
         #: decorrelations abandoned because a probe-table build exceeded
         #: ``max_probe_build_rows`` — graceful degradation, not an error
         self.degradations = 0
-        #: lower predicate/expression trees to specialized closures and
-        #: run pushed filters as columnar batch passes (defaults to on;
-        #: the ``REPRO_NO_COMPILE`` env var or ``compile_predicates=False``
-        #: falls back to the interpreted ``eval`` path)
-        if compile_predicates is None:
-            from repro.engine.compile import compile_enabled
-
-            compile_predicates = compile_enabled()
-        self.compile_predicates = compile_predicates
         #: approximate bytes held by live probe/equi hash tables
         #: (:class:`~repro.engine.stats.TableBytesMeter` estimates), used
         #: to enforce ``ResourceLimits.max_probe_table_bytes``
@@ -162,19 +153,16 @@ class ExecContext:
 
 
 # ---------------------------------------------------------------------------
-# Scalar expression evaluators
+# Scalar expressions (IR lowered by repro.engine.compile.compile_expr)
 # ---------------------------------------------------------------------------
 
 
 class _Expr:
-    """Compiled scalar expression."""
+    """Scalar expression node."""
 
     __slots__ = ()
     local_keys: frozenset = frozenset()
     has_outer: bool = False
-
-    def eval(self, cursor, env):  # pragma: no cover - abstract
-        raise NotImplementedError
 
 
 class _Const(_Expr):
@@ -182,9 +170,6 @@ class _Const(_Expr):
 
     def __init__(self, value):
         self.value = value
-
-    def eval(self, cursor, env):
-        return self.value
 
 
 class _Col(_Expr):
@@ -195,14 +180,6 @@ class _Col(_Expr):
         self.key = resolution.key
         self.local_keys = frozenset([self.key]) if resolution.depth == 0 else frozenset()
         self.has_outer = resolution.depth > 0
-
-    def eval(self, cursor, env):
-        if self.depth == 0:
-            slot = cursor[0].get(self.key)
-            if slot is None:
-                raise EngineError(f"column {self.key} not bound yet")
-            return cursor[1][slot]
-        return env[self.key]
 
 
 class _Concat(_Expr):
@@ -216,20 +193,12 @@ class _Concat(_Expr):
         self.local_keys = keys
         self.has_outer = any(part.has_outer for part in parts)
 
-    def eval(self, cursor, env):
-        pieces = []
-        for part in self.parts:
-            value = part.eval(cursor, env)
-            if is_null(value):
-                return value  # null-propagating
-            pieces.append(str(value))
-        return "".join(pieces)
-
 
 class _ScalarSubquery(_Expr):
-    """Uncorrelated scalar aggregate subquery — evaluated once, cached."""
+    """Uncorrelated scalar aggregate subquery — evaluated once per
+    statement; the compiled closure caches the value in ``value``."""
 
-    __slots__ = ("block", "func", "arg", "_cache", "_computed")
+    __slots__ = ("block", "func", "arg", "value", "computed")
 
     def __init__(self, block: "CompiledBlock", func: str, arg: Optional[_Expr]):
         if block.external:
@@ -237,40 +206,12 @@ class _ScalarSubquery(_Expr):
         self.block = block
         self.func = func
         self.arg = arg
-        self._cache = None
-        self._computed = False
-
-    def eval(self, cursor, env):
-        if not self._computed:
-            self._cache = self._compute()
-            self._computed = True
-        return self._cache
-
-    def _compute(self):
-        values = []
-        count_star = 0
-        for sub_cursor in self.block.iterate({}):
-            count_star += 1
-            if self.arg is not None:
-                values.append(self.arg.eval(sub_cursor, {}))
-        non_null = [v for v in values if not is_null(v)]
-        if self.func == "count":
-            return count_star if self.arg is None else len(non_null)
-        if not non_null:
-            return Null()  # SQL aggregates over nothing yield NULL
-        if self.func == "avg":
-            return sum(non_null) / len(non_null)
-        if self.func == "sum":
-            return sum(non_null)
-        if self.func == "min":
-            return min(non_null)
-        if self.func == "max":
-            return max(non_null)
-        raise EngineError(f"unknown aggregate {self.func!r}")  # pragma: no cover
+        self.value: object = None
+        self.computed = False
 
 
 # ---------------------------------------------------------------------------
-# Condition evaluators (three-valued)
+# Conditions (three-valued IR lowered by repro.engine.compile.compile_cond)
 # ---------------------------------------------------------------------------
 
 
@@ -278,9 +219,6 @@ class _Cond:
     __slots__ = ()
     local_keys: frozenset = frozenset()
     has_outer: bool = False
-
-    def eval(self, cursor, env) -> ThreeValued:  # pragma: no cover - abstract
-        raise NotImplementedError
 
 
 def _compare(op: str, a, b, marked: bool = False) -> ThreeValued:
@@ -322,14 +260,6 @@ class _Cmp(_Cond):
         self.has_outer = left.has_outer or right.has_outer
         self.marked = marked
 
-    def eval(self, cursor, env) -> ThreeValued:
-        return _compare(
-            self.op,
-            self.left.eval(cursor, env),
-            self.right.eval(cursor, env),
-            self.marked,
-        )
-
 
 class _IsNull(_Cond):
     __slots__ = ("expr", "negated", "local_keys", "has_outer")
@@ -339,10 +269,6 @@ class _IsNull(_Cond):
         self.negated = negated
         self.local_keys = expr.local_keys
         self.has_outer = expr.has_outer
-
-    def eval(self, cursor, env) -> ThreeValued:
-        value = self.expr.eval(cursor, env)
-        return from_bool(is_null(value) != self.negated)
 
 
 class _Bool(_Cond):
@@ -357,25 +283,6 @@ class _Bool(_Cond):
         self.local_keys = keys
         self.has_outer = any(item.has_outer for item in items)
 
-    def eval(self, cursor, env) -> ThreeValued:
-        if self.op == "and":
-            result = TRUE
-            for item in self.items:
-                value = item.eval(cursor, env)
-                if value is FALSE:
-                    return FALSE
-                if value is UNKNOWN:
-                    result = UNKNOWN
-            return result
-        result = FALSE
-        for item in self.items:
-            value = item.eval(cursor, env)
-            if value is TRUE:
-                return TRUE
-            if value is UNKNOWN:
-                result = UNKNOWN
-        return result
-
 
 class _Not(_Cond):
     __slots__ = ("item", "local_keys", "has_outer")
@@ -385,18 +292,12 @@ class _Not(_Cond):
         self.local_keys = item.local_keys
         self.has_outer = item.has_outer
 
-    def eval(self, cursor, env) -> ThreeValued:
-        return ~self.item.eval(cursor, env)
-
 
 class _BoolConst(_Cond):
     __slots__ = ("value",)
 
     def __init__(self, value: bool):
         self.value = TRUE if value else FALSE
-
-    def eval(self, cursor, env) -> ThreeValued:
-        return self.value
 
 
 _MISSING = object()
@@ -438,48 +339,9 @@ class _Exists(_Cond):
         self._saved_probes = None
         block.ctx._probe_preds.append(self)
 
-    def eval(self, cursor, env) -> ThreeValued:
-        if not self.block.external:
-            if self._cache is None:
-                self._cache = self._probe({})
-            return self._cache
-        ctx = self.block.ctx
-        slotmap, row = cursor
-        if self.decor is not None:
-            if self._table is None:
-                self._build_table()
-            if self._table is not None:
-                probe = tuple(row[slotmap[key]] for _local, key in self.decor)
-                ctx.decorrelated_probes += 1
-                if not ctx.marked_nulls and any(is_null(v) for v in probe):
-                    found = False  # a null key never compares TRUE
-                else:
-                    found = probe in self._table
-                return from_bool(found != self.negated)
-        env2 = dict(env)
-        for key in self.needed:
-            env2[key] = row[slotmap[key]]
-        if not ctx.memoize_probes:
-            return self._probe(env2)
-        try:
-            memo_key = tuple(env2[k] for k in self._memo_keys)
-            cached = self._memo.get(memo_key, _MISSING)
-        except (KeyError, TypeError):  # unresolvable or unhashable key
-            return self._probe(env2)
-        if cached is not _MISSING:
-            ctx.probe_cache_hits += 1
-            return cached
-        ctx.probe_cache_misses += 1
-        result = self._probe(env2)
-        self._memo[memo_key] = result
-        return result
-
-    def fast_eval(self, cursor, env) -> ThreeValued:
-        """Compiled entry point: the decorrelated hash probe without the
-        per-call tuple/genexpr allocations of :meth:`eval`.  Every other
-        path (uncorrelated cache, memoized probing) delegates back to
-        the interpreted logic — results and counters are identical by
-        construction."""
+    def truth(self, cursor, env) -> ThreeValued:
+        """The predicate's value for the outer row at *cursor* (this
+        bound method is the compiled closure)."""
         block = self.block
         if not block.external:
             if self._cache is None:
@@ -497,7 +359,7 @@ class _Exists(_Cond):
                 if len(decor) == 1:
                     value = row[slotmap[decor[0][1]]]
                     if not ctx.marked_nulls and isinstance(value, Null):
-                        found = False
+                        found = False  # a null key never compares TRUE
                     else:
                         found = (value,) in table
                 else:
@@ -509,7 +371,7 @@ class _Exists(_Cond):
                     else:
                         found = probe in table
                 return TRUE if found != self.negated else FALSE
-        return self.eval(cursor, env)
+        return _memo_probe(self, cursor, env, self._probe)
 
     def _build_table(self) -> None:
         """One-pass hash semi-join build: inner keys that have witnesses."""
@@ -621,35 +483,6 @@ class _InValues(_Cond):
         self._has_null_const = has_null_const
         self._residual = tuple(residual)
 
-    def eval(self, cursor, env) -> ThreeValued:
-        x = self.expr.eval(cursor, env)
-        result = self._membership_fast(x, cursor, env)
-        return ~result if self.negated else result
-
-    def _membership_fast(self, x, cursor, env) -> ThreeValued:
-        const_set = self._const_set
-        if const_set:
-            try:
-                if x in const_set:
-                    return TRUE
-            except TypeError:  # unhashable probe value: linear fallback
-                for value in const_set:
-                    if _compare("=", x, value, self.marked) is TRUE:
-                        return TRUE
-        saw_unknown = self._has_null_const
-        if not saw_unknown and const_set and is_null(x):
-            saw_unknown = True  # null vs. any non-null candidate
-        for value_expr in self._residual:
-            value = value_expr.eval(cursor, env)
-            candidates = value if isinstance(value, (list, tuple)) else (value,)
-            for item in candidates:
-                cmp = _compare("=", x, item, self.marked)
-                if cmp is TRUE:
-                    return TRUE
-                if cmp is UNKNOWN:
-                    saw_unknown = True
-        return UNKNOWN if saw_unknown else FALSE
-
 
 class _InSubquery(_Cond):
     """``x [NOT] IN (SELECT …)`` with the same probe amortisation as
@@ -657,8 +490,8 @@ class _InSubquery(_Cond):
     memoized value lists otherwise."""
 
     __slots__ = (
-        "expr", "block", "out", "negated", "needed", "local_keys", "has_outer",
-        "marked", "_cache", "decor", "_table", "_memo", "_memo_keys",
+        "expr", "block", "negated", "needed", "local_keys", "has_outer",
+        "marked", "_out", "_cache", "decor", "_table", "_memo", "_memo_keys",
         "_decor0", "_saved_probes",
     )
 
@@ -672,7 +505,6 @@ class _InSubquery(_Cond):
     ):
         self.expr = expr
         self.block = block
-        self.out = out
         self.negated = negated
         self.needed = tuple(
             res.key for res in block.external if res.scope is parent_scope
@@ -682,6 +514,9 @@ class _InSubquery(_Cond):
             res.scope is not parent_scope for res in block.external
         )
         self.marked = block.ctx.marked_nulls
+        from repro.engine.compile import compile_expr
+
+        self._out = compile_expr(out)
         self._cache: Optional[List[object]] = None
         self.decor = None
         if block.ctx.decorrelate and not out.has_outer:
@@ -693,49 +528,28 @@ class _InSubquery(_Cond):
         self._saved_probes = None
         block.ctx._probe_preds.append(self)
 
-    def _values(self, env) -> List[object]:
-        return [self.out.eval(cursor, env) for cursor in self.block.iterate(env)]
-
-    def eval(self, cursor, env) -> ThreeValued:
-        x = self.expr.eval(cursor, env)
+    def values(self, cursor, env) -> Sequence[object]:
+        """The subquery's output values for the outer row at *cursor*."""
         if not self.block.external:
             if self._cache is None:
                 self._cache = self._values({})
-            values = self._cache
-        else:
-            values = self._correlated_values(cursor, env)
-        result = _membership(x, values, self.marked)
-        return ~result if self.negated else result
-
-    def _correlated_values(self, cursor, env) -> Sequence[object]:
-        ctx = self.block.ctx
-        slotmap, row = cursor
+            return self._cache
         if self.decor is not None:
             if self._table is None:
                 self._build_table()
             if self._table is not None:
+                slotmap, row = cursor
                 probe = tuple(row[slotmap[key]] for _local, key in self.decor)
+                ctx = self.block.ctx
                 ctx.decorrelated_probes += 1
                 if not ctx.marked_nulls and any(is_null(v) for v in probe):
                     return ()  # a null key never compares TRUE
                 return self._table.get(probe, ())
-        env2 = dict(env)
-        for key in self.needed:
-            env2[key] = row[slotmap[key]]
-        if not ctx.memoize_probes:
-            return self._values(env2)
-        try:
-            memo_key = tuple(env2[k] for k in self._memo_keys)
-            cached = self._memo.get(memo_key, _MISSING)
-        except (KeyError, TypeError):  # unresolvable or unhashable key
-            return self._values(env2)
-        if cached is not _MISSING:
-            ctx.probe_cache_hits += 1
-            return cached
-        ctx.probe_cache_misses += 1
-        values = self._values(env2)
-        self._memo[memo_key] = values
-        return values
+        return _memo_probe(self, cursor, env, self._values)
+
+    def _values(self, env) -> List[object]:
+        out = self._out
+        return [out(cursor, env) for cursor in self.block.iterate(env)]
 
     def _build_table(self) -> None:
         """One-pass build: inner output values grouped by correlated key."""
@@ -774,12 +588,36 @@ class _InSubquery(_Cond):
                 ):
                     _degrade(self, block, saved_probes, before)
                     return
-            bucket.append(self.out.eval(sub_cursor, {}))
+            bucket.append(self._out(sub_cursor, {}))
         ctx.probe_build_rows += ctx.rows_examined - before
         ctx.rows_examined = before
         ctx.probe_tables_built += 1
         ctx.table_bytes += meter.approx_bytes()
         self._table = table
+
+
+def _memo_probe(pred, cursor, env, compute):
+    """Correlated probing: ``compute(env)`` with the outer row's
+    correlated values bound, memoized on those values unless the
+    context turns memoization off."""
+    ctx = pred.block.ctx
+    slotmap, row = cursor
+    env2 = dict(env)
+    for key in pred.needed:
+        env2[key] = row[slotmap[key]]
+    if not ctx.memoize_probes:
+        return compute(env2)
+    try:
+        memo_key = tuple(env2[k] for k in pred._memo_keys)
+        cached = pred._memo.get(memo_key, _MISSING)
+    except (KeyError, TypeError):  # unresolvable or unhashable key
+        return compute(env2)
+    if cached is not _MISSING:
+        ctx.probe_cache_hits += 1
+        return cached
+    ctx.probe_cache_misses += 1
+    result = pred._memo[memo_key] = compute(env2)
+    return result
 
 
 def _degrade(pred, block: "CompiledBlock", saved_probes, rows_before: int) -> None:
@@ -879,12 +717,9 @@ class CompiledBlock:
         # or filtering work — a FALSE short-circuits the whole block
         # without touching base tables (Q+2's win).
         self._pre: List[_Cond] = [c for c in self.residuals if not c.local_keys]
-        if ctx.compile_predicates:
-            from repro.engine.compile import compile_cond
+        from repro.engine.compile import compile_cond
 
-            self._pre_fns = [compile_cond(c) for c in self._pre]
-        else:
-            self._pre_fns = [c.eval for c in self._pre]
+        self._pre_fns = [compile_cond(c) for c in self._pre]
 
         # Runtime state, built lazily on first iteration.
         self._filtered: Optional[Dict[str, List[Row]]] = None
@@ -1086,26 +921,16 @@ class CompiledBlock:
         rows = relation.rows
         if not source.filters:
             return rows
-        if ctx.compile_predicates:
-            # Columnar: each pushed conjunct is one batch pass over the
-            # surviving row ids, so later conjuncts only touch rows the
-            # earlier ones kept.  Filter scans stay outside the row
-            # counters (same convention as the interpreted path).
-            ids: Sequence[int] = range(len(rows))
-            for batch_pass in self._batch_passes(source):
-                ctx.check()
-                ids = batch_pass(rows, ids)
-                if not ids:
-                    break
-            return [rows[i] for i in ids]
-        slotmap = {(source.binding, col): i for i, col in enumerate(source.columns)}
-        kept = []
-        for row in rows:
+        # Columnar: each pushed conjunct is one batch pass over the
+        # surviving row ids, so later conjuncts only touch rows the
+        # earlier ones kept.  Filter scans stay outside the row counters.
+        ids: Sequence[int] = range(len(rows))
+        for batch_pass in self._batch_passes(source):
             ctx.check()
-            cursor = (slotmap, row)
-            if all(f.eval(cursor, {}) is TRUE for f in source.filters):
-                kept.append(row)
-        return kept
+            ids = batch_pass(rows, ids)
+            if not ids:
+                break
+        return [rows[i] for i in ids]
 
     def _batch_passes(self, source: _Source) -> List[object]:
         passes = self._passes.get(source.binding)
@@ -1166,14 +991,17 @@ class CompiledBlock:
                 offset += 1
         self._slotmap = slotmap
 
-        # For each step, the equality keys usable to probe it.
+        # For each step, the equality keys usable to probe it; probe
+        # expressions from the environment are compiled here, once.
+        from repro.engine.compile import compile_expr
+
         steps: List[Tuple[str, List[Tuple[str, object]]]] = []
         bound = set()
         for binding in order:
             keys: List[Tuple[str, object]] = []
             for key, expr in self.probes:
                 if key[0] == binding:
-                    keys.append((key[1], ("env", expr)))
+                    keys.append((key[1], ("env", compile_expr(expr))))
             for a, b in self.equi:
                 if a[0] == binding and b[0] in bound:
                     keys.append((a[1], ("row", b)))
@@ -1201,17 +1029,12 @@ class CompiledBlock:
                     break
             else:  # pragma: no cover - resolution guarantees coverage
                 raise EngineError("residual references unbound tables")
-        if self.ctx.compile_predicates:
-            from repro.engine.compile import compile_cond
+        from repro.engine.compile import compile_cond
 
-            self._attached_fns = []
-            for conds in self._attached:
-                nonnull = self._proven_nonnull(conds)
-                self._attached_fns.append(
-                    [compile_cond(c, nonnull) for c in conds]
-                )
-        else:
-            self._attached_fns = [[c.eval for c in conds] for conds in self._attached]
+        self._attached_fns = []
+        for conds in self._attached:
+            nonnull = self._proven_nonnull(conds)
+            self._attached_fns.append([compile_cond(c, nonnull) for c in conds])
 
     def _proven_nonnull(self, conds: Sequence[_Cond]) -> frozenset:
         """Data-driven non-null proofs for the closure compiler: a local
@@ -1321,7 +1144,7 @@ class CompiledBlock:
                 for _col, src in keys:
                     kind, payload = src
                     if kind == "env":
-                        probe.append(payload.eval((slotmap, partial), env))
+                        probe.append(payload((slotmap, partial), env))
                     else:
                         probe.append(partial[slotmap[payload]])
                 if not ctx.marked_nulls and any(is_null(v) for v in probe):
@@ -1388,29 +1211,21 @@ class CompiledBlock:
     def _stream_filtered(self, source: _Source) -> Iterator[Row]:
         ctx = self.ctx
         rows = ctx.relation(source.table).rows
-        if ctx.compile_predicates:
-            # Chunked columnar filtering: batch passes over a window of
-            # row ids at a time, preserving first-match short-circuits.
-            passes = self._batch_passes(source)
-            total = len(rows)
-            start = 0
-            while start < total:
-                ctx.check()
-                ids: Sequence[int] = range(start, min(start + _FILTER_CHUNK, total))
-                for batch_pass in passes:
-                    ids = batch_pass(rows, ids)
-                    if not ids:
-                        break
-                for i in ids:
-                    yield rows[i]
-                start += _FILTER_CHUNK
-            return
-        slotmap = {(source.binding, col): i for i, col in enumerate(source.columns)}
-        for row in rows:
+        # Chunked columnar filtering: batch passes over a window of row
+        # ids at a time, preserving first-match short-circuits.
+        passes = self._batch_passes(source)
+        total = len(rows)
+        start = 0
+        while start < total:
             ctx.check()
-            cursor = (slotmap, row)
-            if all(f.eval(cursor, {}) is TRUE for f in source.filters):
-                yield row
+            ids: Sequence[int] = range(start, min(start + _FILTER_CHUNK, total))
+            for batch_pass in passes:
+                ids = batch_pass(rows, ids)
+                if not ids:
+                    break
+            for i in ids:
+                yield rows[i]
+            start += _FILTER_CHUNK
 
 
 def _pure_probe_plan(

@@ -1,8 +1,9 @@
-"""Closure compilation: lowering evaluator trees to specialized closures.
+"""Closure compilation: the engine's only evaluator.
 
-The interpreted engine walks ``_Cond``/``_Expr`` object trees with a
-virtual ``eval(cursor, env)`` call per node per row.  This module
-lowers those trees, at prepare time, into plain Python closures:
+:mod:`repro.engine.blocks` builds every predicate and scalar expression
+as a tree of plain ``_Cond``/``_Expr`` IR nodes.  This module lowers
+those trees, at prepare time, into plain Python closures
+``fn(cursor, env)``:
 
 * **operator specialization** — each comparison operator gets its own
   closure body, ``LIKE`` patterns against constants are compiled to a
@@ -16,50 +17,37 @@ lowers those trees, at prepare time, into plain Python closures:
   test disappears from the closure;
 * **columnar batch filters** — pushed single-table filters become
   batch passes over row-id lists (one tight comprehension per
-  conjunct) instead of per-row tree walks.
+  conjunct) instead of per-row calls.
 
-Stateful predicates (subqueries) keep their interpreted entry points —
-their cost is amortised by decorrelation/memoization, not dispatch —
-except that ``EXISTS`` gains a slot-specialized hash-probe fast path
-(``_Exists.fast_eval``).
-
-The interpreted path remains fully supported: set the
-``REPRO_NO_COMPILE`` environment variable (or pass
-``compile_predicates=False`` to the executor) to fall back, which is
-also how the differential tests and the ``BENCH_compile`` benchmark
-obtain their baseline.
+Subquery nodes keep their state (decorrelated probe tables, memo
+caches, cached uncorrelated results) on the IR node, so recompiling a
+condition after a replan reuses it; their closures call into that
+state (``_Exists.truth``, ``_InSubquery.values``) with the operand
+expressions compiled here.  The engine's independent references are
+the algebra evaluator (``tests/engine/test_vs_algebra_property.py``)
+and the brute-force certain-answer oracle.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.algebra.conditions import _like_regex, like_match
 from repro.algebra.threevl import FALSE, TRUE, UNKNOWN
 from repro.data.nulls import Null
 from repro.engine import blocks as B
+from repro.engine.scope import EngineError
 
 __all__ = [
-    "NO_COMPILE_ENV",
-    "compile_enabled",
     "compile_expr",
     "compile_cond",
     "build_batch_passes",
 ]
 
-#: Environment escape hatch: any non-empty value disables compilation.
-NO_COMPILE_ENV = "REPRO_NO_COMPILE"
-
 Key = Tuple[str, str]
 NonNull = FrozenSet[Key]
 _EMPTY_NONNULL: NonNull = frozenset()
 _EMPTY_ENV: dict = {}
-
-
-def compile_enabled() -> bool:
-    """Default compilation mode (read once per ``ExecContext``)."""
-    return not os.environ.get(NO_COMPILE_ENV)
 
 
 def _proved_nonnull(expr: "B._Expr", nonnull: NonNull) -> bool:
@@ -110,8 +98,46 @@ def compile_expr(expr: "B._Expr", nonnull: NonNull = _EMPTY_NONNULL) -> Callable
             return "".join(pieces)
 
         return concat
-    # _ScalarSubquery and anything else stateful keeps its own eval.
-    return expr.eval
+    if isinstance(expr, B._ScalarSubquery):
+        return _compile_scalar_subquery(expr)
+    raise EngineError(f"cannot compile expression {expr!r}")  # pragma: no cover
+
+
+def _compile_scalar_subquery(sub: "B._ScalarSubquery") -> Callable:
+    """A closure that runs the inner block once per statement and then
+    returns the aggregate cached on *sub*."""
+    arg = None if sub.arg is None else compile_expr(sub.arg)
+    func = sub.func
+
+    def aggregate():
+        values = []
+        count_star = 0
+        for sub_cursor in sub.block.iterate({}):
+            count_star += 1
+            if arg is not None:
+                values.append(arg(sub_cursor, _EMPTY_ENV))
+        non_null = [v for v in values if not isinstance(v, Null)]
+        if func == "count":
+            return count_star if arg is None else len(non_null)
+        if not non_null:
+            return Null()  # SQL aggregates over nothing yield NULL
+        if func == "avg":
+            return sum(non_null) / len(non_null)
+        if func == "sum":
+            return sum(non_null)
+        if func == "min":
+            return min(non_null)
+        if func == "max":
+            return max(non_null)
+        raise EngineError(f"unknown aggregate {func!r}")  # pragma: no cover
+
+    def scalar(cursor, env):
+        if not sub.computed:
+            sub.value = aggregate()
+            sub.computed = True
+        return sub.value
+
+    return scalar
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +334,11 @@ def compile_cond(cond: "B._Cond", nonnull: NonNull = _EMPTY_NONNULL) -> Callable
 
         return negate
     if isinstance(cond, B._InValues):
-        expr_fn = compile_expr(cond.expr, nonnull)
-        membership = cond._membership_fast
+        membership = _compile_in_values(cond, nonnull)
         if cond.negated:
 
             def notin(cursor, env):
-                value = membership(expr_fn(cursor, env), cursor, env)
+                value = membership(cursor, env)
                 if value is TRUE:
                     return FALSE
                 if value is FALSE:
@@ -321,15 +346,63 @@ def compile_cond(cond: "B._Cond", nonnull: NonNull = _EMPTY_NONNULL) -> Callable
                 return UNKNOWN
 
             return notin
+        return membership
+    if isinstance(cond, B._InSubquery):
+        expr_fn = compile_expr(cond.expr, nonnull)
+        values = cond.values
+        marked = cond.marked
+        if cond.negated:
 
-        def in_(cursor, env):
-            return membership(expr_fn(cursor, env), cursor, env)
+            def not_in_subquery(cursor, env):
+                return ~B._membership(expr_fn(cursor, env), values(cursor, env), marked)
 
-        return in_
+            return not_in_subquery
+
+        def in_subquery(cursor, env):
+            return B._membership(expr_fn(cursor, env), values(cursor, env), marked)
+
+        return in_subquery
     if isinstance(cond, B._Exists):
-        return cond.fast_eval
-    # _InSubquery and anything unknown: interpreted entry point.
-    return cond.eval
+        return cond.truth
+    raise EngineError(f"cannot compile condition {cond!r}")  # pragma: no cover
+
+
+def _compile_in_values(cond: "B._InValues", nonnull: NonNull) -> Callable:
+    """``x IN (v₁, …)`` over the node's pre-partitioned IN-list: an O(1)
+    probe of the constant set, then the residual candidates one by one
+    (the truth table of :func:`repro.engine.blocks._membership`)."""
+    expr_fn = compile_expr(cond.expr, nonnull)
+    residual = tuple(compile_expr(v, nonnull) for v in cond._residual)
+    const_set = cond._const_set
+    has_null_const = cond._has_null_const
+    marked = cond.marked
+    compare = B._compare
+
+    def membership(cursor, env):
+        x = expr_fn(cursor, env)
+        if const_set:
+            try:
+                if x in const_set:
+                    return TRUE
+            except TypeError:  # unhashable probe value: linear fallback
+                for value in const_set:
+                    if compare("=", x, value, marked) is TRUE:
+                        return TRUE
+        saw_unknown = has_null_const
+        if not saw_unknown and const_set and isinstance(x, Null):
+            saw_unknown = True  # null vs. any non-null candidate
+        for value_fn in residual:
+            value = value_fn(cursor, env)
+            candidates = value if isinstance(value, (list, tuple)) else (value,)
+            for item in candidates:
+                cmp = compare("=", x, item, marked)
+                if cmp is TRUE:
+                    return TRUE
+                if cmp is UNKNOWN:
+                    saw_unknown = True
+        return UNKNOWN if saw_unknown else FALSE
+
+    return membership
 
 
 # ---------------------------------------------------------------------------

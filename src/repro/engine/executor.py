@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union as TUnion
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine.blocks import CompiledBlock, ExecContext
+from repro.engine.compile import compile_expr
 from repro.engine.limits import ResourceLimits
 from repro.engine.scope import EngineError
 from repro.sql import ast
@@ -101,7 +102,6 @@ class Executor:
         memoize_probes: bool = True,
         decorrelate: bool = True,
         limits: Optional[ResourceLimits] = None,
-        compile_predicates: Optional[bool] = None,
     ):
         self.ctx = ExecContext(
             db,
@@ -110,7 +110,6 @@ class Executor:
             memoize_probes=memoize_probes,
             decorrelate=decorrelate,
             limits=limits,
-            compile_predicates=compile_predicates,
         )
         #: top-level blocks compiled by this executor (explain support)
         self.blocks: List[CompiledBlock] = []
@@ -224,7 +223,7 @@ class Executor:
                 name = col.expr.func
             else:
                 name = f"column{len(outputs) + 1}"
-            outputs.append((name, _expr_getter(expr, self.ctx.compile_predicates)))
+            outputs.append((name, _expr_getter(expr)))
         return self._dedupe_names(outputs, block)
 
     @staticmethod
@@ -249,19 +248,11 @@ def _slot_getter(key):
     return getter
 
 
-def _expr_getter(expr, compiled: bool = False):
-    if compiled:
-        from repro.engine.compile import compile_expr
-
-        fn = compile_expr(expr)
-
-        def compiled_getter(cursor):
-            return fn(cursor, _EMPTY_ENV)
-
-        return compiled_getter
+def _expr_getter(expr):
+    fn = compile_expr(expr)
 
     def getter(cursor):
-        return expr.eval(cursor, {})
+        return fn(cursor, _EMPTY_ENV)
 
     return getter
 
@@ -341,7 +332,6 @@ def execute_query(
     memoize_probes: bool = True,
     decorrelate: bool = True,
     limits: Optional[ResourceLimits] = None,
-    compile_predicates: Optional[bool] = None,
 ) -> Relation:
     """Execute a parsed query; returns a :class:`Relation`.
 
@@ -353,10 +343,6 @@ def execute_query(
     ``limits`` attaches a deadline/row budget to the run (see
     :mod:`repro.engine.limits`); exceeding a hard cap raises
     :class:`~repro.engine.limits.ResourceError`.
-    ``compile_predicates=False`` (or the ``REPRO_NO_COMPILE`` env var)
-    evaluates predicates through the interpreted ``eval`` tree walk
-    instead of the compiled closures — same results and work counters,
-    used as the differential-testing and benchmarking baseline.
     """
     return Executor(
         db,
@@ -365,7 +351,6 @@ def execute_query(
         memoize_probes=memoize_probes,
         decorrelate=decorrelate,
         limits=limits,
-        compile_predicates=compile_predicates,
     ).execute(ast.query_of(query))
 
 
@@ -377,7 +362,6 @@ def execute_sql(
     memoize_probes: bool = True,
     decorrelate: bool = True,
     limits: Optional[ResourceLimits] = None,
-    compile_predicates: Optional[bool] = None,
 ) -> Relation:
     """Parse (if necessary, through the plan cache) and execute SQL."""
     if isinstance(sql, str):
@@ -390,5 +374,4 @@ def execute_sql(
         memoize_probes=memoize_probes,
         decorrelate=decorrelate,
         limits=limits,
-        compile_predicates=compile_predicates,
     )

@@ -1,5 +1,7 @@
 """Condition language: evaluation under both semantics, negation, LIKE."""
 
+import sqlite3
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -120,6 +122,20 @@ class TestLike:
     )
     def test_like(self, value, pattern, expected):
         assert like_match(value, pattern) is expected
+
+    def test_non_text_operands_match_sqlite(self):
+        """Both operands are matched as text; expectations from sqlite3."""
+        cases = [(1, 1), (12, "1%"), (12, 1), ("12", 12), (1.5, "1._")]
+        con = sqlite3.connect(":memory:")
+        for value, pattern in cases:
+            (expected,) = con.execute("SELECT ? LIKE ?", (value, pattern)).fetchone()
+            assert like_match(value, pattern) is bool(expected), (value, pattern)
+        con.close()
+
+    def test_non_text_pattern_in_conditions(self):
+        row = {"A": 12}
+        assert eval_3vl(Comparison("like", Attr("A"), Const(12)), row) is TRUE
+        assert eval_3vl(Comparison("not like", Attr("A"), Const(1)), row) is TRUE
 
     def test_like_in_conditions(self):
         row = {"A": "forest green"}

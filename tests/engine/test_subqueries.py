@@ -1,10 +1,14 @@
 """Subquery semantics: EXISTS, IN, NOT IN, scalar aggregates — with nulls."""
 
+import sqlite3
+from collections import Counter
+
 import pytest
 
-from repro.data import Database, Null, Relation
-from repro.engine import execute_sql
+from repro.data import Database, Null, Relation, is_null
+from repro.engine import Executor, execute_sql
 from repro.engine.scope import EngineError
+from repro.sql.parser import parse_sql
 
 
 @pytest.fixture
@@ -95,6 +99,34 @@ class TestIn:
         )
         assert out.rows == [(1,)]
 
+    @pytest.mark.parametrize("marked", [False, True])
+    def test_correlated_not_in_matches_sqlite(self, marked):
+        """Correlated NOT IN with nulls on both sides; expected rows from
+        sqlite3.  Every null has its own label, so marked-null mode has
+        no label to match and must agree with standard SQL."""
+        r_rows = [(1, 1), (1, 2), (2, None), (None, 3), (3, 3), (2, 1)]
+        s_rows = [(1, 1), (1, None), (2, 2), (3, None), (None, 3)]
+        sql = "SELECT a, b FROM r WHERE b NOT IN (SELECT d FROM s WHERE s.c = r.a)"
+        con = sqlite3.connect(":memory:")
+        con.execute("CREATE TABLE r (a, b)")
+        con.execute("CREATE TABLE s (c, d)")
+        con.executemany("INSERT INTO r VALUES (?, ?)", r_rows)
+        con.executemany("INSERT INTO s VALUES (?, ?)", s_rows)
+        expected = Counter(con.execute(sql).fetchall())
+        con.close()
+
+        def nullify(rows):
+            return [tuple(Null() if v is None else v for v in row) for row in rows]
+
+        db = Database(
+            {
+                "r": Relation(("a", "b"), nullify(r_rows)),
+                "s": Relation(("c", "d"), nullify(s_rows)),
+            }
+        )
+        rows = execute_sql(db, sql, marked_nulls=marked).rows
+        assert Counter(tuple(None if is_null(v) else v for v in row) for row in rows) == expected
+
 
 class TestScalarAggregates:
     def test_avg_ignores_nulls(self):
@@ -139,3 +171,64 @@ class TestScalarAggregates:
             "AND NOT EXISTS (SELECT * FROM orders WHERE cust = r.a)",
         )
         assert out.rows == [(3,)]
+
+
+class TestScalarSubqueryPositions:
+    """A scalar subquery outside a comparison: its inner block runs once
+    per statement, so ``rows_examined`` is the 3 rows of ``s`` plus the
+    outer rows the statement produces."""
+
+    @pytest.fixture
+    def db(self):
+        return Database(
+            {
+                "r": Relation(("a",), [(1,), (3,), (Null(),), (4,)]),
+                "s": Relation(("c",), [(1,), (3,), (Null(),)]),
+            }
+        )
+
+    @staticmethod
+    def run(db, sql):
+        executor = Executor(db)
+        rows = executor.execute(parse_sql(sql)).rows
+        return rows, executor.ctx.rows_examined
+
+    def test_is_null(self, db):
+        rows, examined = self.run(
+            db, "SELECT a FROM r WHERE (SELECT MAX(c) FROM s) IS NULL"
+        )
+        assert (rows, examined) == ([], 3)  # FALSE before r is scanned
+        rows, examined = self.run(
+            db, "SELECT a FROM r WHERE (SELECT MAX(c) FROM s) IS NOT NULL"
+        )
+        assert len(rows) == 4 and examined == 7
+
+    def test_in_value_list(self, db):
+        rows, examined = self.run(
+            db, "SELECT a FROM r WHERE a IN ((SELECT MAX(c) FROM s), 1)"
+        )
+        assert (rows, examined) == ([(1,), (3,)], 5)
+        rows, examined = self.run(
+            db, "SELECT a FROM r WHERE a NOT IN ((SELECT MAX(c) FROM s), 1)"
+        )
+        assert (rows, examined) == ([(4,)], 4)  # the null a is UNKNOWN
+
+    def test_select_list(self, db):
+        rows, examined = self.run(db, "SELECT (SELECT max(c) FROM s) FROM r")
+        assert (rows, examined) == ([(3,)] * 4, 7)
+
+    def test_concat_operand(self, db):
+        rows, examined = self.run(db, "SELECT 'x' || (SELECT MIN(c) FROM s) FROM r")
+        assert (rows, examined) == ([("x1",)] * 4, 7)
+
+    def test_null_aggregate_propagates_through_concat(self, db):
+        db = Database({"r": db["r"], "s": Relation(("c",), [(Null(),)])})
+        rows, _ = self.run(db, "SELECT 'x' || (SELECT MIN(c) FROM s) FROM r")
+        assert len(rows) == 4 and all(is_null(v) for (v,) in rows)
+
+    def test_prepared_reruns_reuse_the_value(self, db):
+        executor = Executor(db)
+        prepared = executor.prepare(parse_sql("SELECT (SELECT max(c) FROM s) FROM r"))
+        assert prepared.run().rows == [(3,)] * 4
+        assert prepared.run().rows == [(3,)] * 4
+        assert executor.ctx.rows_examined == 3 + 4 + 4

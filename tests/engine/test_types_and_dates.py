@@ -1,10 +1,12 @@
 """Value domains the TPC-H queries rely on: dates, floats, strings."""
 
 import datetime
+import sqlite3
+from collections import Counter
 
 import pytest
 
-from repro.data import Database, Null, Relation
+from repro.data import Database, Null, Relation, is_null
 from repro.engine import execute_sql
 
 D = datetime.date
@@ -88,3 +90,46 @@ class TestStrings:
         assert out.rows == []
         out = execute_sql(db, "SELECT a FROM t WHERE a || b IS NULL")
         assert out.rows == [("fo",)]
+
+    def test_concat_in_select_list(self):
+        db = Database({"t": Relation(("a",), [(1,), (Null(),), ("b",)])})
+        out = execute_sql(db, "SELECT a || 'x' FROM t WHERE a IS NOT NULL")
+        assert out.rows == [("1x",), ("bx",)]
+        out = execute_sql(db, "SELECT a || 'x' FROM t")
+        assert out.rows[0] == ("1x",) and is_null(out.rows[1][0])
+
+
+#: Integer rows with nulls for LIKE over non-text operands.
+LIKE_ROWS = [(1, 1), (12, 1), (1, 12), (2, 12), (None, 1), (1, None), (12, 12)]
+
+
+@pytest.mark.parametrize(
+    "where",
+    [
+        "1 LIKE a",
+        "a LIKE 1",
+        "a LIKE '1%'",
+        "a NOT LIKE 1",
+        "b NOT LIKE a",
+        "a LIKE b",
+    ],
+)
+def test_like_on_integers_matches_sqlite(where):
+    """LIKE with a non-text operand matches the operands' text; the
+    expected rows come from sqlite3 on the same data."""
+    sql = f"SELECT a, b FROM r WHERE {where}"
+    con = sqlite3.connect(":memory:")
+    con.execute("CREATE TABLE r (a INTEGER, b INTEGER)")
+    con.executemany("INSERT INTO r VALUES (?, ?)", LIKE_ROWS)
+    expected = Counter(con.execute(sql).fetchall())
+    con.close()
+    db = Database(
+        {
+            "r": Relation(
+                ("a", "b"),
+                [tuple(Null() if v is None else v for v in row) for row in LIKE_ROWS],
+            )
+        }
+    )
+    rows = execute_sql(db, sql).rows
+    assert Counter(tuple(None if is_null(v) else v for v in row) for row in rows) == expected
