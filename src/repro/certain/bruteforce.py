@@ -29,9 +29,9 @@ deadlines, the search is **best-first**: each candidate is probed
 against a small sample of worlds, and since any rejecting world is a
 proof of non-certainty, sample survivors stream straight into
 verification while refuted candidates are dropped with a certificate
-(huge pools fall back to value-frequency ordering via
-:mod:`repro.engine.stats`); rejecting worlds are promoted by their
-observed kill rate so doomed survivors die at their first check.
+(huge pools fall back to plain seeding order); rejecting worlds are
+promoted by their observed kill rate so doomed survivors die at their
+first check.
 A tuple is only ever emitted after surviving every world, so a
 deadline- or cancellation-cut result is always a sound subset of
 ``cert(Q, D)`` — and a *richer* subset than the eager enumeration
@@ -75,7 +75,6 @@ from repro.data.valuation import (
     enumerate_valuations,
 )
 from repro.engine.limits import CancelToken
-from repro.engine.stats import SourceStats
 
 __all__ = [
     "certain_answers_with_nulls",
@@ -95,7 +94,7 @@ SCORE_SAMPLE_WORLDS = 8
 
 #: Cap on the total scoring membership tests one search may spend.  The
 #: per-candidate sample shrinks as the candidate pool grows (down to
-#: frequency-only ordering, then to plain seeding order for huge pools),
+#: plain seeding order, unscored, for pools too large for one probe each),
 #: keeping the worst-case ordering overhead a small multiple of one
 #: verification sweep.  Scoring is streamed per candidate and early-exits
 #: at the first rejecting sample, so in practice only plausibly-certain
@@ -421,18 +420,10 @@ def _best_first_stream(
 
     The sample shrinks as the candidate pool grows so total probes stay
     under :data:`SCORE_PROBE_BUDGET` (early exit keeps the spend far
-    lower in practice).  When even one probe per candidate is over
-    budget, no refutation certificates are affordable; every candidate
-    must be verified, and a frequency signal over the first world's
-    answer columns orders them instead (via
-    :class:`~repro.engine.stats.SourceStats` — values that NDV says
-    recur across many answers are more likely to survive than one-off
-    combinations), null-free candidates first within equal frequency (a
-    null-free candidate needs only its fixed image in every world, while
-    a null-bearing one survives only if the database *forces* its nulls
-    — much rarer), ties keeping seeding order for determinism (candidate
-    tuples, which may mix nulls and constants, are never compared to
-    each other).
+    lower in practice).  With no worlds, a single candidate, or a pool
+    so large that not even one probe per candidate fits the budget,
+    candidates stream unscored in seeding order and all of them are
+    verified.
 
     Either way no candidate is ever dropped *unexamined*, so soundness
     and completeness are untouched.  After a deadline or cancellation
@@ -440,69 +431,18 @@ def _best_first_stream(
     verification loop is about to stop at its own check anyway.
     """
     n = len(candidates)
-    if not worlds or n <= 1:
+    sample_size = (
+        min(SCORE_SAMPLE_WORLDS, len(worlds), SCORE_PROBE_BUDGET // n) if n > 1 else 0
+    )
+    if sample_size <= 0:
         for candidate in candidates:
             yield candidate, [
                 i for i, value in enumerate(candidate) if is_null(value)
             ]
         return
-    sample_size = min(
-        SCORE_SAMPLE_WORLDS,
-        len(worlds),
-        SCORE_PROBE_BUDGET // n,
-    )
     out_of_budget = False
     position = 0
     ticks = _CLOCK_EVERY  # first candidate reads the clock
-    if sample_size <= 0:
-        # Frequency-ordered fallback for huge pools: a global scoring
-        # pass at a dict probe per position, no world probes.
-        arity = stats.arity
-        first_rows = SourceStats(list(worlds[0][1]))
-        frequency: List[Dict[object, int]] = []
-        ndv_weight: List[int] = []
-        for pos in range(arity):
-            counts: Dict[object, int] = {}
-            if len(first_rows):
-                for value in first_rows.column(pos):
-                    counts[value] = counts.get(value, 0) + 1
-            frequency.append(counts)
-            # Recurring values in a high-NDV (discriminating) column say
-            # more about survival odds than ones everybody shares.
-            ndv_weight.append(first_rows.ndv(pos) if len(first_rows) else 1)
-        v0_map = worlds[0][0].mapping
-        scored: List[Tuple[Tuple[int, int], Row, List[int]]] = []
-        for position, candidate in enumerate(candidates):
-            if cancel is not None and cancel.cancelled:
-                out_of_budget = True
-            elif cutoff is not None:
-                ticks += 1
-                if ticks >= _CLOCK_EVERY:
-                    ticks = 0
-                    if time.monotonic() > cutoff:
-                        out_of_budget = True
-            if out_of_budget:
-                break
-            null_pos = [
-                i for i, value in enumerate(candidate) if is_null(value)
-            ]
-            freq = sum(
-                frequency[i].get(v0_map.get(candidate[i], candidate[i]), 0)
-                * ndv_weight[i]
-                for i in range(arity)
-            )
-            scored.append(((len(null_pos), -freq), candidate, null_pos))
-        # Stable sort on the score alone: ties deterministically keep
-        # the seeding order the candidates arrived in.
-        scored.sort(key=lambda entry: entry[0])
-        for _score, candidate, null_pos in scored:
-            yield candidate, null_pos
-        if out_of_budget:
-            for candidate in candidates[position:]:
-                yield candidate, [
-                    i for i, value in enumerate(candidate) if is_null(value)
-                ]
-        return
     step = max(1, len(worlds) // sample_size)
     sample = worlds[::step][:sample_size]
     stats.sampled_worlds = full = len(sample)

@@ -59,8 +59,6 @@ class ExecContext:
         db,
         params: Optional[Dict[str, object]] = None,
         marked_nulls: bool = False,
-        memoize_probes: bool = True,
-        decorrelate: bool = True,
         limits: Optional[ResourceLimits] = None,
     ):
         self.db = db
@@ -70,10 +68,6 @@ class ExecContext:
         #: between two occurrences of the *same* null is TRUE instead of
         #: unknown (and disequality FALSE).  Everything else keeps 3VL.
         self.marked_nulls = marked_nulls
-        #: memoize correlated subquery probes on their correlation values
-        self.memoize_probes = memoize_probes
-        #: decorrelate pure equi-correlated subqueries into hash tables
-        self.decorrelate = decorrelate
         #: resource governance (deadline / row budgets); ``None`` caps nothing
         self.limits = limits
         self.governor = (
@@ -118,7 +112,7 @@ class ExecContext:
             None if limits is None or limits.unlimited else LimitGovernor(limits)
         )
         for pred in self._probe_preds:
-            _reset_decor(pred)
+            pred._reset_decor()
         for block in self._blocks:
             block._reset_runtime()
         self.table_bytes = 0
@@ -303,26 +297,39 @@ class _BoolConst(_Cond):
 _MISSING = object()
 
 
-class _Exists(_Cond):
-    """``[NOT] EXISTS`` — two-valued; uncorrelated results are cached.
+class _CorrelatedSubquery(_Cond):
+    """Probe machinery shared by ``[NOT] EXISTS`` and ``[NOT] IN (SELECT …)``.
 
-    Correlated probes are amortised two ways (Section 7's engine story):
+    An uncorrelated subquery runs once per statement.  Correlated probes
+    are amortised two ways (Section 7's engine story):
 
     * when the correlation is purely equality against plain outer
       columns, the subquery is *decorrelated*: one pass over the inner
       block groups its rows by the correlated key and every outer row
       becomes a hash semi-/anti-join lookup;
-    * otherwise probe results are memoized on the tuple of correlated
-      values, so repeated outer keys re-execute nothing.
+    * otherwise — or when the probe-table build goes over its
+      ``ResourceLimits`` budget — probe results are memoized on the tuple
+      of correlated values, so repeated outer keys re-execute nothing.
+
+    Subclasses supply :meth:`_run` (the subquery's result for one binding
+    of the correlated values), :meth:`_from_bucket` (that result from a
+    probe-table bucket) and ``_out``, the compiled output expression
+    whose values the build collects per key (``None``: keys only).
     """
 
     __slots__ = (
-        "block", "negated", "needed", "local_keys", "has_outer",
+        "block", "negated", "needed", "local_keys", "has_outer", "_out",
         "_cache", "decor", "_table", "_memo", "_memo_keys",
         "_decor0", "_saved_probes",
     )
 
-    def __init__(self, block: "CompiledBlock", negated: bool, parent_scope: CompileScope):
+    def __init__(
+        self,
+        block: "CompiledBlock",
+        negated: bool,
+        parent_scope: CompileScope,
+        decor: Optional[Tuple[Tuple[Key, Key], ...]],
+    ):
         self.block = block
         self.negated = negated
         self.needed = tuple(
@@ -330,22 +337,23 @@ class _Exists(_Cond):
         )
         self.local_keys = frozenset(self.needed)
         self.has_outer = any(res.scope is not parent_scope for res in block.external)
-        self._cache: Optional[ThreeValued] = None
-        self.decor = _pure_probe_plan(block, parent_scope) if block.ctx.decorrelate else None
-        self._table: Optional[Set[Tuple]] = None
-        self._memo: Dict[Tuple, ThreeValued] = {}
+        self._cache: object = None
+        self.decor = decor
+        self._table: Optional[Dict[Tuple, List[object]]] = None
+        self._memo: Dict[Tuple, object] = {}
         self._memo_keys = tuple(dict.fromkeys(res.key for res in block.external))
-        self._decor0 = self.decor
+        self._decor0 = decor
         self._saved_probes = None
         block.ctx._probe_preds.append(self)
 
-    def truth(self, cursor, env) -> ThreeValued:
-        """The predicate's value for the outer row at *cursor* (this
-        bound method is the compiled closure)."""
+    def answer(self, cursor, env):
+        """The subquery's result for the outer row at *cursor*: a truth
+        value for ``EXISTS``, the output values for ``IN`` (this bound
+        method is what the closure compiler calls)."""
         block = self.block
         if not block.external:
             if self._cache is None:
-                self._cache = self._probe({})
+                self._cache = self._run({})
             return self._cache
         if self.decor is not None:
             if self._table is None:
@@ -353,28 +361,43 @@ class _Exists(_Cond):
             table = self._table
             if table is not None:
                 ctx = block.ctx
-                slotmap, row = cursor
                 ctx.decorrelated_probes += 1
+                slotmap, row = cursor
                 decor = self.decor
                 if len(decor) == 1:
                     value = row[slotmap[decor[0][1]]]
                     if not ctx.marked_nulls and isinstance(value, Null):
-                        found = False  # a null key never compares TRUE
-                    else:
-                        found = (value,) in table
-                else:
-                    probe = tuple(row[slotmap[key]] for _local, key in decor)
-                    if not ctx.marked_nulls and any(
-                        isinstance(v, Null) for v in probe
-                    ):
-                        found = False
-                    else:
-                        found = probe in table
-                return TRUE if found != self.negated else FALSE
-        return _memo_probe(self, cursor, env, self._probe)
+                        return self._from_bucket(None)  # a null key never compares TRUE
+                    return self._from_bucket(table.get((value,)))
+                probe = tuple(row[slotmap[key]] for _local, key in decor)
+                if not ctx.marked_nulls and any(isinstance(v, Null) for v in probe):
+                    return self._from_bucket(None)
+                return self._from_bucket(table.get(probe))
+        return self._memo_probe(cursor, env)
+
+    def _memo_probe(self, cursor, env):
+        """Correlated probing: :meth:`_run` with the outer row's
+        correlated values bound, memoized on those values."""
+        ctx = self.block.ctx
+        slotmap, row = cursor
+        env2 = dict(env)
+        for key in self.needed:
+            env2[key] = row[slotmap[key]]
+        try:
+            memo_key = tuple(env2[k] for k in self._memo_keys)
+            cached = self._memo.get(memo_key, _MISSING)
+        except (KeyError, TypeError):  # unresolvable or unhashable key
+            return self._run(env2)
+        if cached is not _MISSING:
+            ctx.probe_cache_hits += 1
+            return cached
+        ctx.probe_cache_misses += 1
+        result = self._memo[memo_key] = self._run(env2)
+        return result
 
     def _build_table(self) -> None:
-        """One-pass hash semi-join build: inner keys that have witnesses."""
+        """One-pass hash semi-join build: the inner rows grouped by their
+        correlated key, each bucket holding their ``_out`` values."""
         block = self.block
         if block._order is not None:
             # The block was already planned with its probes baked in
@@ -385,54 +408,143 @@ class _Exists(_Cond):
         block.probes = [(k, e) for k, e in block.probes if not e.has_outer]
         self._saved_probes = saved_probes
         locals_ = tuple(local for local, _key in self.decor)
+        out = self._out
         marked = ctx.marked_nulls
         cap = None if ctx.limits is None else ctx.limits.max_probe_build_rows
         byte_cap = None if ctx.limits is None else ctx.limits.max_probe_table_bytes
         meter = TableBytesMeter()
         before = ctx.rows_examined
-        table: Set[Tuple] = set()
-        single = locals_[0] if len(locals_) == 1 else None
+        table: Dict[Tuple, List[object]] = {}
+        single = len(locals_) == 1
         positions: Optional[Tuple[int, ...]] = None
-        for slotmap, row in block.iterate({}):
+        for cursor in block.iterate({}):
             if cap is not None and ctx.rows_examined - before > cap:
-                _degrade(self, block, saved_probes, before)
+                self._degrade(saved_probes, before)
                 return
+            slotmap, row = cursor
             # The block yields one shared slotmap; resolve key positions
             # once and index rows directly from then on.
             if positions is None:
                 positions = tuple(slotmap[local] for local in locals_)
-            if single is not None:
+            if single:
                 value = row[positions[0]]
                 if not marked and isinstance(value, Null):
                     continue
                 key = (value,)
             else:
                 key = tuple(row[p] for p in positions)
-                if not marked and any(is_null(v) for v in key):
+                if not marked and any(isinstance(v, Null) for v in key):
                     continue
-            if key in table:
-                continue
-            table.add(key)
-            meter.add(key)
-            if (
-                byte_cap is not None
-                and meter.should_check()
-                and meter.over_budget(ctx.table_bytes, byte_cap)
-            ):
-                _degrade(self, block, saved_probes, before)
-                return
+            bucket = table.get(key)
+            if bucket is None:
+                bucket = table[key] = []
+                meter.add(key)
+                if (
+                    byte_cap is not None
+                    and meter.should_check()
+                    and meter.over_budget(ctx.table_bytes, byte_cap)
+                ):
+                    self._degrade(saved_probes, before)
+                    return
+            if out is not None:
+                bucket.append(out(cursor, {}))
         ctx.probe_build_rows += ctx.rows_examined - before
         ctx.rows_examined = before
         ctx.probe_tables_built += 1
         ctx.table_bytes += meter.approx_bytes()
         self._table = table
 
-    def _probe(self, env) -> ThreeValued:
+    def _degrade(self, saved_probes, rows_before: int) -> None:
+        """Abandon decorrelation mid-build: the probe table would cost
+        more than ``max_probe_build_rows`` (or ``max_probe_table_bytes``).
+
+        The inner block is restored to its correlated shape (probes back
+        in place, lazy runtime state dropped so the next iteration
+        re-plans with them) and the predicate falls back to memoized
+        probing, whose results bit-match by construction.  The wasted
+        build work is accounted under ``probe_build_rows`` like any other
+        build.
+        """
+        block = self.block
+        ctx = block.ctx
+        block.probes = saved_probes
+        block._reset_runtime()
+        ctx.probe_build_rows += ctx.rows_examined - rows_before
+        ctx.rows_examined = rows_before
+        ctx.degradations += 1
+        self.decor = None
+        self._table = None
+        self._saved_probes = None
+
+    def _reset_decor(self) -> None:
+        """Restore the predicate to its pre-decorrelation shape.
+
+        Used by :meth:`ExecContext.set_limits`: probe tables, memo
+        entries and past degradation decisions all baked in the old
+        limits, so the predicate gets its original probes and
+        decorrelation plan back and rebuilds lazily under the new caps.
+        """
+        block = self.block
+        if self._saved_probes is not None:
+            block.probes = self._saved_probes
+            self._saved_probes = None
+        self._table = None
+        self._memo.clear()
+        self.decor = self._decor0
+        block._reset_runtime()
+
+
+class _Exists(_CorrelatedSubquery):
+    """``[NOT] EXISTS`` — two-valued; a probe-table hit is a witness."""
+
+    __slots__ = ()
+
+    def __init__(self, block: "CompiledBlock", negated: bool, parent_scope: CompileScope):
+        super().__init__(block, negated, parent_scope, _pure_probe_plan(block, parent_scope))
+        self._out = None
+
+    def _run(self, env) -> ThreeValued:
         found = False
         for _ in self.block.iterate(env):
             found = True
             break
         return from_bool(found != self.negated)
+
+    def _from_bucket(self, bucket) -> ThreeValued:
+        return TRUE if (bucket is not None) != self.negated else FALSE
+
+
+class _InSubquery(_CorrelatedSubquery):
+    """``x [NOT] IN (SELECT …)`` — a probe-table bucket holds the inner
+    output values for its key; the membership test is the compiled
+    closure's."""
+
+    __slots__ = ("expr", "marked")
+
+    def __init__(
+        self,
+        expr: _Expr,
+        block: "CompiledBlock",
+        out: _Expr,
+        negated: bool,
+        parent_scope: CompileScope,
+    ):
+        decor = None if out.has_outer else _pure_probe_plan(block, parent_scope)
+        super().__init__(block, negated, parent_scope, decor)
+        self.expr = expr
+        self.local_keys |= expr.local_keys
+        self.has_outer = self.has_outer or expr.has_outer
+        self.marked = block.ctx.marked_nulls
+        from repro.engine.compile import compile_expr
+
+        self._out = compile_expr(out)
+
+    def _run(self, env) -> List[object]:
+        out = self._out
+        return [out(cursor, env) for cursor in self.block.iterate(env)]
+
+    def _from_bucket(self, bucket) -> Sequence[object]:
+        return () if bucket is None else bucket
 
 
 class _InValues(_Cond):
@@ -482,181 +594,6 @@ class _InValues(_Cond):
         self._const_set = const_set
         self._has_null_const = has_null_const
         self._residual = tuple(residual)
-
-
-class _InSubquery(_Cond):
-    """``x [NOT] IN (SELECT …)`` with the same probe amortisation as
-    :class:`_Exists`: hash decorrelation for pure equi-correlation and
-    memoized value lists otherwise."""
-
-    __slots__ = (
-        "expr", "block", "negated", "needed", "local_keys", "has_outer",
-        "marked", "_out", "_cache", "decor", "_table", "_memo", "_memo_keys",
-        "_decor0", "_saved_probes",
-    )
-
-    def __init__(
-        self,
-        expr: _Expr,
-        block: "CompiledBlock",
-        out: _Expr,
-        negated: bool,
-        parent_scope: CompileScope,
-    ):
-        self.expr = expr
-        self.block = block
-        self.negated = negated
-        self.needed = tuple(
-            res.key for res in block.external if res.scope is parent_scope
-        )
-        self.local_keys = expr.local_keys | frozenset(self.needed)
-        self.has_outer = expr.has_outer or any(
-            res.scope is not parent_scope for res in block.external
-        )
-        self.marked = block.ctx.marked_nulls
-        from repro.engine.compile import compile_expr
-
-        self._out = compile_expr(out)
-        self._cache: Optional[List[object]] = None
-        self.decor = None
-        if block.ctx.decorrelate and not out.has_outer:
-            self.decor = _pure_probe_plan(block, parent_scope)
-        self._table: Optional[Dict[Tuple, List[object]]] = None
-        self._memo: Dict[Tuple, List[object]] = {}
-        self._memo_keys = tuple(dict.fromkeys(res.key for res in block.external))
-        self._decor0 = self.decor
-        self._saved_probes = None
-        block.ctx._probe_preds.append(self)
-
-    def values(self, cursor, env) -> Sequence[object]:
-        """The subquery's output values for the outer row at *cursor*."""
-        if not self.block.external:
-            if self._cache is None:
-                self._cache = self._values({})
-            return self._cache
-        if self.decor is not None:
-            if self._table is None:
-                self._build_table()
-            if self._table is not None:
-                slotmap, row = cursor
-                probe = tuple(row[slotmap[key]] for _local, key in self.decor)
-                ctx = self.block.ctx
-                ctx.decorrelated_probes += 1
-                if not ctx.marked_nulls and any(is_null(v) for v in probe):
-                    return ()  # a null key never compares TRUE
-                return self._table.get(probe, ())
-        return _memo_probe(self, cursor, env, self._values)
-
-    def _values(self, env) -> List[object]:
-        out = self._out
-        return [out(cursor, env) for cursor in self.block.iterate(env)]
-
-    def _build_table(self) -> None:
-        """One-pass build: inner output values grouped by correlated key."""
-        block = self.block
-        if block._order is not None:
-            # Planned with its probes baked in (e.g. EXPLAIN prepared
-            # it); replan without them.
-            block._reset_runtime()
-        ctx = block.ctx
-        saved_probes = block.probes
-        block.probes = [(k, e) for k, e in block.probes if not e.has_outer]
-        self._saved_probes = saved_probes
-        locals_ = tuple(local for local, _key in self.decor)
-        marked = ctx.marked_nulls
-        cap = None if ctx.limits is None else ctx.limits.max_probe_build_rows
-        byte_cap = None if ctx.limits is None else ctx.limits.max_probe_table_bytes
-        meter = TableBytesMeter()
-        before = ctx.rows_examined
-        table: Dict[Tuple, List[object]] = {}
-        for sub_cursor in block.iterate({}):
-            if cap is not None and ctx.rows_examined - before > cap:
-                _degrade(self, block, saved_probes, before)
-                return
-            sub_slotmap, sub_row = sub_cursor
-            key = tuple(sub_row[sub_slotmap[local]] for local in locals_)
-            if not marked and any(is_null(v) for v in key):
-                continue
-            bucket = table.get(key)
-            if bucket is None:
-                bucket = table[key] = []
-                meter.add(key)
-                if (
-                    byte_cap is not None
-                    and meter.should_check()
-                    and meter.over_budget(ctx.table_bytes, byte_cap)
-                ):
-                    _degrade(self, block, saved_probes, before)
-                    return
-            bucket.append(self._out(sub_cursor, {}))
-        ctx.probe_build_rows += ctx.rows_examined - before
-        ctx.rows_examined = before
-        ctx.probe_tables_built += 1
-        ctx.table_bytes += meter.approx_bytes()
-        self._table = table
-
-
-def _memo_probe(pred, cursor, env, compute):
-    """Correlated probing: ``compute(env)`` with the outer row's
-    correlated values bound, memoized on those values unless the
-    context turns memoization off."""
-    ctx = pred.block.ctx
-    slotmap, row = cursor
-    env2 = dict(env)
-    for key in pred.needed:
-        env2[key] = row[slotmap[key]]
-    if not ctx.memoize_probes:
-        return compute(env2)
-    try:
-        memo_key = tuple(env2[k] for k in pred._memo_keys)
-        cached = pred._memo.get(memo_key, _MISSING)
-    except (KeyError, TypeError):  # unresolvable or unhashable key
-        return compute(env2)
-    if cached is not _MISSING:
-        ctx.probe_cache_hits += 1
-        return cached
-    ctx.probe_cache_misses += 1
-    result = pred._memo[memo_key] = compute(env2)
-    return result
-
-
-def _degrade(pred, block: "CompiledBlock", saved_probes, rows_before: int) -> None:
-    """Abandon decorrelation mid-build: the probe table would cost more
-    than ``max_probe_build_rows``.
-
-    The inner block is restored to its correlated shape (probes back in
-    place, lazy runtime state dropped so the next iteration re-plans
-    with them) and the predicate falls back to memoized/naive probing,
-    whose results bit-match by construction.  The wasted build work is
-    accounted under ``probe_build_rows`` like any other build.
-    """
-    ctx = block.ctx
-    block.probes = saved_probes
-    block._reset_runtime()
-    ctx.probe_build_rows += ctx.rows_examined - rows_before
-    ctx.rows_examined = rows_before
-    ctx.degradations += 1
-    pred.decor = None
-    pred._table = None
-    pred._saved_probes = None
-
-
-def _reset_decor(pred) -> None:
-    """Restore a subquery predicate to its pre-decorrelation shape.
-
-    Used by :meth:`ExecContext.set_limits`: probe tables, memo entries
-    and past degradation decisions all baked in the old limits, so the
-    predicate gets its original probes and decorrelation plan back and
-    rebuilds lazily under the new caps.
-    """
-    block = pred.block
-    if pred._saved_probes is not None:
-        block.probes = pred._saved_probes
-        pred._saved_probes = None
-    pred._table = None
-    pred._memo.clear()
-    pred.decor = pred._decor0
-    block._reset_runtime()
 
 
 def _membership(x, values, marked: bool = False) -> ThreeValued:

@@ -22,7 +22,7 @@ those trees, at prepare time, into plain Python closures
 Subquery nodes keep their state (decorrelated probe tables, memo
 caches, cached uncorrelated results) on the IR node, so recompiling a
 condition after a replan reuses it; their closures call into that
-state (``_Exists.truth``, ``_InSubquery.values``) with the operand
+state (``_Exists.answer``, ``_InSubquery.answer``) with the operand
 expressions compiled here.  The engine's independent references are
 the algebra evaluator (``tests/engine/test_vs_algebra_property.py``)
 and the brute-force certain-answer oracle.
@@ -349,7 +349,7 @@ def compile_cond(cond: "B._Cond", nonnull: NonNull = _EMPTY_NONNULL) -> Callable
         return membership
     if isinstance(cond, B._InSubquery):
         expr_fn = compile_expr(cond.expr, nonnull)
-        values = cond.values
+        values = cond.answer
         marked = cond.marked
         if cond.negated:
 
@@ -363,7 +363,7 @@ def compile_cond(cond: "B._Cond", nonnull: NonNull = _EMPTY_NONNULL) -> Callable
 
         return in_subquery
     if isinstance(cond, B._Exists):
-        return cond.truth
+        return cond.answer
     raise EngineError(f"cannot compile condition {cond!r}")  # pragma: no cover
 
 

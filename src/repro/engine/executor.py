@@ -89,9 +89,11 @@ class Executor:
     One executor instance corresponds to one statement: CTEs are
     materialised once, uncorrelated subqueries are cached, and the
     ``rows_examined`` / probe-cache counters on :attr:`ctx` report how
-    much work evaluation did (used by tests and the ablation
-    benchmarks).  :meth:`prepare` compiles without executing and returns
-    a re-runnable :class:`PreparedQuery`.
+    much work evaluation did (used by tests and the benchmarks).
+    Correlated subqueries always take one path: hash decorrelation,
+    falling back to memoized probing when a probe-table build goes over
+    the ``limits`` budget.  :meth:`prepare` compiles without executing
+    and returns a re-runnable :class:`PreparedQuery`.
     """
 
     def __init__(
@@ -99,18 +101,9 @@ class Executor:
         db: Database,
         params: Optional[Dict[str, object]] = None,
         marked_nulls: bool = False,
-        memoize_probes: bool = True,
-        decorrelate: bool = True,
         limits: Optional[ResourceLimits] = None,
     ):
-        self.ctx = ExecContext(
-            db,
-            params,
-            marked_nulls=marked_nulls,
-            memoize_probes=memoize_probes,
-            decorrelate=decorrelate,
-            limits=limits,
-        )
+        self.ctx = ExecContext(db, params, marked_nulls=marked_nulls, limits=limits)
         #: top-level blocks compiled by this executor (explain support)
         self.blocks: List[CompiledBlock] = []
 
@@ -329,29 +322,22 @@ def execute_query(
     query: TUnion[ast.Query, ast.Select, ast.SetOp],
     params: Optional[Dict[str, object]] = None,
     marked_nulls: bool = False,
-    memoize_probes: bool = True,
-    decorrelate: bool = True,
     limits: Optional[ResourceLimits] = None,
 ) -> Relation:
     """Execute a parsed query; returns a :class:`Relation`.
 
     ``marked_nulls=True`` switches equality on the *same* null from
     unknown to true — the Section 8 "marked nulls" evaluation mode.
-    ``memoize_probes``/``decorrelate`` gate the correlated-subquery
-    optimisations (both on by default; disabling them reproduces the
-    naive O(outer × inner) probing, used by the equivalence tests).
     ``limits`` attaches a deadline/row budget to the run (see
     :mod:`repro.engine.limits`); exceeding a hard cap raises
-    :class:`~repro.engine.limits.ResourceError`.
+    :class:`~repro.engine.limits.ResourceError`, while an over-budget
+    probe-table build degrades to memoized probing with the same
+    result (``ResourceLimits(max_probe_build_rows=0)`` forces that
+    fallback everywhere it can trip).
     """
-    return Executor(
-        db,
-        params,
-        marked_nulls=marked_nulls,
-        memoize_probes=memoize_probes,
-        decorrelate=decorrelate,
-        limits=limits,
-    ).execute(ast.query_of(query))
+    return Executor(db, params, marked_nulls=marked_nulls, limits=limits).execute(
+        ast.query_of(query)
+    )
 
 
 def execute_sql(
@@ -359,19 +345,9 @@ def execute_sql(
     sql: TUnion[str, ast.Query, ast.Select, ast.SetOp],
     params: Optional[Dict[str, object]] = None,
     marked_nulls: bool = False,
-    memoize_probes: bool = True,
-    decorrelate: bool = True,
     limits: Optional[ResourceLimits] = None,
 ) -> Relation:
     """Parse (if necessary, through the plan cache) and execute SQL."""
     if isinstance(sql, str):
         sql = PLAN_CACHE.get_or_parse(sql, marked_nulls)
-    return execute_query(
-        db,
-        sql,
-        params,
-        marked_nulls=marked_nulls,
-        memoize_probes=memoize_probes,
-        decorrelate=decorrelate,
-        limits=limits,
-    )
+    return execute_query(db, sql, params, marked_nulls=marked_nulls, limits=limits)

@@ -137,18 +137,30 @@ def reference_cert(query, db, extra):
 
 
 @common
-@given(db=databases(), query=st.sampled_from(QUERIES), extra=extras)
-def test_cert_matches_reference(db, query, extra):
+@given(
+    db=databases(),
+    query=st.sampled_from(QUERIES),
+    extra=extras,
+    starve_scoring=st.booleans(),
+)
+def test_cert_matches_reference(db, query, extra, starve_scoring):
     extra = extra_for(extra, len(db.nulls()))
     attrs, expected = reference_cert(query, db, extra)
-    for order in ("best-first", "eager"):
-        for prune in (True, False):
-            got = certain_answers_with_nulls(
-                query, db, extra_constants=extra, order=order, prune=prune
-            )
-            assert got.attributes == attrs
-            assert set(got.rows) == expected
-            assert len(got.rows) == len(expected)
+    with pytest.MonkeyPatch.context() as mp:
+        if starve_scoring:
+            # Not even one score probe per candidate fits the budget: the
+            # huge-pool path, which streams candidates unscored.
+            mp.setattr(bruteforce, "SCORE_PROBE_BUDGET", 0)
+        for order in ("best-first", "eager"):
+            for prune in (True, False):
+                got = certain_answers_with_nulls(
+                    query, db, extra_constants=extra, order=order, prune=prune
+                )
+                assert got.attributes == attrs
+                assert set(got.rows) == expected
+                assert len(got.rows) == len(expected)
+                if starve_scoring:
+                    assert bruteforce.LAST_SEARCH.sampled_worlds == 0
 
 
 @common

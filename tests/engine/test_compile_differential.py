@@ -12,16 +12,16 @@ algebra evaluator in ``test_vs_algebra_property.py``.
 """
 
 import random
-import sqlite3
-from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.data import Database, Null, Relation, is_null
+from repro.data import Database, Null, Relation
 from repro.engine import ResourceLimits
 from repro.engine.executor import Executor
 from repro.sql.parser import parse_sql
+
+from .sqlite_ref import engine_bag, sqlite_rows
 
 TEMPLATES = [
     "SELECT a FROM r WHERE a = {c}",
@@ -44,6 +44,19 @@ TEMPLATES = [
     "SELECT a FROM r WHERE NOT EXISTS (SELECT * FROM s WHERE s.c = r.a) "
     "AND NOT EXISTS (SELECT * FROM s WHERE s.d IS NULL)",
     "SELECT a || 'x' FROM r WHERE a IS NOT NULL",
+    # Correlated-probe shapes: single- and two-key decorrelation, the
+    # memoized `OR … IS NULL` residual, and a nested anti-join.
+    "SELECT a FROM r WHERE NOT EXISTS (SELECT * FROM s WHERE s.c = r.a)",
+    "SELECT a FROM r WHERE NOT EXISTS "
+    "(SELECT * FROM s WHERE s.c = r.a OR s.c IS NULL)",
+    "SELECT a FROM r WHERE a IN (SELECT d FROM s WHERE s.c = r.a)",
+    "SELECT a FROM r WHERE a NOT IN (SELECT d FROM s WHERE s.c = r.a)",
+    "SELECT r.a, r.b FROM r WHERE EXISTS "
+    "(SELECT * FROM s WHERE s.c = r.a AND s.d = r.b)",
+    "SELECT a FROM r WHERE EXISTS (SELECT * FROM s WHERE s.c = r.a AND s.d > 1)",
+    "SELECT a FROM r WHERE NOT EXISTS "
+    "(SELECT * FROM s WHERE s.c = r.a AND NOT EXISTS "
+    "(SELECT * FROM t WHERE t.e = s.d))",
 ]
 
 
@@ -71,23 +84,6 @@ def run(db, sql, limits=None, marked=False):
     return result, executor.ctx
 
 
-def sqlite_rows(db, sql):
-    """The bag of rows stdlib sqlite3 returns for ``sql`` on ``db``."""
-    con = sqlite3.connect(":memory:")
-    try:
-        for name, rel in db.relations.items():
-            cols = ", ".join(rel.attributes)
-            marks = ", ".join("?" * len(rel.attributes))
-            con.execute(f"CREATE TABLE {name} ({cols})")
-            con.executemany(
-                f"INSERT INTO {name} VALUES ({marks})",
-                [tuple(None if is_null(v) else v for v in row) for row in rel.rows],
-            )
-        return Counter(con.execute(sql).fetchall())
-    finally:
-        con.close()
-
-
 @pytest.mark.parametrize("template_index", range(len(TEMPLATES)))
 @given(seed=st.integers(0, 10_000), c=st.integers(1, 3), d=st.integers(1, 3))
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -97,8 +93,7 @@ def test_compiled_matches_interpreted(template_index, seed, c, d):
     sql = TEMPLATES[template_index].format(c=c, d=d)
     db = random_db(random.Random(seed))
     result, _ = run(db, sql)
-    got = Counter(tuple(None if is_null(v) else v for v in row) for row in result.rows)
-    assert got == sqlite_rows(db, sql), sql
+    assert engine_bag(result.rows) == sqlite_rows(db, sql), sql
 
 
 def assert_capped_matches_uncapped(db, sql, limits):

@@ -7,9 +7,12 @@ Regression tests for the engine's two probe-amortisation mechanisms:
 * memoized probing keyed on the correlated values for everything else
   (e.g. the ``x = outer.y OR x IS NULL`` residual shape).
 
-Every optimised run must return a byte-identical :class:`Relation` to
-the naive O(outer × inner) path, including under ``marked_nulls=True``
-and with NULL-valued correlation keys.
+Results are checked against two references that share no probe code
+path with the hash tables: stdlib ``sqlite3`` for standard SQL nulls,
+and the engine's own memoized fallback, forced everywhere by a zero
+probe-build budget (``ResourceLimits(max_probe_build_rows=0)``).  The
+fallback is compared row for row, order included, which also covers
+marked nulls with repeated labels that sqlite cannot express.
 """
 
 import random
@@ -17,25 +20,28 @@ import random
 import pytest
 
 from repro.data import Database, Null, Relation
-from repro.engine import Executor, execute_sql
+from repro.engine import Executor, ResourceLimits, execute_sql
 from repro.sql.parser import parse_sql
 
+from .sqlite_ref import engine_bag, sqlite_rows
 
-def naive(db, sql, params=None, marked_nulls=False):
-    return execute_sql(
-        db, sql, params, marked_nulls=marked_nulls,
-        memoize_probes=False, decorrelate=False,
-    )
+#: Every probe-table build degrades to memoized probing at its first row.
+FORCE_FALLBACK = ResourceLimits(max_probe_build_rows=0)
 
 
-def optimised(db, sql, params=None, marked_nulls=False):
-    return execute_sql(db, sql, params, marked_nulls=marked_nulls)
-
-
-def run_counted(db, sql, params=None, **flags):
-    executor = Executor(db, params, **flags)
+def run_counted(db, sql, params=None, **kwargs):
+    executor = Executor(db, params, **kwargs)
     result = executor.execute(parse_sql(sql))
     return result, executor.ctx
+
+
+def assert_matches_fallback(db, sql, marked_nulls=False):
+    """The default run equals the forced memoized fallback row for row."""
+    fast = execute_sql(db, sql, marked_nulls=marked_nulls)
+    slow = execute_sql(db, sql, marked_nulls=marked_nulls, limits=FORCE_FALLBACK)
+    assert fast.attributes == slow.attributes, sql
+    assert fast.rows == slow.rows, sql
+    return fast
 
 
 @pytest.fixture
@@ -61,11 +67,11 @@ NOT_EXISTS_RESIDUAL = (
 class TestDecorrelation:
     def test_pure_probe_not_exists_examines_fewer_rows(self, skewed_db):
         fast, fast_ctx = run_counted(skewed_db, NOT_EXISTS_PROBE)
-        slow, slow_ctx = run_counted(
-            skewed_db, NOT_EXISTS_PROBE, memoize_probes=False, decorrelate=False
-        )
+        slow, slow_ctx = run_counted(skewed_db, NOT_EXISTS_PROBE, limits=FORCE_FALLBACK)
+        assert slow_ctx.degradations == 1
         assert fast.attributes == slow.attributes
         assert fast.rows == slow.rows
+        assert engine_bag(fast.rows) == sqlite_rows(skewed_db, NOT_EXISTS_PROBE)
         assert fast_ctx.rows_examined < slow_ctx.rows_examined
         assert fast_ctx.probe_tables_built == 1
         assert fast_ctx.decorrelated_probes == 200
@@ -82,10 +88,10 @@ class TestDecorrelation:
             "(SELECT * FROM a, b WHERE a.k = outer_t.k AND a.x = b.x)"
         )
         fast, fast_ctx = run_counted(db, sql)
-        slow, slow_ctx = run_counted(
-            db, sql, memoize_probes=False, decorrelate=False
-        )
+        slow, slow_ctx = run_counted(db, sql, limits=FORCE_FALLBACK)
+        assert slow_ctx.degradations == 1
         assert fast.rows == slow.rows
+        assert engine_bag(fast.rows) == sqlite_rows(db, sql)
         assert fast_ctx.rows_examined < slow_ctx.rows_examined
         assert fast_ctx.probe_tables_built == 1
 
@@ -93,15 +99,10 @@ class TestDecorrelation:
         """`OR … IS NULL` correlation cannot hash-decorrelate; the memo
         cache amortises the 200 probes over the 5 distinct keys."""
         fast, fast_ctx = run_counted(skewed_db, NOT_EXISTS_RESIDUAL)
-        slow, slow_ctx = run_counted(
-            skewed_db, NOT_EXISTS_RESIDUAL, memoize_probes=False, decorrelate=False
-        )
-        assert fast.attributes == slow.attributes
-        assert fast.rows == slow.rows
+        assert engine_bag(fast.rows) == sqlite_rows(skewed_db, NOT_EXISTS_RESIDUAL)
         assert fast_ctx.probe_tables_built == 0
         assert fast_ctx.probe_cache_misses == 5
         assert fast_ctx.probe_cache_hits == 195
-        assert fast_ctx.rows_examined < slow_ctx.rows_examined
 
     def test_in_subquery_decorrelates(self, skewed_db):
         sql = (
@@ -109,10 +110,8 @@ class TestDecorrelation:
             "(SELECT v FROM inner_t WHERE inner_t.k = outer_t.k)"
         )
         fast, fast_ctx = run_counted(skewed_db, sql)
-        slow, _ = run_counted(
-            skewed_db, sql, memoize_probes=False, decorrelate=False
-        )
-        assert fast.rows == slow.rows
+        assert engine_bag(fast.rows) == sqlite_rows(skewed_db, sql)
+        assert_matches_fallback(skewed_db, sql)
         assert fast_ctx.probe_tables_built == 1
         assert fast_ctx.decorrelated_probes == 200
 
@@ -122,10 +121,7 @@ class TestDecorrelation:
             "(SELECT v FROM inner_t WHERE inner_t.k = outer_t.k OR inner_t.v < 0)"
         )
         fast, fast_ctx = run_counted(skewed_db, sql)
-        slow, _ = run_counted(
-            skewed_db, sql, memoize_probes=False, decorrelate=False
-        )
-        assert fast.rows == slow.rows
+        assert engine_bag(fast.rows) == sqlite_rows(skewed_db, sql)
         assert fast_ctx.probe_cache_hits > 0
 
     def test_deeper_correlation_not_decorrelated_but_correct(self):
@@ -143,8 +139,9 @@ class TestDecorrelation:
             "WHERE s.a = r.a AND EXISTS (SELECT * FROM t WHERE t.a = r.a))"
         )
         fast, fast_ctx = run_counted(db, sql)
-        slow, _ = run_counted(db, sql, memoize_probes=False, decorrelate=False)
-        assert fast.rows == slow.rows == [(3,)]
+        assert fast.rows == [(3,)]
+        assert fast_ctx.probe_tables_built == 0
+        assert fast_ctx.decorrelated_probes == 0
 
 
 class TestNullKeys:
@@ -170,17 +167,14 @@ class TestNullKeys:
     @pytest.mark.parametrize("sql", QUERIES)
     @pytest.mark.parametrize("marked", [False, True])
     def test_equivalence_with_null_keys(self, null_key_db, sql, marked):
-        expected = naive(null_key_db, sql, marked_nulls=marked)
-        actual = optimised(null_key_db, sql, marked_nulls=marked)
-        assert actual.attributes == expected.attributes
-        assert actual.rows == expected.rows
+        result = assert_matches_fallback(null_key_db, sql, marked_nulls=marked)
+        if not marked:
+            assert engine_bag(result.rows) == sqlite_rows(null_key_db, sql)
 
     def test_marked_null_probe_matches_same_null(self, null_key_db):
         """Under marked-null semantics ⊥1 = ⊥1 is TRUE, so the shared
-        null row must survive the semi-join in both evaluation paths."""
-        sql = self.QUERIES[0]
-        result = optimised(null_key_db, sql, marked_nulls=True)
-        assert naive(null_key_db, sql, marked_nulls=True).rows == result.rows
+        null row must survive the semi-join on both probe paths."""
+        result = assert_matches_fallback(null_key_db, self.QUERIES[0], marked_nulls=True)
         assert len(result.rows) == 2  # (1,) and the shared marked null
 
 
@@ -202,8 +196,10 @@ EQUIVALENCE_CORPUS = [
 
 
 class TestRandomisedEquivalence:
-    """Optimised evaluation is byte-identical to naive on random
-    incomplete databases, in both null semantics."""
+    """Decorrelated evaluation is byte-identical to the forced memoized
+    fallback on random incomplete databases with repeated null labels,
+    in both null semantics.  (These shapes are also checked against
+    sqlite3 in ``test_compile_differential.TEMPLATES``.)"""
 
     def random_db(self, rng):
         def cell():
@@ -228,7 +224,4 @@ class TestRandomisedEquivalence:
         rng = random.Random(seed)
         db = self.random_db(rng)
         for sql in EQUIVALENCE_CORPUS:
-            expected = naive(db, sql, marked_nulls=marked)
-            actual = optimised(db, sql, marked_nulls=marked)
-            assert actual.attributes == expected.attributes, sql
-            assert actual.rows == expected.rows, sql
+            assert_matches_fallback(db, sql, marked_nulls=marked)

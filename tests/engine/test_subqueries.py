@@ -1,14 +1,13 @@
 """Subquery semantics: EXISTS, IN, NOT IN, scalar aggregates — with nulls."""
 
-import sqlite3
-from collections import Counter
-
 import pytest
 
 from repro.data import Database, Null, Relation, is_null
 from repro.engine import Executor, execute_sql
 from repro.engine.scope import EngineError
 from repro.sql.parser import parse_sql
+
+from .sqlite_ref import engine_bag, sqlite_rows
 
 
 @pytest.fixture
@@ -107,13 +106,6 @@ class TestIn:
         r_rows = [(1, 1), (1, 2), (2, None), (None, 3), (3, 3), (2, 1)]
         s_rows = [(1, 1), (1, None), (2, 2), (3, None), (None, 3)]
         sql = "SELECT a, b FROM r WHERE b NOT IN (SELECT d FROM s WHERE s.c = r.a)"
-        con = sqlite3.connect(":memory:")
-        con.execute("CREATE TABLE r (a, b)")
-        con.execute("CREATE TABLE s (c, d)")
-        con.executemany("INSERT INTO r VALUES (?, ?)", r_rows)
-        con.executemany("INSERT INTO s VALUES (?, ?)", s_rows)
-        expected = Counter(con.execute(sql).fetchall())
-        con.close()
 
         def nullify(rows):
             return [tuple(Null() if v is None else v for v in row) for row in rows]
@@ -125,7 +117,7 @@ class TestIn:
             }
         )
         rows = execute_sql(db, sql, marked_nulls=marked).rows
-        assert Counter(tuple(None if is_null(v) else v for v in row) for row in rows) == expected
+        assert engine_bag(rows) == sqlite_rows(db, sql)
 
 
 class TestScalarAggregates:

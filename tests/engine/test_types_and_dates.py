@@ -1,13 +1,13 @@
 """Value domains the TPC-H queries rely on: dates, floats, strings."""
 
 import datetime
-import sqlite3
-from collections import Counter
 
 import pytest
 
 from repro.data import Database, Null, Relation, is_null
 from repro.engine import execute_sql
+
+from .sqlite_ref import engine_bag, sqlite_rows
 
 D = datetime.date
 
@@ -118,11 +118,6 @@ def test_like_on_integers_matches_sqlite(where):
     """LIKE with a non-text operand matches the operands' text; the
     expected rows come from sqlite3 on the same data."""
     sql = f"SELECT a, b FROM r WHERE {where}"
-    con = sqlite3.connect(":memory:")
-    con.execute("CREATE TABLE r (a INTEGER, b INTEGER)")
-    con.executemany("INSERT INTO r VALUES (?, ?)", LIKE_ROWS)
-    expected = Counter(con.execute(sql).fetchall())
-    con.close()
     db = Database(
         {
             "r": Relation(
@@ -131,5 +126,4 @@ def test_like_on_integers_matches_sqlite(where):
             )
         }
     )
-    rows = execute_sql(db, sql).rows
-    assert Counter(tuple(None if is_null(v) else v for v in row) for row in rows) == expected
+    assert engine_bag(execute_sql(db, sql).rows) == sqlite_rows(db, sql)

@@ -1,10 +1,13 @@
-"""Graceful degradation: abandoned probe-table builds bit-match naive."""
+"""Graceful degradation: abandoned probe-table builds bit-match the
+undegraded run and agree with stdlib sqlite3."""
 
 import pytest
 
 from repro.data import Database, Null, Relation
 from repro.engine import Executor, ResourceLimits
 from repro.sql.parser import parse_sql
+
+from ..engine.sqlite_ref import engine_bag, sqlite_rows
 
 
 @pytest.fixture
@@ -35,22 +38,22 @@ def run(db, sql, **executor_kwargs):
     "sql", [EXISTS_SQL, NOT_EXISTS_SQL, CORRELATED_IN_SQL], ids=["exists", "not-exists", "in"]
 )
 class TestDegradationEquivalence:
-    def test_degraded_matches_naive(self, probe_db, sql):
-        naive, _ = run(probe_db, sql, decorrelate=False, memoize_probes=False)
+    def test_degraded_matches_full(self, probe_db, sql):
+        full, _ = run(probe_db, sql)
         degraded, ctx = run(
             probe_db, sql, limits=ResourceLimits(max_probe_build_rows=5)
         )
         assert ctx.degradations == 1
         assert ctx.probe_tables_built == 0
-        assert degraded.attributes == naive.attributes
-        assert degraded.rows == naive.rows  # bit-match, order included
+        assert degraded.attributes == full.attributes
+        assert degraded.rows == full.rows  # bit-match, order included
+        assert engine_bag(degraded.rows) == sqlite_rows(probe_db, sql)
 
     def test_undegraded_run_builds_the_table(self, probe_db, sql):
         full, ctx = run(probe_db, sql, limits=ResourceLimits(max_probe_build_rows=10**6))
-        naive, _ = run(probe_db, sql, decorrelate=False, memoize_probes=False)
         assert ctx.degradations == 0
         assert ctx.probe_tables_built == 1
-        assert full.rows == naive.rows
+        assert engine_bag(full.rows) == sqlite_rows(probe_db, sql)
 
 
 class TestDegradationAccounting:
@@ -68,15 +71,15 @@ class TestDegradationAccounting:
             "SELECT a FROM r WHERE EXISTS (SELECT c FROM s WHERE s.c = r.b) "
             "AND EXISTS (SELECT c FROM s WHERE s.c = r.a)"
         )
-        naive, _ = run(probe_db, sql, decorrelate=False, memoize_probes=False)
+        full, _ = run(probe_db, sql)
         degraded, ctx = run(probe_db, sql, limits=ResourceLimits(max_probe_build_rows=5))
         # Both builds trip the budget here, but results stay correct.
         assert ctx.degradations >= 1
-        assert degraded.rows == naive.rows
+        assert degraded.rows == full.rows
+        assert engine_bag(degraded.rows) == sqlite_rows(probe_db, sql)
 
     def test_uncorrelated_subqueries_unaffected(self, probe_db):
         # IN over an uncorrelated subquery never builds a probe table.
         full, ctx = run(probe_db, IN_SQL, limits=ResourceLimits(max_probe_build_rows=1))
-        naive, _ = run(probe_db, IN_SQL, decorrelate=False, memoize_probes=False)
         assert ctx.degradations == 0
-        assert full.rows == naive.rows
+        assert engine_bag(full.rows) == sqlite_rows(probe_db, IN_SQL)
