@@ -51,7 +51,8 @@ def test_figure4_regeneration(benchmark):
             seed=11,
         )
 
-    series = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    series, report = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    assert report.failed == 0 and report.completed == 6
     print()
     print(render_series(
         "Figure 4 — average relative performance t(Q+)/t(Q)",

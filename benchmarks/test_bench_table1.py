@@ -21,7 +21,8 @@ def test_table1_regeneration(benchmark):
             base_scale=0.35,
         )
 
-    table = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    table, report = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    assert report.failed == 0 and report.completed == 12
 
     scales = sorted({s for per in table.values() for s in per})
     header = ["Query"] + [f"{s:g}x" for s in scales]

@@ -14,10 +14,10 @@ ad-hoc SQL against the TPC-H schema:
   ``docs/analyzer.md``); exits 1 when any query is unsound, 2 on
   syntax/rewrite errors
 
-Each experiment accepts ``--paper-scale`` for settings closer to the
-paper's (slower) and a ``--seed``.
+``figure1`` accepts ``--paper-scale`` for settings closer to the
+paper's (slower).
 
-``figure4`` and ``table1`` additionally take fault-tolerance flags,
+``figure4`` and ``table1`` take fault-tolerance flags,
 handled by :mod:`repro.experiments.runner`:
 
 * ``--workers N``      — fan instances out over a process pool;
@@ -212,18 +212,19 @@ def build_parser() -> argparse.ArgumentParser:
         ("recall", _cmd_recall, "precision/recall (Section 7)"),
     ]:
         p = sub.add_parser(name, help=doc)
-        p.add_argument(
-            "--paper-scale",
-            action="store_true",
-            help="use settings close to the paper's (much slower)",
-        )
+        if name == "figure1":
+            p.add_argument(
+                "--paper-scale",
+                action="store_true",
+                help="use settings close to the paper's (much slower)",
+            )
         if name in ("figure4", "table1"):
             p.add_argument(
                 "--workers",
                 type=int,
                 default=None,
                 help="parallelise instances over a process pool "
-                "(default: serial, deterministic)",
+                "(default: one at a time in this process)",
             )
             p.add_argument(
                 "--task-timeout",

@@ -12,8 +12,6 @@ from repro.certain.bruteforce import (
 from repro.certain.metrics import (
     precision,
     recall,
-    anytime_recall,
-    search_summary,
     AnswerComparison,
     compare_answers,
 )
@@ -27,8 +25,6 @@ __all__ = [
     "false_negatives",
     "precision",
     "recall",
-    "anytime_recall",
-    "search_summary",
     "AnswerComparison",
     "compare_answers",
     "SearchStats",

@@ -34,12 +34,11 @@ promoted by their observed kill rate so doomed survivors die at their
 first check.
 A tuple is only ever emitted after surviving every world, so a
 deadline- or cancellation-cut result is always a sound subset of
-``cert(Q, D)`` — and a *richer* subset than the eager enumeration
-order yields in the same time.
-``order="eager"`` restores the legacy exploration order for A/B runs;
-``progress=`` streams confirmed tuples as they are found; ``cancel=``
-accepts a :class:`~repro.engine.limits.CancelToken` another thread may
-fire.
+``cert(Q, D)`` — and a richer one than verifying candidates in seeding
+order would give in the same time (docs/engine.md records the
+comparison).  ``progress=`` streams confirmed tuples as they are found;
+``cancel=`` accepts a :class:`~repro.engine.limits.CancelToken` another
+thread may fire.
 
 The classical null-free certain answers are the null-free tuples of
 ``cert(Q, D)`` (also Section 2), exposed as :func:`certain_answers`.
@@ -123,11 +122,10 @@ class SearchStats:
     ``cancelled`` distinguishes the token case.  ``elapsed`` is the
     wall-clock time of the call.
 
-    Best-first ordering counters: ``strategy`` names the exploration
-    order (``"best-first"`` or ``"eager"``); ``sampled_worlds`` is how
-    many worlds the plausibility filter probed; ``score_probes`` counts
-    those scoring membership tests (kept out of ``world_checks`` so the
-    pruning invariants stay comparable across orders);
+    Best-first ordering counters: ``sampled_worlds`` is how many worlds
+    the plausibility filter probed; ``score_probes`` counts those
+    scoring membership tests (kept out of ``world_checks``, which counts
+    verification only);
     ``sample_refuted`` counts candidates a sampled world rejected — each
     such probe is a sound refutation certificate, so those candidates
     skip the verification loop entirely; ``world_reorders`` counts
@@ -135,9 +133,8 @@ class SearchStats:
     queue.  ``emitted`` is the number of confirmed
     tuples streamed (equals the result size).  ``world_elapsed`` is the
     time spent evaluating the query on every possible world — a fixed
-    preamble both exploration orders pay identically before any tuple
-    *can* be confirmed (no emission without all worlds), so anytime
-    benchmarks budget against ``elapsed - world_elapsed``.
+    preamble paid before any tuple *can* be confirmed (no emission
+    without all worlds).
 
     World counters: ``worlds`` is how many valuations the world phase
     checked — one per renaming class of the fresh constants, or every
@@ -154,7 +151,6 @@ class SearchStats:
     complete: bool = True
     elapsed: float = 0.0
     world_elapsed: float = 0.0
-    strategy: str = "best-first"
     sampled_worlds: int = 0
     score_probes: int = 0
     sample_refuted: int = 0
@@ -163,28 +159,6 @@ class SearchStats:
     emitted: int = 0
     worlds: int = 0
     world_evals: int = 0
-
-    def summary(self) -> Dict[str, object]:
-        """JSON-serialisable counter dump (checkpoint/bench payloads)."""
-        return {
-            "strategy": self.strategy,
-            "arity": self.arity,
-            "pruned": self.pruned,
-            "exhaustive_candidates": self.exhaustive_candidates,
-            "candidates_considered": self.candidates_considered,
-            "world_checks": self.world_checks,
-            "score_probes": self.score_probes,
-            "sample_refuted": self.sample_refuted,
-            "sampled_worlds": self.sampled_worlds,
-            "world_reorders": self.world_reorders,
-            "complete": self.complete,
-            "cancelled": self.cancelled,
-            "emitted": self.emitted,
-            "worlds": self.worlds,
-            "world_evals": self.world_evals,
-            "elapsed": self.elapsed,
-            "world_elapsed": self.world_elapsed,
-        }
 
 
 class _SearchLog(threading.local):
@@ -241,8 +215,8 @@ def _seed_candidates(
 
     The returned list is deduplicated in a deterministic generation
     order — answer rows in canonical sorted order, pool positions in
-    sorted active-domain order — which doubles as the ``"eager"``
-    exploration order.  (Generation order beats a global ``repr`` sort,
+    sorted active-domain order — which is the order unscored candidates
+    stream in.  (Generation order beats a global ``repr`` sort,
     whose string building dominated seeding on pool-heavy instances.)
     """
     v, rows = first_world
@@ -493,8 +467,6 @@ def certain_answers_with_nulls(
     extra_constants: Optional[int] = None,
     prune: bool = True,
     deadline: Optional[float] = None,
-    deadline_scope: str = "call",
-    order: str = "best-first",
     progress: Optional[Callable[[Row, "SearchStats"], None]] = None,
     cancel: Optional[CancelToken] = None,
 ) -> Relation:
@@ -515,27 +487,18 @@ def certain_answers_with_nulls(
     (``prune=False``), which is kept for cross-checking.  Search effort
     is reported in :data:`LAST_SEARCH`.
 
-    ``order`` picks the exploration order.  ``"best-first"`` (default)
-    verifies plausible candidates first — scored by survival in a small
-    world sample plus answer-frequency signals — and promotes rejecting
-    worlds by kill rate; ``"eager"`` keeps the deterministic seeding
-    order (answer-row-major, pool-minor).
-    The *returned* relation lists confirmed tuples in the canonical
-    sorted order either way, so complete searches are row-identical
-    across orders; the exploration order only decides *which* sound
-    subset survives a cut.
+    The search is best-first: candidates a small, evenly spaced world
+    sample rejects are refuted outright, sample survivors are verified
+    in seeding order, and a world that rejects a candidate moves to the
+    front of the verification queue.  The *returned* relation lists
+    confirmed tuples in the canonical sorted order; the exploration
+    order only decides *which* sound subset survives a cut.
 
-    ``deadline`` (seconds) makes the search *anytime*: when the budget
-    runs out, the sound subset of certain answers confirmed so far is
-    returned — a tuple is only ever emitted after surviving **every**
-    world, so partial results contain no false positives (they may miss
-    certain answers).  ``deadline_scope`` says what the budget covers:
-    ``"call"`` (default) counts from call entry, ``"search"`` starts the
-    clock after the world-evaluation preamble — a fixed cost both
-    exploration orders pay identically before any tuple *can* be
-    confirmed, whose run-to-run jitter would otherwise drown tight
-    budgets (anytime benchmarks compare orders this way).  ``cancel``
-    accepts a
+    ``deadline`` (seconds, counted from call entry) makes the search
+    *anytime*: when the budget runs out, the sound subset of certain
+    answers confirmed so far is returned — a tuple is only ever emitted
+    after surviving **every** world, so partial results contain no false
+    positives (they may miss certain answers).  ``cancel`` accepts a
     :class:`~repro.engine.limits.CancelToken`; a token fired from
     another thread stops the search at its next candidate or world
     check, with the same sound-subset result and
@@ -548,15 +511,8 @@ def certain_answers_with_nulls(
     sorted order), so callers see an ever-growing sound subset instead
     of one terminal dump.
     """
-    if order not in ("best-first", "eager"):
-        raise ValueError(f"unknown search order {order!r}")
-    if deadline_scope not in ("call", "search"):
-        raise ValueError(f"unknown deadline scope {deadline_scope!r}")
     start = time.monotonic()
-    search_scoped = deadline_scope == "search"
-    # A search-scoped budget leaves the world preamble unmetered; its
-    # cutoff is fixed only once the preamble's actual cost is known.
-    cutoff = None if deadline is None or search_scoped else start + deadline
+    cutoff = None if deadline is None else start + deadline
     # One world per renaming class of the fresh constants; identical
     # worlds share one evaluation.
     world_answers = _WorldAnswers(query, db)
@@ -584,14 +540,11 @@ def certain_answers_with_nulls(
     if result_attrs is None:  # pragma: no cover - no valuations is impossible
         raise RuntimeError("no valuations produced")
     world_elapsed = time.monotonic() - start
-    if deadline is not None and search_scoped:
-        cutoff = start + world_elapsed + deadline
     arity = len(result_attrs)
     stats = SearchStats(
         arity=arity,
         pruned=prune,
         exhaustive_candidates=len(db.active_domain()) ** arity,
-        strategy=order,
         world_elapsed=world_elapsed,
         worlds=len(worlds),
         world_evals=world_answers.evals,
@@ -610,22 +563,14 @@ def certain_answers_with_nulls(
         candidates = sorted(_candidate_tuples(db, arity), key=repr)
         remaining = worlds
     stats.candidates_considered = len(candidates)
-    best_first = order == "best-first"
-    if best_first:
-        candidate_iter: Iterable[Tuple[Row, List[int]]] = _best_first_stream(
-            candidates, remaining, stats, cutoff, cancel
-        )
-    else:
-        candidate_iter = (
-            (c, [i for i, value in enumerate(c) if is_null(value)])
-            for c in candidates
-        )
     # Mutable [kills, valuation, rows] entries so the rejecting-world
     # queue can be promoted as worlds prove their kill power.
     queue: List[List[object]] = [[0, v, rows] for v, rows in remaining]
     certain: List[Row] = []
     ticks = _CLOCK_EVERY  # first candidate reads the clock
-    for candidate, null_pos in candidate_iter:
+    for candidate, null_pos in _best_first_stream(
+        candidates, remaining, stats, cutoff, cancel
+    ):
         if cancel is not None and cancel.cancelled:
             stats.complete = False
             stats.cancelled = True
@@ -664,7 +609,7 @@ def certain_answers_with_nulls(
             if not hit:
                 entry[0] += 1  # type: ignore[operator]
                 accepted = False
-                if best_first and index:
+                if index:
                     # Self-organising kill-rate order: move the killer to
                     # the front so similar doomed candidates die at their
                     # first check.  O(index) per promotion, and repeat
@@ -683,8 +628,7 @@ def certain_answers_with_nulls(
                 progress(candidate, stats)
     stats.elapsed = time.monotonic() - start
     _SEARCH_LOG.stats = stats
-    # Canonical order regardless of exploration order: complete searches
-    # are row-identical across strategies, partial ones deterministic.
+    # Canonical sorted order, whatever order the tuples were confirmed in.
     return Relation(result_attrs, sorted(certain, key=repr))
 
 

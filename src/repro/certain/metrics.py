@@ -10,15 +10,11 @@ evaluation returns — it stood at 100% in all their experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Set, Tuple
-
-from repro.certain.bruteforce import SearchStats
+from typing import Iterable, Set, Tuple
 
 __all__ = [
     "precision",
     "recall",
-    "anytime_recall",
-    "search_summary",
     "AnswerComparison",
     "compare_answers",
 ]
@@ -42,40 +38,6 @@ def recall(returned: Iterable[Row], relevant: Iterable[Row]) -> float:
         return 1.0
     returned_set = set(returned)
     return len(returned_set & relevant_set) / len(relevant_set)
-
-
-def anytime_recall(partial: Iterable[Row], full_certain: Iterable[Row]) -> float:
-    """Fraction of ``cert(Q, D)`` a deadline- or cancellation-cut search kept.
-
-    An anytime :func:`~repro.certain.certain_answers_with_nulls` run has
-    precision 1.0 by construction (a tuple is only emitted after
-    surviving every world), so its quality is summarised by recall
-    against the full search alone.
-    """
-    return recall(partial, full_certain)
-
-
-def search_summary(stats: SearchStats) -> Dict[str, object]:
-    """Checkpoint/report payload for one brute-force search.
-
-    The raw :meth:`~repro.certain.SearchStats.summary` counters plus the
-    derived rates harness reports plot: what fraction of candidates the
-    sampling filter refuted outright (``sample_refutation_rate``), how
-    many verification checks each confirmed tuple cost on average
-    (``checks_per_emit``), and the search-phase seconds net of the
-    world-evaluation preamble (``search_elapsed``) that anytime budgets
-    are measured against.
-    """
-    payload = stats.summary()
-    considered = stats.candidates_considered
-    payload["sample_refutation_rate"] = (
-        stats.sample_refuted / considered if considered else 0.0
-    )
-    payload["checks_per_emit"] = (
-        stats.world_checks / stats.emitted if stats.emitted else float(stats.world_checks)
-    )
-    payload["search_elapsed"] = max(stats.elapsed - stats.world_elapsed, 0.0)
-    return payload
 
 
 @dataclass(frozen=True)

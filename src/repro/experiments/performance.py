@@ -26,7 +26,7 @@ from repro.tpch.dbgen import generate_instance
 from repro.tpch.nullify import inject_nulls
 from repro.tpch.queries import QUERIES, sample_parameters
 from repro.tpch.schema import tpch_schema
-from repro.experiments.report import format_ratio, render_series
+from repro.experiments.report import format_ratio, render_run_footer, render_series
 from repro.experiments.runner import RunReport, run_tasks
 
 __all__ = [
@@ -34,12 +34,7 @@ __all__ = [
     "time_query",
     "rewritten_queries",
     "main",
-    "LAST_RUN",
 ]
-
-#: Fault-tolerance report of the most recent harness run (rebound, not
-#: mutated, per call — the ``LAST_SEARCH`` idiom).
-LAST_RUN = RunReport()
 
 
 def time_query(
@@ -94,7 +89,7 @@ def rewritten_queries(
 
 
 def _instance_ratios(task: tuple) -> Dict[str, object]:
-    """One instance's worth of Figure 4 measurements (pool worker body).
+    """One instance's worth of Figure 4 measurements (one task).
 
     Returns a JSON-serialisable ``{"ratios": {qid: [t+/t, …]},
     "discarded": n}`` so results survive checkpoint round-trips;
@@ -140,101 +135,67 @@ def run_price_of_correctness(
     backoff: float = 0.1,
     checkpoint: Optional[str] = None,
     cancel: Optional[CancelToken] = None,
-) -> Dict[str, List[Tuple[float, float]]]:
-    """Return ``{query: [(null rate %, avg t+/t), …]}`` (Figure 4).
+) -> Tuple[Dict[str, List[Tuple[float, float]]], RunReport]:
+    """Return ``({query: [(null rate %, avg t+/t), …]}, report)`` (Figure 4).
 
     The paper uses 10 instances × 5 parameter draws × 3 runs per point
     on ≥1 GB databases; the defaults keep a bench run in seconds while
     preserving the relative-performance shape.
 
-    ``workers`` fans the per-instance measurements out over a
-    fault-tolerant task runner (:mod:`repro.experiments.runner`): each
-    instance is its own task with a ``task_timeout``, up to ``retries``
-    re-submissions with jittered ``backoff``, and failures are recorded
-    in ``LAST_RUN.failed_instances`` (keyed ``"<rate>:<instance>"``)
-    instead of sinking the run.  ``checkpoint`` names a JSON file
-    updated after every completed instance; re-running with the same
-    file skips instances already measured.  A checkpoint also routes a
-    serial run (``workers in (None, 0, 1)``) through the task runner;
-    otherwise the serial path bit-reproduces the historical parameter
-    stream.  Parallel/task runs draw each instance's parameters from an
-    independent seeded stream, so results are deterministic per seed but
-    differ from the serial stream.
+    Each instance is one task of the fault-tolerant task runner
+    (:mod:`repro.experiments.runner`), with its instance, null and
+    parameter seeds drawn from ``seed`` up front, so a seed gives the
+    same instances and parameters for any ``workers``.  ``workers > 1``
+    fans the tasks out over a process pool; otherwise they run one at a
+    time in this process.  Each task gets a ``task_timeout``, up to
+    ``retries`` re-submissions with jittered ``backoff``, and a failure
+    is recorded in ``report.failed_instances`` (keyed
+    ``"<rate>:<instance>"``) instead of sinking the run.  ``checkpoint``
+    names a JSON file updated after every completed instance;
+    re-running with the same file skips instances already measured.
 
     ``cancel`` accepts a :class:`~repro.engine.limits.CancelToken`
     another thread may fire (the CLI's ``--time-budget`` arms one on a
     timer): the harness stops at the next instance boundary, keeps the
     measurements (and checkpoint) completed so far, and reports
-    ``LAST_RUN.cancelled = True``.
+    ``report.cancelled = True``.
     """
-    global LAST_RUN
     null_rates = tuple(null_rates)
     query_ids = tuple(query_ids)
     rng = random.Random(seed)
-    series: Dict[str, List[Tuple[float, float]]] = {qid: [] for qid in query_ids}
-
-    if (workers is not None and workers > 1) or checkpoint is not None:
-        tasks: Dict[str, tuple] = {}
-        for rate in null_rates:
-            for i in range(instances):
-                key = f"{rate:g}:{i}"
-                tasks[key] = (
-                    key, rate, scale, rng.randrange(2**31), rng.randrange(2**31),
-                    rng.randrange(2**31), query_ids, param_draws, repeats,
-                    use_appendix, options,
-                )
-        results, report = run_tasks(
-            _instance_ratios,
-            tasks,
-            workers=workers,
-            task_timeout=task_timeout,
-            retries=retries,
-            backoff=backoff,
-            checkpoint=checkpoint,
-            rng=random.Random(rng.randrange(2**31)),
-            cancel=cancel,
-        )
-        for rate in null_rates:
-            per_instance = [
-                results[f"{rate:g}:{i}"]
-                for i in range(instances)
-                if f"{rate:g}:{i}" in results
-            ]
-            report.discarded_samples += sum(res["discarded"] for res in per_instance)
-            for qid in query_ids:
-                values = [r for res in per_instance for r in res["ratios"][qid]]
-                avg = sum(values) / len(values) if values else float("nan")
-                series[qid].append((round(rate * 100, 2), avg))
-        LAST_RUN = report
-        return series
-
-    report = RunReport(total=len(null_rates) * instances)
-    queries = rewritten_queries(query_ids, use_appendix=use_appendix, options=options)
+    tasks: Dict[str, tuple] = {}
     for rate in null_rates:
-        ratios: Dict[str, List[float]] = {qid: [] for qid in query_ids}
-        for _ in range(instances):
-            if cancel is not None and cancel.cancelled:
-                report.cancelled = True
-                break
-            base = generate_instance(scale=scale, seed=rng.randrange(2**31))
-            db = inject_nulls(base, rate, seed=rng.randrange(2**31))
-            for qid in query_ids:
-                original, plus = queries[qid]
-                for _ in range(param_draws):
-                    params = sample_parameters(qid, db, rng=rng)
-                    t_orig, _n = time_query(db, original, params, repeats)
-                    t_plus, _n = time_query(db, plus, params, repeats)
-                    if t_orig > 0:
-                        ratios[qid].append(t_plus / t_orig)
-                    else:
-                        report.discarded_samples += 1
-            report.completed += 1
+        for i in range(instances):
+            key = f"{rate:g}:{i}"
+            tasks[key] = (
+                key, rate, scale, rng.randrange(2**31), rng.randrange(2**31),
+                rng.randrange(2**31), query_ids, param_draws, repeats,
+                use_appendix, options,
+            )
+    results, report = run_tasks(
+        _instance_ratios,
+        tasks,
+        workers=workers,
+        task_timeout=task_timeout,
+        retries=retries,
+        backoff=backoff,
+        checkpoint=checkpoint,
+        rng=random.Random(rng.randrange(2**31)),
+        cancel=cancel,
+    )
+    series: Dict[str, List[Tuple[float, float]]] = {qid: [] for qid in query_ids}
+    for rate in null_rates:
+        per_instance = [
+            results[f"{rate:g}:{i}"]
+            for i in range(instances)
+            if f"{rate:g}:{i}" in results
+        ]
+        report.discarded_samples += sum(res["discarded"] for res in per_instance)
         for qid in query_ids:
-            values = ratios[qid]
+            values = [r for res in per_instance for r in res["ratios"][qid]]
             avg = sum(values) / len(values) if values else float("nan")
             series[qid].append((round(rate * 100, 2), avg))
-    LAST_RUN = report
-    return series
+    return series, report
 
 
 def main(
@@ -244,7 +205,7 @@ def main(
     checkpoint: Optional[str] = None,
     cancel: Optional[CancelToken] = None,
 ) -> str:
-    series = run_price_of_correctness(
+    series, report = run_price_of_correctness(
         workers=workers,
         task_timeout=task_timeout,
         retries=retries,
@@ -257,17 +218,7 @@ def main(
         series,
         y_format=format_ratio,
     )
-    if LAST_RUN.cancelled:
-        text += (
-            f"\ncancelled after {LAST_RUN.completed + LAST_RUN.resumed}"
-            f"/{LAST_RUN.total} instances"
-            + (f" ({cancel.reason})" if cancel is not None and cancel.reason else "")
-        )
-    if LAST_RUN.failed_instances:
-        failures = ", ".join(
-            f"{f.key} ({f.error})" for f in LAST_RUN.failed_instances
-        )
-        text += f"\nfailed instances: {failures}"
+    text += render_run_footer(report, "instances", cancel)
     print(text)
     return text
 

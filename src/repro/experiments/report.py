@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["render_series", "render_table", "format_ratio"]
+from repro.engine.limits import CancelToken
+from repro.experiments.runner import RunReport
+
+__all__ = ["render_series", "render_table", "render_run_footer", "format_ratio"]
 
 
 def format_ratio(value: float) -> str:
@@ -51,3 +54,23 @@ def render_table(title: str, header: Sequence[str], rows: Sequence[Sequence[str]
     parts += [line(row) for row in rows]
     parts.append(sep)
     return "\n".join(parts)
+
+
+def render_run_footer(
+    report: RunReport, unit: str, cancel: Optional[CancelToken] = None
+) -> str:
+    """The lines a harness prints under its table: how far a cancelled
+    run got (``unit`` names its tasks) and which tasks failed.  Each line
+    starts with a newline; empty when the run neither was cancelled nor
+    lost a task."""
+    text = ""
+    if report.cancelled:
+        reason = f" ({cancel.reason})" if cancel is not None and cancel.reason else ""
+        text += (
+            f"\ncancelled after {report.completed + report.resumed}"
+            f"/{report.total} {unit}{reason}"
+        )
+    if report.failed_instances:
+        failures = ", ".join(f"{f.key} ({f.error})" for f in report.failed_instances)
+        text += f"\nfailed instances: {failures}"
+    return text

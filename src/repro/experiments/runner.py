@@ -1,9 +1,9 @@
 """Fault-tolerant task execution for the experiment harnesses.
 
-The figure4/table1 harnesses used to fan instances out with a bare
-``pool.map``: one crashed or hung worker sank the whole run, and an
-interrupted run lost every measurement.  :func:`run_tasks` replaces
-that with per-task submission, adding:
+Every figure4/table1 measurement runs through :func:`run_tasks`, serial
+or pooled.  Where a bare ``pool.map`` lets one crashed or hung worker
+sink the whole run and an interrupt lose every measurement, it submits
+tasks one by one and adds:
 
 * a **per-task timeout** (``task_timeout``) — a crashed pool worker
   surfaces as a lost task that never delivers its result, so the
@@ -59,8 +59,8 @@ class TaskFailure:
 class RunReport:
     """What happened to a fault-tolerant harness run.
 
-    Rebound (not mutated) into the harness modules' ``LAST_RUN`` after
-    each run, following the ``certain.bruteforce.LAST_SEARCH`` idiom.
+    :func:`run_tasks` returns it, and the figure4/table1 harnesses hand
+    it back to their callers next to the measurements.
     """
 
     total: int = 0

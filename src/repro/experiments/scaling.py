@@ -9,26 +9,22 @@ scale units 1×/3×/6×/10× standing in for 1/3/6/10 GB.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.engine.limits import CancelToken
 from repro.experiments.performance import rewritten_queries, time_query
-from repro.experiments.report import format_ratio, render_table
+from repro.experiments.report import format_ratio, render_run_footer, render_table
 from repro.experiments.runner import RunReport, run_tasks
 from repro.testing.faults import check_task_fault
 from repro.tpch.dbgen import generate_instance
 from repro.tpch.nullify import inject_nulls
 from repro.tpch.queries import sample_parameters
 
-__all__ = ["run_scaling_experiment", "main", "LAST_RUN"]
-
-#: Fault-tolerance report of the most recent harness run (rebound, not
-#: mutated, per call — the ``LAST_SEARCH`` idiom).
-LAST_RUN = RunReport()
+__all__ = ["run_scaling_experiment", "main"]
 
 
 def _scale_rate_averages(task: tuple) -> Dict[str, object]:
-    """Per-(scale, rate) average ratios (pool worker body).
+    """Per-(scale, rate) average ratios (one task).
 
     Returns JSON-serialisable ``{"averages": {qid: avg}, "discarded": n}``
     so results survive checkpoint round-trips.
@@ -74,99 +70,59 @@ def run_scaling_experiment(
     backoff: float = 0.1,
     checkpoint: Optional[str] = None,
     cancel: Optional[CancelToken] = None,
-) -> Dict[str, Dict[float, Tuple[float, float]]]:
-    """Return ``{query: {scale: (min avg ratio, max avg ratio)}}``.
+) -> Tuple[Dict[str, Dict[float, Tuple[float, float]]], RunReport]:
+    """Return ``({query: {scale: (min avg ratio, max avg ratio)}}, report)``.
 
     For each scale, the ratio is averaged per null rate and the reported
     range is over null rates — exactly how Table 1 summarises Figure 4's
     data at larger sizes.  ``base_scale`` maps "1 GB" onto a generator
-    scale unit.  ``workers`` parallelises over (scale, null rate) cells
-    through the fault-tolerant task runner, with the same
-    ``task_timeout``/``retries``/``backoff``/``checkpoint`` semantics as
+    scale unit.  Each (scale, null rate) cell is one task of the
+    fault-tolerant task runner, with the same seeding and the same
+    ``workers``/``task_timeout``/``retries``/``backoff``/``checkpoint``/
+    ``cancel`` semantics as
     :func:`~repro.experiments.performance.run_price_of_correctness`
-    (failures land in ``LAST_RUN.failed_instances`` keyed
-    ``"<scale>:<rate>"``).  The default stays serial and bit-reproduces
-    the historical parameter stream unless a ``checkpoint`` routes it
-    through the task runner.  ``cancel`` stops the harness at the next
-    (scale, rate) cell boundary with completed measurements intact, as
-    in :func:`~repro.experiments.performance.run_price_of_correctness`.
+    (failures land in ``report.failed_instances`` keyed
+    ``"<scale>:<rate>"``; cancellation stops at the next cell boundary).
     """
-    global LAST_RUN
     scales = tuple(scales)
     null_rates = tuple(null_rates)
     query_ids = tuple(query_ids)
     rng = random.Random(seed)
-    table: Dict[str, Dict[float, Tuple[float, float]]] = {q: {} for q in query_ids}
-
-    if (workers is not None and workers > 1) or checkpoint is not None:
-        tasks: Dict[str, tuple] = {}
-        for scale in scales:
-            for rate in null_rates:
-                key = f"{scale:g}:{rate:g}"
-                tasks[key] = (
-                    key, scale, rate, rng.randrange(2**31), rng.randrange(2**31),
-                    rng.randrange(2**31), query_ids, param_draws, repeats,
-                    base_scale,
-                )
-        results, report = run_tasks(
-            _scale_rate_averages,
-            tasks,
-            workers=workers,
-            task_timeout=task_timeout,
-            retries=retries,
-            backoff=backoff,
-            checkpoint=checkpoint,
-            rng=random.Random(rng.randrange(2**31)),
-            cancel=cancel,
-        )
-        for scale in scales:
-            cells = [
-                results[f"{scale:g}:{rate:g}"]
-                for rate in null_rates
-                if f"{scale:g}:{rate:g}" in results
-            ]
-            report.discarded_samples += sum(cell["discarded"] for cell in cells)
-            for qid in query_ids:
-                values = [
-                    cell["averages"][qid] for cell in cells if qid in cell["averages"]
-                ]
-                if values:
-                    table[qid][scale] = (min(values), max(values))
-        LAST_RUN = report
-        return table
-
-    report = RunReport(total=len(scales) * len(null_rates))
-    queries = rewritten_queries(query_ids)
+    tasks: Dict[str, tuple] = {}
     for scale in scales:
-        per_rate: Dict[str, List[float]] = {q: [] for q in query_ids}
         for rate in null_rates:
-            if cancel is not None and cancel.cancelled:
-                report.cancelled = True
-                break
-            base = generate_instance(
-                scale=scale * base_scale, seed=rng.randrange(2**31)
+            key = f"{scale:g}:{rate:g}"
+            tasks[key] = (
+                key, scale, rate, rng.randrange(2**31), rng.randrange(2**31),
+                rng.randrange(2**31), query_ids, param_draws, repeats,
+                base_scale,
             )
-            db = inject_nulls(base, rate, seed=rng.randrange(2**31))
-            for qid in query_ids:
-                original, plus = queries[qid]
-                ratios = []
-                for _ in range(param_draws):
-                    params = sample_parameters(qid, db, rng=rng)
-                    t_orig, _ = time_query(db, original, params, repeats)
-                    t_plus, _ = time_query(db, plus, params, repeats)
-                    if t_orig > 0:
-                        ratios.append(t_plus / t_orig)
-                    else:
-                        report.discarded_samples += 1
-                if ratios:
-                    per_rate[qid].append(sum(ratios) / len(ratios))
-            report.completed += 1
+    results, report = run_tasks(
+        _scale_rate_averages,
+        tasks,
+        workers=workers,
+        task_timeout=task_timeout,
+        retries=retries,
+        backoff=backoff,
+        checkpoint=checkpoint,
+        rng=random.Random(rng.randrange(2**31)),
+        cancel=cancel,
+    )
+    table: Dict[str, Dict[float, Tuple[float, float]]] = {q: {} for q in query_ids}
+    for scale in scales:
+        cells = [
+            results[f"{scale:g}:{rate:g}"]
+            for rate in null_rates
+            if f"{scale:g}:{rate:g}" in results
+        ]
+        report.discarded_samples += sum(cell["discarded"] for cell in cells)
         for qid in query_ids:
-            values = per_rate[qid]
+            values = [
+                cell["averages"][qid] for cell in cells if qid in cell["averages"]
+            ]
             if values:
                 table[qid][scale] = (min(values), max(values))
-    LAST_RUN = report
-    return table
+    return table, report
 
 
 def main(
@@ -176,7 +132,7 @@ def main(
     checkpoint: Optional[str] = None,
     cancel: Optional[CancelToken] = None,
 ) -> str:
-    results = run_scaling_experiment(
+    results, report = run_scaling_experiment(
         workers=workers,
         task_timeout=task_timeout,
         retries=retries,
@@ -199,17 +155,7 @@ def main(
         header,
         rows,
     )
-    if LAST_RUN.cancelled:
-        text += (
-            f"\ncancelled after {LAST_RUN.completed + LAST_RUN.resumed}"
-            f"/{LAST_RUN.total} cells"
-            + (f" ({cancel.reason})" if cancel is not None and cancel.reason else "")
-        )
-    if LAST_RUN.failed_instances:
-        failures = ", ".join(
-            f"{f.key} ({f.error})" for f in LAST_RUN.failed_instances
-        )
-        text += f"\nfailed instances: {failures}"
+    text += render_run_footer(report, "cells", cancel)
     print(text)
     return text
 

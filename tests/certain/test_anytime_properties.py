@@ -1,17 +1,16 @@
 """Property tests pinning the anytime brute-force search's guarantees.
 
-Three contracts make a deadline-cut ``certain_answers_with_nulls``
+Two contracts make a deadline-cut ``certain_answers_with_nulls``
 usable as an anytime oracle, and Hypothesis checks them over random
 small incomplete databases and queries:
 
-* **soundness** — any deadline cut (any scope, any order) returns a
-  subset of the full ``cert(Q, D)``: partial results never contain a
-  false positive;
+* **soundness** — any deadline cut returns a subset of the full
+  ``cert(Q, D)``: partial results never contain a false positive;
 * **monotonicity** — under a deterministic clock, growing the deadline
-  only ever grows the result (each cut is a subset of every later cut);
-* **order-independence at completion** — best-first with no deadline is
-  row-identical to the eager order: exploration order decides *which*
-  sound subset survives a cut, never the complete answer.
+  only ever grows the result (each cut is a subset of every later cut).
+
+That the complete search equals ``cert(Q, D)`` is checked against an
+independent reference in ``test_world_reduction_properties.py``.
 
 The monotonicity property cannot be stated over the wall clock (a lucky
 scheduler could let a shorter deadline verify more), so it runs against
@@ -75,7 +74,6 @@ QUERIES = [
 ]
 
 queries = st.sampled_from(QUERIES)
-orders = st.sampled_from(["best-first", "eager"])
 
 
 class FakeTime:
@@ -112,16 +110,12 @@ common = settings(
 @given(
     db=databases(),
     query=queries,
-    order=orders,
     deadline=st.sampled_from([0.0, 1e-4, 1e-3, 5e-3]),
-    scope=st.sampled_from(["call", "search"]),
 )
-def test_deadline_cut_is_sound_subset(db, query, order, deadline, scope):
-    full = certain_answers_with_nulls(query, db, order=order)
+def test_deadline_cut_is_sound_subset(db, query, deadline):
+    full = certain_answers_with_nulls(query, db)
     assert bruteforce.LAST_SEARCH.complete
-    partial = certain_answers_with_nulls(
-        query, db, order=order, deadline=deadline, deadline_scope=scope
-    )
+    partial = certain_answers_with_nulls(query, db, deadline=deadline)
     stats = bruteforce.LAST_SEARCH
     assert partial.attributes == full.attributes
     assert set(partial.rows) <= set(full.rows)  # no false positives, ever
@@ -132,9 +126,9 @@ def test_deadline_cut_is_sound_subset(db, query, order, deadline, scope):
 
 
 @common
-@given(db=databases(), query=queries, order=orders)
-def test_results_grow_monotonically_with_deadline(db, query, order):
-    full = certain_answers_with_nulls(query, db, order=order)
+@given(db=databases(), query=queries)
+def test_results_grow_monotonically_with_deadline(db, query):
+    full = certain_answers_with_nulls(query, db)
     import time as real_time
 
     previous = set()
@@ -143,11 +137,7 @@ def test_results_grow_monotonically_with_deadline(db, query, order):
         # "inside world evaluation" to "past the whole search".
         for deadline in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 256.0, 4096.0):
             bruteforce.time = FakeTime()
-            rows = set(
-                certain_answers_with_nulls(
-                    query, db, order=order, deadline=deadline
-                ).rows
-            )
+            rows = set(certain_answers_with_nulls(query, db, deadline=deadline).rows)
             assert previous <= rows, (
                 f"deadline {deadline}: lost rows {previous - rows}"
             )
@@ -158,16 +148,3 @@ def test_results_grow_monotonically_with_deadline(db, query, order):
     # The top of the ladder is past every clock read the search makes.
     assert previous == set(full.rows)
 
-
-@common
-@given(db=databases(), query=queries)
-def test_best_first_completion_matches_eager(db, query):
-    best_first = certain_answers_with_nulls(query, db, order="best-first")
-    bf_stats = bruteforce.LAST_SEARCH
-    eager = certain_answers_with_nulls(query, db, order="eager")
-    eager_stats = bruteforce.LAST_SEARCH
-    assert bf_stats.complete and eager_stats.complete
-    assert best_first.attributes == eager.attributes
-    assert best_first.rows == eager.rows  # canonical order: identical lists
-    # Sampling only ever *refutes*; both orders verify the same answers.
-    assert bf_stats.emitted == eager_stats.emitted

@@ -3,6 +3,7 @@
 import math
 
 
+from repro.experiments import performance
 from repro.experiments.falsepos import run_false_positive_experiment
 from repro.experiments.infeasible import run_infeasibility_experiment
 from repro.experiments.performance import rewritten_queries, run_price_of_correctness
@@ -32,7 +33,7 @@ class TestFalsePositives:
 
 class TestPriceOfCorrectness:
     def test_structure(self):
-        series = run_price_of_correctness(
+        series, _report = run_price_of_correctness(
             null_rates=(0.03,),
             scale=0.2,
             instances=1,
@@ -54,7 +55,7 @@ class TestPriceOfCorrectness:
     def test_q2_wins_q4_pays(self):
         """The Figure 4 shape at reduced scale: Q+2 at least 2x faster,
         Q+4 slower than the original."""
-        series = run_price_of_correctness(
+        series, _report = run_price_of_correctness(
             null_rates=(0.03,),
             scale=0.5,
             instances=1,
@@ -71,7 +72,7 @@ class TestParallelHarness:
     """workers= fans instances out over a process pool; shapes must match."""
 
     def test_price_of_correctness_parallel_structure(self):
-        series = run_price_of_correctness(
+        series, _report = run_price_of_correctness(
             null_rates=(0.03,),
             scale=0.1,
             instances=2,
@@ -85,7 +86,7 @@ class TestParallelHarness:
         assert x == 3.0
         assert ratio > 0 and not math.isnan(ratio)
 
-    def test_parallel_runs_are_deterministic(self):
+    def test_parallel_runs_are_deterministic(self, monkeypatch):
         kwargs = dict(
             null_rates=(0.03,),
             scale=0.1,
@@ -94,16 +95,25 @@ class TestParallelHarness:
             repeats=1,
             seed=4,
             query_ids=("Q1",),
-            workers=2,
         )
-        a = run_price_of_correctness(**kwargs)
-        b = run_price_of_correctness(**kwargs)
-        # Timing ratios jitter, but the structure and the sampled points
-        # (rates, instance seeds → result sizes) are reproducible.
-        assert [x for x, _ in a["Q1"]] == [x for x, _ in b["Q1"]]
+        submitted = []
+        real_run_tasks = performance.run_tasks
+
+        def recording_run_tasks(worker, tasks, **options):
+            submitted.append(tasks)
+            return real_run_tasks(worker, tasks, **options)
+
+        monkeypatch.setattr(performance, "run_tasks", recording_run_tasks)
+        serial, serial_report = run_price_of_correctness(workers=None, **kwargs)
+        pooled, pooled_report = run_price_of_correctness(workers=2, **kwargs)
+        # Timing ratios jitter, but both runs measure the same instances
+        # with the same parameter seeds.
+        assert submitted[0] == submitted[1]
+        assert [x for x, _ in serial["Q1"]] == [x for x, _ in pooled["Q1"]]
+        assert serial_report.completed == pooled_report.completed == 2
 
     def test_scaling_parallel_structure(self):
-        table = run_scaling_experiment(
+        table, _report = run_scaling_experiment(
             scales=(1.0,),
             null_rates=(0.03,),
             param_draws=1,
@@ -119,7 +129,7 @@ class TestParallelHarness:
 
 class TestScaling:
     def test_structure(self):
-        table = run_scaling_experiment(
+        table, _report = run_scaling_experiment(
             scales=(1.0, 2.0),
             null_rates=(0.03,),
             param_draws=1,

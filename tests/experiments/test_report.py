@@ -1,6 +1,13 @@
 """Result rendering."""
 
-from repro.experiments.report import format_ratio, render_series, render_table
+from repro.engine.limits import CancelToken
+from repro.experiments.report import (
+    format_ratio,
+    render_run_footer,
+    render_series,
+    render_table,
+)
+from repro.experiments.runner import RunReport, TaskFailure
 
 
 class TestFormatRatio:
@@ -34,3 +41,22 @@ class TestRenderTable:
         lines = text.splitlines()
         widths = {len(line) for line in lines[1:]}
         assert len(widths) <= 2  # rows and separators line up
+
+
+class TestRenderRunFooter:
+    def test_cancelled_and_failed_lines(self):
+        assert render_run_footer(RunReport(total=3, completed=3), "cells") == ""
+        token = CancelToken()
+        token.cancel("budget spent")
+        report = RunReport(
+            total=4,
+            completed=1,
+            resumed=1,
+            cancelled=True,
+            failed_instances=[TaskFailure("0.03:1", "RuntimeError: boom", 2)],
+        )
+        assert render_run_footer(report, "instances", token).splitlines() == [
+            "",
+            "cancelled after 2/4 instances (budget spent)",
+            "failed instances: 0.03:1 (RuntimeError: boom)",
+        ]

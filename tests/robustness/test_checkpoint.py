@@ -78,25 +78,30 @@ class TestHarnessCheckpoint:
         path = str(tmp_path / "fig4.json")
         # First run: instance 1 fails, instance 0 lands in the checkpoint.
         faults.install_task_fault("0.03:1", error=RuntimeError("interrupted"))
-        performance.run_price_of_correctness(checkpoint=path, **self.KWARGS)
-        assert performance.LAST_RUN.failed == 1
+        _series, report = performance.run_price_of_correctness(
+            checkpoint=path, **self.KWARGS
+        )
+        assert report.failed == 1
         ckpt = json.loads((tmp_path / "fig4.json").read_text())
         assert sorted(ckpt["results"]) == ["0.03:0"]
         faults.clear_faults()
         # Resume: instance 0 must NOT re-run (a fault on it would fire).
         faults.install_task_fault("0.03:0", error=RuntimeError("re-measured!"))
-        series = performance.run_price_of_correctness(checkpoint=path, **self.KWARGS)
-        report = performance.LAST_RUN
+        series, report = performance.run_price_of_correctness(
+            checkpoint=path, **self.KWARGS
+        )
         assert report.resumed == 1 and report.completed == 1 and report.failed == 0
         ((x, ratio),) = series["Q1"]
         assert x == 3.0 and ratio > 0
 
     def test_checkpointed_rerun_is_deterministic(self, tmp_path):
         path = str(tmp_path / "fig4.json")
-        a = performance.run_price_of_correctness(checkpoint=path, **self.KWARGS)
+        a, _ = performance.run_price_of_correctness(checkpoint=path, **self.KWARGS)
         # Second run resumes everything: identical series, zero work.
-        b = performance.run_price_of_correctness(checkpoint=path, **self.KWARGS)
-        assert performance.LAST_RUN.resumed == 2
+        b, report = performance.run_price_of_correctness(
+            checkpoint=path, **self.KWARGS
+        )
+        assert report.resumed == 2
         assert a == b
 
     def test_table1_checkpoint_resume(self, tmp_path):
@@ -112,9 +117,9 @@ class TestHarnessCheckpoint:
             retries=0,
             backoff=0.0,
         )
-        first = scaling.run_scaling_experiment(checkpoint=path, **kwargs)
-        assert scaling.LAST_RUN.completed == 1
+        first, report = scaling.run_scaling_experiment(checkpoint=path, **kwargs)
+        assert report.completed == 1
         faults.install_task_fault("1:0.03", error=RuntimeError("re-measured!"))
-        second = scaling.run_scaling_experiment(checkpoint=path, **kwargs)
-        assert scaling.LAST_RUN.resumed == 1 and scaling.LAST_RUN.failed == 0
+        second, report = scaling.run_scaling_experiment(checkpoint=path, **kwargs)
+        assert report.resumed == 1 and report.failed == 0
         assert first == second

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.experiments import performance
+from repro.experiments import performance, scaling
 from repro.experiments.runner import RunReport, run_tasks
 from repro.testing import faults
 
@@ -127,7 +127,7 @@ class TestHardenedFigure4:
         instance in failed_instances, and keeps the other measurements.
         """
         faults.install_task_fault("0.03:1", exit_code=1)
-        series = performance.run_price_of_correctness(
+        series, report = performance.run_price_of_correctness(
             null_rates=(0.03,),
             scale=0.05,
             instances=3,
@@ -140,7 +140,6 @@ class TestHardenedFigure4:
             retries=0,
             backoff=0.0,
         )
-        report = performance.LAST_RUN
         assert [f.key for f in report.failed_instances] == ["0.03:1"]
         assert report.completed == 2
         ((x, ratio),) = series["Q1"]
@@ -149,7 +148,7 @@ class TestHardenedFigure4:
 
     def test_all_instances_failing_yields_nan_not_crash(self):
         faults.install_task_fault("0.05:0", error=RuntimeError("boom"))
-        series = performance.run_price_of_correctness(
+        series, report = performance.run_price_of_correctness(
             null_rates=(0.05,),
             scale=0.05,
             instances=1,
@@ -162,12 +161,12 @@ class TestHardenedFigure4:
             retries=0,
             backoff=0.0,
         )
-        assert performance.LAST_RUN.failed == 1
+        assert report.failed == 1
         ((_x, ratio),) = series["Q1"]
         assert math.isnan(ratio)
 
     def test_serial_run_reports_discarded_and_completed(self):
-        performance.run_price_of_correctness(
+        _series, report = performance.run_price_of_correctness(
             null_rates=(0.03,),
             scale=0.05,
             instances=1,
@@ -176,7 +175,52 @@ class TestHardenedFigure4:
             seed=3,
             query_ids=("Q1",),
         )
-        report = performance.LAST_RUN
         assert isinstance(report, RunReport)
         assert report.completed == 1
         assert report.discarded_samples >= 0
+
+
+class TestSerialFaultInjection:
+    """A serial run (``workers=None``) goes through the same task runner
+    as a pooled one: faults fire and failures are recorded."""
+
+    def test_figure4_serial_failure_recorded(self):
+        faults.install_task_fault("0.03:0", error=RuntimeError("boom"))
+        series, report = performance.run_price_of_correctness(
+            null_rates=(0.03,),
+            scale=0.05,
+            instances=2,
+            param_draws=1,
+            repeats=1,
+            seed=1,
+            query_ids=("Q1",),
+            workers=None,
+            retries=0,
+            backoff=0.0,
+        )
+        assert report.failed == 1
+        (failure,) = report.failed_instances
+        assert failure.key == "0.03:0" and "boom" in failure.error
+        assert report.completed == 1
+        ((_x, ratio),) = series["Q1"]
+        assert ratio > 0 and not math.isnan(ratio)
+
+    def test_table1_serial_failure_recorded(self):
+        faults.install_task_fault("1:0.03", error=RuntimeError("boom"))
+        table, report = scaling.run_scaling_experiment(
+            scales=(1.0,),
+            null_rates=(0.01, 0.03),
+            param_draws=1,
+            repeats=1,
+            base_scale=0.05,
+            seed=2,
+            query_ids=("Q1",),
+            workers=None,
+            retries=0,
+            backoff=0.0,
+        )
+        assert report.failed == 1
+        assert [f.key for f in report.failed_instances] == ["1:0.03"]
+        assert report.completed == 1
+        lo, hi = table["Q1"][1.0]
+        assert 0 < lo == hi

@@ -120,3 +120,11 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["lint", "Q1", "--format", "yaml"])
         assert exc.value.code == 2
+
+    def test_paper_scale_only_on_figure1(self):
+        # Only figure1 reads --paper-scale; elsewhere it must not parse
+        # silently into a no-op.
+        assert build_parser().parse_args(["figure1", "--paper-scale"]).paper_scale
+        with pytest.raises(SystemExit) as exc:
+            main(["figure4", "--paper-scale"])
+        assert exc.value.code == 2
