@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.sql.parser import parse_sql
-from repro.sql.rewrite import RewriteOptions, rewrite_certain
+from repro.sql.rewrite import rewrite_certain
 from repro.tpch.datafiller import generate_small_instance
 from repro.tpch.dbgen import generate_instance
 from repro.tpch.nullify import inject_nulls
@@ -41,7 +41,7 @@ def fp_db():
 
 @pytest.fixture(scope="session")
 def compiled_queries(schema):
-    """{qid: (original, auto Q+, appendix Q+, unsplit Q+)} ASTs."""
+    """{qid: (original, auto Q+, appendix Q+)} ASTs."""
     out = {}
     for qid, (original_sql, appendix_sql, _names) in QUERIES.items():
         original = parse_sql(original_sql)
@@ -49,9 +49,6 @@ def compiled_queries(schema):
             original,
             rewrite_certain(original, schema),
             parse_sql(appendix_sql),
-            rewrite_certain(
-                original, schema, RewriteOptions(split="never", fold_views="never")
-            ),
         )
     return out
 

@@ -21,19 +21,19 @@ from repro.experiments.report import format_ratio, render_series
 class TestPerQuery:
     def test_original(self, benchmark, perf_db, compiled_queries, perf_params, qid):
         benchmark.group = f"figure4-{qid}"
-        original, _auto, _hand, _unsplit = compiled_queries[qid]
+        original, _auto, _hand = compiled_queries[qid]
         params = perf_params[qid]
         benchmark(lambda: execute_sql(perf_db, original, params))
 
     def test_rewritten(self, benchmark, perf_db, compiled_queries, perf_params, qid):
         benchmark.group = f"figure4-{qid}"
-        _original, auto, _hand, _unsplit = compiled_queries[qid]
+        _original, auto, _hand = compiled_queries[qid]
         params = perf_params[qid]
         benchmark(lambda: execute_sql(perf_db, auto, params))
 
     def test_appendix_rewrite(self, benchmark, perf_db, compiled_queries, perf_params, qid):
         benchmark.group = f"figure4-{qid}"
-        _original, _auto, hand, _unsplit = compiled_queries[qid]
+        _original, _auto, hand = compiled_queries[qid]
         params = perf_params[qid]
         benchmark(lambda: execute_sql(perf_db, hand, params))
 

@@ -11,7 +11,7 @@ Run:  python examples/direct_sql_rewriting.py [Q1|Q2|Q3|Q4]
 import random
 import sys
 
-from repro import RewriteOptions, certain_rewrite, execute_sql, parse_sql, to_sql
+from repro import certain_rewrite, execute_sql, parse_sql, to_sql
 from repro.tpch import (
     QUERIES,
     generate_small_instance,
@@ -29,9 +29,7 @@ def show(qid: str) -> None:
     print(f"======== {qid}: original ========")
     print(to_sql(original))
 
-    weakened = certain_rewrite(
-        original, schema, RewriteOptions(split="never", fold_views="never")
-    )
+    weakened = certain_rewrite(original, schema, tune=False)
     print(f"\n-------- pass 1 only: θ**-weakened NOT EXISTS --------")
     print(to_sql(weakened))
 

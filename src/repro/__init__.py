@@ -43,13 +43,13 @@ from repro.algebra import evaluate
 from repro.certain import certain_answers, certain_answers_with_nulls
 from repro.engine import execute_sql, explain_sql
 from repro.sql import parse_sql, to_sql
-from repro.sql.rewrite import RewriteOptions, rewrite_certain, rewrite_possible
+from repro.sql.rewrite import rewrite_certain, rewrite_possible
 from repro.translate import translate_improved, translate_libkin
 
 __version__ = "1.0.0"
 
 
-def certain_rewrite(sql, schema, options=None):
+def certain_rewrite(sql, schema, *, tune=True):
     """Parse SQL text (or take an AST) and return the ``Q+`` rewrite AST.
 
     Convenience wrapper around :func:`repro.sql.parse_sql` and
@@ -57,7 +57,7 @@ def certain_rewrite(sql, schema, options=None):
     """
     if isinstance(sql, str):
         sql = parse_sql(sql)
-    return rewrite_certain(sql, schema, options)
+    return rewrite_certain(sql, schema, tune=tune)
 
 
 __all__ = [
@@ -76,7 +76,6 @@ __all__ = [
     "explain_sql",
     "parse_sql",
     "to_sql",
-    "RewriteOptions",
     "rewrite_certain",
     "rewrite_possible",
     "certain_rewrite",

@@ -66,6 +66,24 @@ def _armed_budget_token(args):
     return token, timer
 
 
+def _resolve_query(arg):
+    """``(sql, qid)`` for a query argument of ``rewrite``/``explain``/``lint``.
+
+    ``Q1``..``Q4`` name the paper's queries and ``Q1+``..``Q4+`` their
+    appendix rewritings; ``qid`` is then the paper query (``Q1``..``Q4``)
+    whose parameters apply.  Anything else is SQL text (``qid`` is
+    ``None``), and a missing argument reads SQL from stdin.
+    """
+    from repro.tpch.queries import QUERIES
+
+    if arg:
+        plus = arg.endswith("+")
+        qid = arg[:-1] if plus else arg
+        if qid in QUERIES:
+            return QUERIES[qid][1 if plus else 0], qid
+    return arg or sys.stdin.read(), None
+
+
 def _cmd_figure1(args) -> int:
     from repro.experiments import falsepos
 
@@ -126,15 +144,11 @@ def _cmd_recall(args) -> int:
 def _cmd_rewrite(args) -> int:
     from repro.sql.parser import parse_sql
     from repro.sql.printer import to_sql
-    from repro.sql.rewrite import RewriteOptions, rewrite_certain
+    from repro.sql.rewrite import rewrite_certain
     from repro.tpch.schema import tpch_schema
 
-    sql = args.sql or sys.stdin.read()
-    options = RewriteOptions(
-        split=args.split, fold_views=args.fold_views, union_views=not args.no_union_views
-    )
-    rewritten = rewrite_certain(parse_sql(sql), tpch_schema(), options)
-    print(to_sql(rewritten))
+    sql, _qid = _resolve_query(args.sql)
+    print(to_sql(rewrite_certain(parse_sql(sql), tpch_schema())))
     return 0
 
 
@@ -144,37 +158,29 @@ def _cmd_explain(args) -> int:
     from repro.engine import explain_sql
     from repro.tpch.dbgen import generate_instance
     from repro.tpch.nullify import inject_nulls
-    from repro.tpch.queries import QUERIES, sample_parameters
+    from repro.tpch.queries import sample_parameters
 
+    sql, qid = _resolve_query(args.sql)
     db = inject_nulls(
         generate_instance(scale=args.scale, seed=args.seed),
         args.null_rate,
         seed=args.seed + 1,
     )
-    if args.sql in QUERIES:
-        sql = QUERIES[args.sql][0]
-        params = sample_parameters(args.sql, db, rng=random.Random(args.seed))
-    else:
-        sql = args.sql or sys.stdin.read()
-        params = {}
+    params = {} if qid is None else sample_parameters(qid, db, rng=random.Random(args.seed))
     print(explain_sql(db, sql, params))
     return 0
 
 
 def _cmd_lint(args) -> int:
     from repro.analysis import UNSOUND, analyze_sql, render_json, render_pretty
-    from repro.tpch.queries import QUERIES
     from repro.tpch.schema import tpch_schema
 
     schema = tpch_schema()
     named = []
     for item in args.queries or [None]:
-        if item is not None and item.rstrip("+") in QUERIES:
-            base = item.rstrip("+")
-            sql = QUERIES[base][1 if item.endswith("+") else 0]
-            named.append((item, sql))
-        else:
-            named.append(("<stdin>" if item is None else "<sql>", item or sys.stdin.read()))
+        sql, qid = _resolve_query(item)
+        name = item if qid is not None else "<stdin>" if item is None else "<sql>"
+        named.append((name, sql))
 
     reports = [(name, analyze_sql(sql, schema)) for name, sql in named]
     if args.format == "json":
@@ -261,10 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("rewrite", help="rewrite SQL into its certain-answer Q+")
-    p.add_argument("sql", nargs="?", help="SQL text (stdin if omitted)")
-    p.add_argument("--split", default="auto", choices=["never", "auto", "always"])
-    p.add_argument("--fold-views", default="auto", choices=["never", "auto"])
-    p.add_argument("--no-union-views", action="store_true")
+    p.add_argument(
+        "sql", nargs="?", help="SQL text, or Q1..Q4 / Q1+..Q4+ (stdin if omitted)"
+    )
     p.set_defaults(handler=_cmd_rewrite)
 
     p = sub.add_parser(
@@ -284,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_lint)
 
     p = sub.add_parser("explain", help="EXPLAIN a query on a generated instance")
-    p.add_argument("sql", nargs="?", help="SQL text, or Q1..Q4 (stdin if omitted)")
+    p.add_argument(
+        "sql", nargs="?", help="SQL text, or Q1..Q4 / Q1+..Q4+ (stdin if omitted)"
+    )
     p.add_argument("--scale", type=float, default=0.5)
     p.add_argument("--null-rate", type=float, default=0.03)
     p.add_argument("--seed", type=int, default=0)

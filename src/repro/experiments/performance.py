@@ -20,7 +20,7 @@ from repro.engine.executor import PLAN_CACHE
 from repro.engine.limits import CancelToken
 from repro.sql import ast
 from repro.sql.parser import parse_sql
-from repro.sql.rewrite import RewriteOptions, rewrite_certain
+from repro.sql.rewrite import rewrite_certain
 from repro.testing.faults import check_task_fault
 from repro.tpch.dbgen import generate_instance
 from repro.tpch.nullify import inject_nulls
@@ -66,25 +66,17 @@ def time_query(
 
 def rewritten_queries(
     query_ids=("Q1", "Q2", "Q3", "Q4"),
-    use_appendix: bool = False,
-    options: Optional[RewriteOptions] = None,
 ) -> Dict[str, Tuple[ast.Query, ast.Query]]:
-    """``{qid: (original AST, rewritten AST)}``.
+    """``{qid: (original AST, automatic Q+ AST)}``.
 
-    ``use_appendix=True`` takes the paper's hand rewrites verbatim;
-    otherwise the automatic rewriter derives them (the default — tests
-    assert both produce identical answers).
+    Tests assert the automatic rewrites answer like the paper's appendix
+    rewrites.
     """
     schema = tpch_schema()
     out: Dict[str, Tuple[ast.Query, ast.Query]] = {}
     for qid in query_ids:
-        original_sql, appendix_sql, _params = QUERIES[qid]
-        original = parse_sql(original_sql)
-        if use_appendix:
-            plus = parse_sql(appendix_sql)
-        else:
-            plus = rewrite_certain(original, schema, options)
-        out[qid] = (original, plus)
+        original = parse_sql(QUERIES[qid][0])
+        out[qid] = (original, rewrite_certain(original, schema))
     return out
 
 
@@ -97,10 +89,10 @@ def _instance_ratios(task: tuple) -> Dict[str, object]:
     """
     (
         key, rate, scale, instance_seed, null_seed, param_seed,
-        query_ids, param_draws, repeats, use_appendix, options,
+        query_ids, param_draws, repeats,
     ) = task
     check_task_fault(key)
-    queries = rewritten_queries(query_ids, use_appendix=use_appendix, options=options)
+    queries = rewritten_queries(query_ids)
     base = generate_instance(scale=scale, seed=instance_seed)
     db = inject_nulls(base, rate, seed=null_seed)
     rng = random.Random(param_seed)
@@ -127,8 +119,6 @@ def run_price_of_correctness(
     repeats: int = 2,
     seed: int = 0,
     query_ids=("Q1", "Q2", "Q3", "Q4"),
-    use_appendix: bool = False,
-    options: Optional[RewriteOptions] = None,
     workers: Optional[int] = None,
     task_timeout: Optional[float] = None,
     retries: int = 1,
@@ -170,7 +160,6 @@ def run_price_of_correctness(
             tasks[key] = (
                 key, rate, scale, rng.randrange(2**31), rng.randrange(2**31),
                 rng.randrange(2**31), query_ids, param_draws, repeats,
-                use_appendix, options,
             )
     results, report = run_tasks(
         _instance_ratios,

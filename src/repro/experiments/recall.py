@@ -16,12 +16,10 @@ from typing import Dict, Iterable, List
 from repro.certain.metrics import AnswerComparison, compare_answers
 from repro.engine import execute_sql
 from repro.fp.detectors import detector_for
-from repro.sql.parser import parse_sql
-from repro.sql.rewrite import rewrite_certain
 from repro.tpch.datafiller import generate_small_instance
 from repro.tpch.nullify import inject_nulls
-from repro.tpch.queries import QUERIES, sample_parameters
-from repro.tpch.schema import tpch_schema
+from repro.tpch.queries import sample_parameters
+from repro.experiments.performance import rewritten_queries
 from repro.experiments.report import render_table
 
 __all__ = ["run_recall_experiment", "main"]
@@ -37,11 +35,7 @@ def run_recall_experiment(
 ) -> Dict[str, List[AnswerComparison]]:
     """Return per-query :class:`AnswerComparison` lists over all runs."""
     rng = random.Random(seed)
-    schema = tpch_schema()
-    queries = {
-        qid: (parse_sql(QUERIES[qid][0]), rewrite_certain(parse_sql(QUERIES[qid][0]), schema))
-        for qid in query_ids
-    }
+    queries = rewritten_queries(query_ids)
     out: Dict[str, List[AnswerComparison]] = {qid: [] for qid in query_ids}
 
     for rate in null_rates:

@@ -9,7 +9,7 @@ scalar aggregate subqueries treated as black boxes, ``WITH`` views,
 
 from repro.sql.parser import parse_sql
 from repro.sql.printer import to_sql
-from repro.sql.rewrite import rewrite_certain, rewrite_possible, RewriteOptions
+from repro.sql.rewrite import rewrite_certain, rewrite_possible
 from repro.sql.to_algebra import sql_to_algebra
 from repro.sql.from_algebra import algebra_to_sql
 
@@ -18,7 +18,6 @@ __all__ = [
     "to_sql",
     "rewrite_certain",
     "rewrite_possible",
-    "RewriteOptions",
     "sql_to_algebra",
     "algebra_to_sql",
 ]

@@ -32,12 +32,15 @@ applied when it decorrelates a block (Q2 — enabling the engine's
 short-circuit) or when the ``OR`` blocks an equi-join (Q4 — restoring
 hash joins); Q1/Q3-style residual ``OR``\\ s are left inline, matching
 the appendix.
+
+``rewrite_certain(..., tune=False)`` runs pass 1 only: the naive
+translation whose optimizer breakdown on Q4 Section 7 describes, kept
+for the A1 ablation and the EXPLAIN cost story.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union as TUnion
 
 from repro.data.schema import DatabaseSchema
@@ -50,7 +53,7 @@ from repro.sql.nullability import (
     forced_nonnull,
 )
 
-__all__ = ["rewrite_certain", "rewrite_possible", "RewriteOptions", "RewriteError"]
+__all__ = ["rewrite_certain", "rewrite_possible", "RewriteError"]
 
 CERTAIN = "+"
 POSSIBLE = "?"
@@ -67,29 +70,6 @@ _NEGATED_OP = {
     "like": "not like",
     "not like": "like",
 }
-
-
-@dataclass(frozen=True)
-class RewriteOptions:
-    """Tuning knobs for the rewriter (defaults reproduce the appendix).
-
-    ``split``: ``"auto"`` applies the paper's heuristics, ``"always"``
-    splits every OR inside a ``NOT EXISTS``, ``"never"`` disables
-    splitting (the configuration whose optimizer breakdown Section 7
-    describes for Q4).  ``fold_views`` controls dimension view folding,
-    ``union_views`` renders folded views as ``UNION`` of null/match
-    branches (the appendix shape) instead of a single ``OR`` filter.
-    """
-
-    split: str = "auto"  # "never" | "auto" | "always"
-    fold_views: str = "auto"  # "never" | "auto"
-    union_views: bool = True
-
-    def __post_init__(self):
-        if self.split not in ("never", "auto", "always"):
-            raise ValueError(f"bad split mode {self.split!r}")
-        if self.fold_views not in ("never", "auto"):
-            raise ValueError(f"bad fold_views mode {self.fold_views!r}")
 
 
 def _conjuncts(cond: Optional[ast.SqlCond]) -> Tuple[ast.SqlCond, ...]:
@@ -472,9 +452,8 @@ def _flip(mode: str) -> str:
 
 
 class _StructuralPasses:
-    def __init__(self, catalog: Catalog, options: RewriteOptions):
+    def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        self.options = options
         self.new_ctes: List[Tuple[str, ast.Query]] = []
         self._taken_names: Set[str] = set()
 
@@ -530,11 +509,7 @@ class _StructuralPasses:
 
     # ------------------------------------------------------------------
     def _transform_not_exists(self, pred: ast.Exists, outer: Scope) -> ast.SqlCond:
-        if self.options.fold_views != "never":
-            pred = self._fold_dimension_views(pred, outer)
-        if self.options.split != "never":
-            return self._split_disjunctions(pred, outer)
-        return pred
+        return self._split_disjunctions(self._fold_dimension_views(pred, outer), outer)
 
     # -- resolution helpers ---------------------------------------------
     def _cond_refs(self, cond: ast.SqlCond, scope: Scope):
@@ -576,23 +551,31 @@ class _StructuralPasses:
         visit(cond)
         return bindings, outer_ref, complex_cond
 
-    # ------------------------------------------------------------------
-    # Pass 2: dimension view folding
-    # ------------------------------------------------------------------
-    def _fold_dimension_views(self, pred: ast.Exists, outer: Scope) -> ast.Exists:
-        query = pred.query
-        if query.ctes or not isinstance(query.body, ast.Select):
-            return pred
-        select = query.body
-        if select.where is None or len(select.tables) < 2:
-            return pred
+    def _open_block(self, pred: ast.Exists, outer: Scope):
+        """``(select, scope, conjuncts, info)`` for a ``NOT EXISTS`` over a
+        plain ``SELECT … WHERE``, with :meth:`_cond_refs` of each
+        conjunct; ``None`` when the passes leave the block alone (a
+        ``WITH`` or set operation, no ``WHERE``, an unresolvable column)."""
+        select = pred.query.body
+        if pred.query.ctes or not isinstance(select, ast.Select) or select.where is None:
+            return None
         scope = Scope(select.tables, self.catalog, parent=outer)
         conjuncts = list(_conjuncts(select.where))
         try:
             info = [self._cond_refs(c, scope) for c in conjuncts]
         except RewriteError:
+            return None
+        return select, scope, conjuncts, info
+
+    # ------------------------------------------------------------------
+    # Pass 2: dimension view folding
+    # ------------------------------------------------------------------
+    def _fold_dimension_views(self, pred: ast.Exists, outer: Scope) -> ast.Exists:
+        block = self._open_block(pred, outer)
+        if block is None:
             return pred
-        if any(complex_cond for _, _, complex_cond in info):
+        select, scope, conjuncts, info = block
+        if len(select.tables) < 2 or any(complex_cond for _, _, complex_cond in info):
             return pred
 
         anchors: Set[str] = set()
@@ -692,11 +675,7 @@ class _StructuralPasses:
             tables=tuple(cluster_tables),
             where=view_where,
         )
-        view_query = (
-            self._unionize(view_select)
-            if self.options.union_views
-            else ast.Query(body=view_select)
-        )
+        view_query = self._unionize(view_select)
         self.catalog.register_view(view_name, view_query)
         self.new_ctes.append((view_name, view_query))
 
@@ -763,27 +742,18 @@ class _StructuralPasses:
     # Pass 3: disjunction splitting
     # ------------------------------------------------------------------
     def _split_disjunctions(self, pred: ast.Exists, outer: Scope) -> ast.SqlCond:
-        query = pred.query
-        if query.ctes or not isinstance(query.body, ast.Select):
+        block = self._open_block(pred, outer)
+        if block is None:
             return pred
-        select = query.body
-        if select.where is None:
-            return pred
-        scope = Scope(select.tables, self.catalog, parent=outer)
-        conjuncts = list(_conjuncts(select.where))
-        try:
-            info = [self._cond_refs(c, scope) for c in conjuncts]
-        except RewriteError:
-            return pred
+        select, scope, conjuncts, info = block
 
-        split_idx: List[int] = []
-        for i, cond in enumerate(conjuncts):
-            if not isinstance(cond, ast.BoolOp) or cond.op != "or":
-                continue
-            if self.options.split == "always" or self._worth_splitting(
-                i, conjuncts, info, scope
-            ):
-                split_idx.append(i)
+        split_idx = [
+            i
+            for i, cond in enumerate(conjuncts)
+            if isinstance(cond, ast.BoolOp)
+            and cond.op == "or"
+            and self._worth_splitting(i, conjuncts, info, scope)
+        ]
         if not split_idx:
             return pred
 
@@ -838,34 +808,12 @@ class _StructuralPasses:
     ) -> ast.Exists:
         referenced = self._referenced_bindings(conds, scope)
         if referenced is None:
-            tables = list(select.tables)
-            guards: List[ast.SqlCond] = []
-        else:
-            tables = [t for t in select.tables if t.binding in referenced]
-            dropped = [t for t in select.tables if t.binding not in referenced]
-            if not tables:
-                tables = [select.tables[0]]
-                dropped = [t for t in select.tables[1:]]
-            guards = [
-                ast.Exists(
-                    ast.Query(
-                        ast.Select(
-                            columns=(ast.Star(),),
-                            tables=(ast.TableRef(name=t.name, alias=t.alias),),
-                        )
-                    ),
-                    negated=False,
-                )
-                for t in dropped
-            ]
+            referenced = {t.binding for t in select.tables}
+        elif not referenced:
+            referenced = {select.tables[0].binding}  # a block keeps one table
+        tables, where = _guarded_from(select.tables, conds, referenced)
         return ast.Exists(
-            ast.Query(
-                ast.Select(
-                    columns=(ast.Star(),),
-                    tables=tuple(tables),
-                    where=_and(conds + guards),
-                )
-            ),
+            ast.Query(ast.Select(columns=(ast.Star(),), tables=tables, where=where)),
             negated=True,
         )
 
@@ -931,28 +879,40 @@ class _StructuralPasses:
                 resolved = scope.resolve(ref)
                 if resolved.depth == 0:
                     referenced.add(resolved.binding)
-        tables = [t for t in select.tables if t.binding in referenced]
-        dropped = [t for t in select.tables if t.binding not in referenced]
-        if not tables or not dropped:
+        if not referenced or all(t.binding in referenced for t in select.tables):
             return select
-        guards = [
-            ast.Exists(
-                ast.Query(
-                    ast.Select(
-                        columns=(ast.Star(),),
-                        tables=(ast.TableRef(name=t.name, alias=t.alias),),
-                    )
-                ),
-                negated=False,
-            )
-            for t in dropped
-        ]
+        tables, where = _guarded_from(select.tables, conds, referenced)
         return ast.Select(
             columns=select.columns,
-            tables=tuple(tables),
-            where=_and(conds + guards),
+            tables=tables,
+            where=where,
             distinct=select.distinct,
         )
+
+
+def _guarded_from(
+    tables: Sequence[ast.TableRef], conds: List[ast.SqlCond], referenced: Set[str]
+) -> Tuple[Tuple[ast.TableRef, ...], Optional[ast.SqlCond]]:
+    """``FROM`` and ``WHERE`` with the tables outside *referenced* dropped.
+
+    Each dropped table ``t`` becomes a guard ``EXISTS (SELECT * FROM t)``,
+    so an empty table still empties the block as it did in the product.
+    """
+    guards: List[ast.SqlCond] = [
+        ast.Exists(
+            ast.Query(
+                ast.Select(
+                    columns=(ast.Star(),),
+                    tables=(ast.TableRef(name=t.name, alias=t.alias),),
+                )
+            ),
+            negated=False,
+        )
+        for t in tables
+        if t.binding not in referenced
+    ]
+    kept = tuple(t for t in tables if t.binding in referenced)
+    return kept, _and(conds + guards)
 
 
 # ---------------------------------------------------------------------------
@@ -963,16 +923,17 @@ class _StructuralPasses:
 def rewrite_certain(
     query: TUnion[ast.Query, ast.Select, ast.SetOp],
     schema: DatabaseSchema,
-    options: Optional[RewriteOptions] = None,
+    *,
+    tune: bool = True,
 ) -> ast.Query:
     """Rewrite *query* into its certain-answer version ``Q+`` (SQL level).
 
     The result, executed under standard SQL three-valued semantics,
     returns only certain answers of the original query (Theorem 1 with
     the Section 7 SQL adjustment); on databases without nulls it returns
-    exactly the original answers.
+    exactly the original answers.  ``tune=False`` stops after pass 1,
+    giving Section 7's naive form (no view folding, no splitting).
     """
-    options = options or RewriteOptions()
     query = ast.query_of(query)
     catalog = Catalog(schema)
 
@@ -989,7 +950,9 @@ def rewrite_certain(
     except RewriteError as err:
         raise _enrich_rewrite_error(err, query, schema)
 
-    passes = _StructuralPasses(catalog, options)
+    if not tune:
+        return ast.Query(body=body, ctes=tuple(user_ctes))
+    passes = _StructuralPasses(catalog)
     for name, _view in user_ctes:
         passes._taken_names.add(name)
     body = passes.process_body(body, None)

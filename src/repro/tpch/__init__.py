@@ -23,6 +23,7 @@ from repro.tpch.queries import (
     Q4_PLUS_SQL,
     QUERIES,
     sample_parameters,
+    supplied_nations,
 )
 
 __all__ = [
@@ -42,4 +43,5 @@ __all__ = [
     "Q4_PLUS_SQL",
     "QUERIES",
     "sample_parameters",
+    "supplied_nations",
 ]

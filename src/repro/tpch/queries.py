@@ -15,7 +15,7 @@ part-name words.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.data.database import Database
 from repro.tpch.words import P_NAME_WORDS
@@ -31,6 +31,7 @@ __all__ = [
     "Q4_PLUS_SQL",
     "QUERIES",
     "sample_parameters",
+    "supplied_nations",
 ]
 
 # ---------------------------------------------------------------------------
@@ -255,3 +256,18 @@ def sample_parameters(
         "color": rng.choice(P_NAME_WORDS),
         "nation": rng.choice(nation_names()),
     }
+
+
+def supplied_nations(db: Database) -> List[str]:
+    """Sorted names of the nations that have a supplier.
+
+    At scale 1 most nations have none, and for those Q1 and Q4 are
+    trivial; draw ``$nation`` from this list to time the real work.
+    """
+    supplier, nation = db["supplier"], db["nation"]
+    supplied = {row[supplier.index_of("s_nationkey")] for row in supplier.rows}
+    return sorted(
+        row[nation.index_of("n_name")]
+        for row in nation.rows
+        if row[nation.index_of("n_nationkey")] in supplied
+    )

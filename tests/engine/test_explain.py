@@ -8,7 +8,7 @@ from repro.engine import explain_sql
 from repro.engine.blocks import CompiledBlock, ExecContext
 from repro.engine.explain import estimate_block
 from repro.sql.parser import parse_sql
-from repro.sql.rewrite import RewriteOptions, rewrite_certain
+from repro.sql.rewrite import rewrite_certain
 from repro.tpch.datafiller import generate_small_instance
 from repro.tpch.nullify import inject_nulls
 from repro.tpch.queries import Q4_SQL, sample_parameters
@@ -52,9 +52,7 @@ class TestCostStory:
         loops are quadratic where the original hash-joins)."""
         schema = tpch_schema()
         original = parse_sql(Q4_SQL)
-        unsplit = rewrite_certain(
-            original, schema, RewriteOptions(split="never", fold_views="never")
-        )
+        unsplit = rewrite_certain(original, schema, tune=False)
         ratios = []
         for scale in (0.2, 1.0):
             db = inject_nulls(
@@ -69,9 +67,7 @@ class TestCostStory:
 
     def test_unsplit_plan_contains_nested_loops(self, db, params):
         schema = tpch_schema()
-        unsplit = rewrite_certain(
-            parse_sql(Q4_SQL), schema, RewriteOptions(split="never", fold_views="never")
-        )
+        unsplit = rewrite_certain(parse_sql(Q4_SQL), schema, tune=False)
         text = explain_sql(db, unsplit, params)
         assert "nested loop" in text
 

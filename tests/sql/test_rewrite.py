@@ -10,7 +10,7 @@ from repro.engine import execute_sql
 from repro.sql import ast
 from repro.sql.parser import parse_condition, parse_sql
 from repro.sql.printer import to_sql
-from repro.sql.rewrite import RewriteError, RewriteOptions, negate_sql, rewrite_certain
+from repro.sql.rewrite import RewriteError, negate_sql, rewrite_certain
 from repro.tpch.datafiller import generate_small_instance
 from repro.tpch.nullify import inject_nulls
 from repro.tpch.queries import QUERIES, sample_parameters
@@ -23,8 +23,7 @@ def schema():
 
 
 def rewrite_sql(sql, schema, **kwargs):
-    options = RewriteOptions(**kwargs) if kwargs else None
-    return rewrite_certain(parse_sql(sql), schema, options)
+    return rewrite_certain(parse_sql(sql), schema, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +140,8 @@ class TestSplitting:
         assert " OR " in out
 
     def test_split_never(self, schema):
-        out = to_sql(rewrite_sql(QUERIES["Q2"][0], schema, split="never"))
+        out = to_sql(rewrite_sql(QUERIES["Q2"][0], schema, tune=False))
         assert out.count("NOT EXISTS") == 1
-
-    def test_split_always_splits_q3(self, schema):
-        out = to_sql(rewrite_sql(QUERIES["Q3"][0], schema, split="always"))
-        assert out.count("NOT EXISTS") == 2
 
     def test_split_options_agree_on_answers(self, schema):
         rng = random.Random(99)
@@ -154,12 +149,10 @@ class TestSplitting:
         for qid in sorted(QUERIES):
             params = sample_parameters(qid, db, rng=rng)
             results = []
-            for kwargs in ({"split": "never", "fold_views": "never"},
-                           {"split": "always"},
-                           {}):
-                query = rewrite_sql(QUERIES[qid][0], schema, **kwargs)
+            for tune in (True, False):
+                query = rewrite_sql(QUERIES[qid][0], schema, tune=tune)
                 results.append(set(execute_sql(db, query, params).rows))
-            assert results[0] == results[1] == results[2], qid
+            assert results[0] == results[1], qid
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +177,8 @@ class TestViewFolding:
         out = to_sql(rewrite_sql(QUERIES["Q4"][0], schema))
         assert "UNION" in out
 
-    def test_union_views_disabled(self, schema):
-        out = rewrite_sql(QUERIES["Q4"][0], schema, union_views=False)
-        text = to_sql(out)
-        assert "UNION" not in text
-
     def test_fold_never_keeps_tables_inline(self, schema):
-        out = rewrite_sql(QUERIES["Q4"][0], schema, fold_views="never", split="never")
+        out = rewrite_sql(QUERIES["Q4"][0], schema, tune=False)
         assert out.ctes == ()
 
 
@@ -260,12 +248,6 @@ class TestFragmentCorners:
     def test_unknown_table_rejected(self, rs):
         with pytest.raises(RewriteError, match="unknown table"):
             rewrite_certain(parse_sql("SELECT a FROM zzz"), rs)
-
-    def test_bad_options_rejected(self):
-        with pytest.raises(ValueError):
-            RewriteOptions(split="sometimes")
-        with pytest.raises(ValueError):
-            RewriteOptions(fold_views="maybe")
 
 
 class TestNegateSql:

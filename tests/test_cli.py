@@ -16,14 +16,9 @@ class TestRewriteCommand:
         out = capsys.readouterr().out
         assert "l_suppkey IS NULL" in out
 
-    def test_split_option(self, capsys):
-        sql = (
-            "SELECT c_custkey FROM customer WHERE NOT EXISTS "
-            "(SELECT * FROM orders WHERE o_custkey = c_custkey)"
-        )
-        assert main(["rewrite", "--split", "never", sql]) == 0
-        out = capsys.readouterr().out
-        assert out.count("NOT EXISTS") == 1
+    def test_named_query(self, capsys):
+        assert main(["rewrite", "Q3"]) == 0
+        assert "IS NULL" in capsys.readouterr().out
 
     def test_stdin(self, capsys, monkeypatch):
         import io

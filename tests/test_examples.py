@@ -9,6 +9,7 @@ EXAMPLES = [
     "examples/quickstart.py",
     "examples/marked_nulls.py",
     "examples/lint_queries.py",
+    "examples/price_of_correctness.py",
 ]
 
 

@@ -6,7 +6,6 @@ from repro import (
     DatabaseSchema,
     Null,
     Relation,
-    RewriteOptions,
     certain_answers_with_nulls,
     certain_rewrite,
     execute_sql,
@@ -30,7 +29,7 @@ def test_all_names_resolve():
 
 
 def test_promised_names_are_the_package_attributes():
-    assert RewriteOptions is repro.RewriteOptions
+    assert rewrite_certain is repro.rewrite_certain
     assert certain_answers_with_nulls is repro.certain_answers_with_nulls
     assert explain_sql is repro.explain_sql
     assert translate_improved is repro.translate_improved
@@ -60,6 +59,9 @@ def test_certain_rewrite_accepts_ast():
     schema.add(make_schema("r", [("a", "int")]))
     ast_query = parse_sql("SELECT a FROM r")
     assert certain_rewrite(ast_query, schema) == rewrite_certain(ast_query, schema)
+    assert certain_rewrite(ast_query, schema, tune=False) == rewrite_certain(
+        ast_query, schema, tune=False
+    )
 
 
 def test_module_docstring_example_runs():
