@@ -136,8 +136,8 @@ class Relation:
         return not self.nulls()
 
     # ------------------------------------------------------------------
-    # Hash index over one column (engine uses richer indexes; this one
-    # supports the brute-force layers and FP detectors).
+    # Hash index over one column; only repro.fp.detectors calls it.
+    # Kept apart from the engine's hash builds: it keeps null keys.
     # ------------------------------------------------------------------
     def hash_index(self, attribute: str) -> Dict[object, List[Row]]:
         """Rows grouped by the value of *attribute* (nulls under ``Null``)."""

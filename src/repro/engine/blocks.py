@@ -22,7 +22,9 @@ so ``EXISTS`` probes stop at the first match.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import chain, repeat, tee
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.conditions import like_match
 from repro.algebra.threevl import FALSE, TRUE, UNKNOWN, ThreeValued, from_bool
@@ -296,6 +298,50 @@ class _BoolConst(_Cond):
 
 _MISSING = object()
 
+#: ``isinstance``'s second argument for every column of a key.
+_NULL_TYPES = repeat(Null)
+
+
+def _key_stream(rows, positions: Sequence[int]) -> Iterator[Tuple]:
+    """Stream the keys of *rows* at *positions*; one column gives 1-tuples."""
+    if len(positions) == 1:
+        return zip(map(itemgetter(positions[0]), rows))
+    return map(itemgetter(*positions), rows)
+
+
+def _hash_group(ctx, pairs, nulls, check=None, value=None):
+    """Every engine hash table's build: the ``(key, item)`` *pairs*
+    grouped by key, streamed.  A bucket holds ``value(item)``, or the item
+    if *value* is ``None``; a ``None`` item only creates its bucket.
+    Keys with a null at a position in *nulls* never compare TRUE and are
+    skipped.  Returns ``None`` (abandoned) when *check*, run per item,
+    returns true or the byte meter (first new key, then every 256th)
+    finds the table over ``max_probe_table_bytes``."""
+    byte_cap = None if ctx.limits is None else ctx.limits.max_probe_table_bytes
+    meter = TableBytesMeter()
+    table: Dict[Tuple, List[object]] = {}
+    get = table.get
+    null_at = nulls[0] if len(nulls) == 1 else None  # the common case
+    for key, item in pairs:
+        if check is not None and check():
+            return None
+        if null_at is not None:
+            if isinstance(key[null_at], Null):
+                continue
+        elif nulls and any(map(isinstance, key, _NULL_TYPES)):
+            continue
+        bucket = get(key)
+        if bucket is None:
+            bucket = table[key] = []
+            meter.add(key)
+            if byte_cap is not None and meter.should_check():
+                if meter.over_budget(ctx.table_bytes, byte_cap):
+                    return None
+        if item is not None:
+            bucket.append(item if value is None else value(item))
+    ctx.table_bytes += meter.approx_bytes()
+    return table
+
 
 class _CorrelatedSubquery(_Cond):
     """Probe machinery shared by ``[NOT] EXISTS`` and ``[NOT] IN (SELECT …)``.
@@ -404,85 +450,54 @@ class _CorrelatedSubquery(_Cond):
             # (e.g. EXPLAIN prepared it); replan without them.
             block._reset_runtime()
         ctx = block.ctx
-        saved_probes = block.probes
+        self._saved_probes = block.probes
         block.probes = [(k, e) for k, e in block.probes if not e.has_outer]
-        self._saved_probes = saved_probes
         locals_ = tuple(local for local, _key in self.decor)
         out = self._out
-        marked = ctx.marked_nulls
         cap = None if ctx.limits is None else ctx.limits.max_probe_build_rows
-        byte_cap = None if ctx.limits is None else ctx.limits.max_probe_table_bytes
-        meter = TableBytesMeter()
         before = ctx.rows_examined
-        table: Dict[Tuple, List[object]] = {}
-        single = len(locals_) == 1
-        positions: Optional[Tuple[int, ...]] = None
-        for cursor in block.iterate({}):
-            if cap is not None and ctx.rows_examined - before > cap:
-                self._degrade(saved_probes, before)
-                return
-            slotmap, row = cursor
-            # The block yields one shared slotmap; resolve key positions
-            # once and index rows directly from then on.
-            if positions is None:
-                positions = tuple(slotmap[local] for local in locals_)
-            if single:
-                value = row[positions[0]]
-                if not marked and isinstance(value, Null):
-                    continue
-                key = (value,)
-            else:
-                key = tuple(row[p] for p in positions)
-                if not marked and any(isinstance(v, Null) for v in key):
-                    continue
-            bucket = table.get(key)
-            if bucket is None:
-                bucket = table[key] = []
-                meter.add(key)
-                if (
-                    byte_cap is not None
-                    and meter.should_check()
-                    and meter.over_budget(ctx.table_bytes, byte_cap)
-                ):
-                    self._degrade(saved_probes, before)
-                    return
+        cursors = block.iterate({})
+        first = next(cursors, None)  # planning fixes the shared slotmap
+        table: Optional[Dict[Tuple, List[object]]] = {}
+        if first is not None:
+            cursors = chain((first,), cursors)
+            items = repeat(None)  # keys only: an EXISTS bucket just exists
             if out is not None:
-                bucket.append(out(cursor, {}))
+                cursors, items = tee(cursors)
+            keys = _key_stream(map(itemgetter(1), cursors), [first[0][k] for k in locals_])
+            table = _hash_group(
+                ctx,
+                zip(keys, items),
+                block._null_slots(locals_),
+                None if cap is None else lambda: ctx.rows_examined - before > cap,
+                None if out is None else lambda cursor: out(cursor, {}),
+            )
+        # Abandoned builds count their rows like finished ones.
         ctx.probe_build_rows += ctx.rows_examined - before
         ctx.rows_examined = before
-        ctx.probe_tables_built += 1
-        ctx.table_bytes += meter.approx_bytes()
-        self._table = table
+        if table is None:
+            self._degrade()
+        else:
+            ctx.probe_tables_built += 1
+            self._table = table
 
-    def _degrade(self, saved_probes, rows_before: int) -> None:
-        """Abandon decorrelation mid-build: the probe table would cost
+    def _degrade(self) -> None:
+        """Abandon decorrelation for good: the probe table would cost
         more than ``max_probe_build_rows`` (or ``max_probe_table_bytes``).
-
-        The inner block is restored to its correlated shape (probes back
-        in place, lazy runtime state dropped so the next iteration
-        re-plans with them) and the predicate falls back to memoized
-        probing, whose results bit-match by construction.  The wasted
-        build work is accounted under ``probe_build_rows`` like any other
-        build.
-        """
-        block = self.block
-        ctx = block.ctx
-        block.probes = saved_probes
-        block._reset_runtime()
-        ctx.probe_build_rows += ctx.rows_examined - rows_before
-        ctx.rows_examined = rows_before
-        ctx.degradations += 1
+        The inner block gets its correlated shape back and the predicate
+        falls back to memoized probing, whose results bit-match by
+        construction."""
+        self._reset_decor()
         self.decor = None
-        self._table = None
-        self._saved_probes = None
+        self.block.ctx.degradations += 1
 
     def _reset_decor(self) -> None:
         """Restore the predicate to its pre-decorrelation shape.
 
-        Used by :meth:`ExecContext.set_limits`: probe tables, memo
-        entries and past degradation decisions all baked in the old
-        limits, so the predicate gets its original probes and
-        decorrelation plan back and rebuilds lazily under the new caps.
+        Used by :meth:`_degrade` and by :meth:`ExecContext.set_limits`:
+        probe tables, memo entries and past degradation decisions all
+        baked in the old limits, so the predicate gets its original probes
+        and decorrelation plan back and rebuilds lazily under the new caps.
         """
         block = self.block
         if self._saved_probes is not None:
@@ -970,27 +985,33 @@ class CompiledBlock:
 
         self._attached_fns = []
         for conds in self._attached:
-            nonnull = self._proven_nonnull(conds)
+            nonnull = self._proven_nonnull({k for c in conds for k in c.local_keys})
             self._attached_fns.append([compile_cond(c, nonnull) for c in conds])
 
-    def _proven_nonnull(self, conds: Sequence[_Cond]) -> frozenset:
-        """Data-driven non-null proofs for the closure compiler: a local
-        column whose *filtered* column vector contains no nulls supports
-        null-check hoisting in the conditions attached to this plan."""
-        if not self._stats:
-            return frozenset()
-        keys: Set[Key] = set()
-        for cond in conds:
-            keys |= cond.local_keys
-        proven: Set[Key] = set()
-        for binding, col in keys:
-            stats = self._stats.get(binding)
-            if stats is None:
-                continue
-            position = self.sources[binding].columns.index(col)
-            if not stats.has_null(position):
-                proven.add((binding, col))
-        return frozenset(proven)
+    def _proven_nonnull(self, keys: Iterable[Key]) -> frozenset:
+        """Data-driven non-null proofs: the local columns among *keys*
+        whose *filtered* rows hold no null.  Compiled conditions drop
+        their null checks on them, hash builds their null tests."""
+        stats = self._stats or {}
+        return frozenset(
+            (binding, col)
+            for binding, col in keys
+            if binding in stats
+            and not stats[binding].has_null(self.sources[binding].columns.index(col))
+        )
+
+    def _null_slots(self, keys: Sequence[Key]) -> Tuple[int, ...]:
+        """Positions in a hash key over local columns *keys* that may
+        hold a null; none under marked nulls (null keys index by label)."""
+        if self.ctx.marked_nulls:
+            return ()
+        proven = self._proven_nonnull(keys)
+        return tuple(i for i, key in enumerate(keys) if key not in proven)
+
+    def _keyed_rows(self, binding: str, columns: Tuple[str, ...]) -> Iterator[Tuple]:
+        """``(key at columns, row)`` for *binding*'s filtered rows."""
+        rows, names = self._get_filtered(binding), self.sources[binding].columns
+        return zip(_key_stream(rows, [names.index(c) for c in columns]), rows)
 
     def _index(
         self, binding: str, columns: Tuple[str, ...]
@@ -1002,52 +1023,31 @@ class CompiledBlock:
         counted in ``ctx.degradations``)."""
         cache_key = (binding, columns)
         index = self._indexes.get(cache_key, _MISSING)
-        if index is not _MISSING:
-            return index
-        source = self.sources[binding]
-        positions = [source.columns.index(c) for c in columns]
-        ctx = self.ctx
-        marked = ctx.marked_nulls
-        byte_cap = None if ctx.limits is None else ctx.limits.max_probe_table_bytes
-        meter = TableBytesMeter()
-        index = {}
-        for row in self._get_filtered(binding):
-            ctx.check()
-            key = tuple(row[p] for p in positions)
-            if not marked and any(is_null(v) for v in key):
-                continue  # a null join key can never compare TRUE
-            bucket = index.get(key)
-            if bucket is None:
-                index[key] = [row]
-                meter.add(key)
-                if (
-                    byte_cap is not None
-                    and meter.should_check()
-                    and meter.over_budget(ctx.table_bytes, byte_cap)
-                ):
-                    ctx.degradations += 1
-                    self._indexes[cache_key] = None
-                    return None
-            else:
-                bucket.append(row)
-        ctx.table_bytes += meter.approx_bytes()
-        self._indexes[cache_key] = index
+        if index is _MISSING:
+            ctx = self.ctx
+            index = _hash_group(
+                ctx,
+                self._keyed_rows(binding, columns),
+                self._null_slots([(binding, col) for col in columns]),
+                None if ctx.governor is None else ctx.check,
+            )
+            if index is None:
+                ctx.degradations += 1
+            self._indexes[cache_key] = index
         return index
 
     def _linear_matches(
         self, binding: str, columns: Tuple[str, ...], key: Tuple
     ) -> List[Row]:
         """Degraded equi-join probe (hash index over byte budget): scan
-        the filtered rows per probe.  Tuple equality yields the same
-        matches the index would — the probe key is null-free under SQL
-        nulls, and marked nulls compare by label either way."""
-        source = self.sources[binding]
-        positions = [source.columns.index(c) for c in columns]
+        the filtered rows' keys, extracted as the index extracts them.
+        The probe key is null-free under SQL nulls, so the matches are
+        the index's; marked nulls compare by label either way."""
         ctx = self.ctx
         matches = []
-        for row in self._get_filtered(binding):
+        for row_key, row in self._keyed_rows(binding, columns):
             ctx.check()
-            if tuple(row[p] for p in positions) == key:
+            if row_key == key:
                 matches.append(row)
         return matches
 

@@ -25,6 +25,8 @@ build can degrade gracefully instead of exhausting memory.
 from __future__ import annotations
 
 import sys
+from itertools import repeat
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.data.nulls import Null
@@ -65,30 +67,19 @@ def estimate_ndv(rows: Sequence[Row], position: int) -> int:
 
 
 class SourceStats:
-    """Per-source statistics over the *filtered* rows of one FROM entry.
+    """Per-source statistics over the *filtered* rows of one FROM entry:
+    NDV estimates (join ordering) and null presence (null-check hoisting
+    and null-test-free hash builds), each computed once per column."""
 
-    Column vectors are extracted lazily and cached — the same vector
-    backs NDV estimation, null counting (for null-check hoisting) and
-    any columnar consumer that asks.
-    """
-
-    __slots__ = ("rows", "_columns", "_ndv", "_has_null")
+    __slots__ = ("rows", "_ndv", "_has_null")
 
     def __init__(self, rows: Sequence[Row]):
         self.rows = rows
-        self._columns: Dict[int, List[object]] = {}
         self._ndv: Dict[int, int] = {}
         self._has_null: Dict[int, bool] = {}
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def column(self, position: int) -> List[object]:
-        col = self._columns.get(position)
-        if col is None:
-            col = [row[position] for row in self.rows]
-            self._columns[position] = col
-        return col
 
     def ndv(self, position: int) -> int:
         value = self._ndv.get(position)
@@ -100,7 +91,8 @@ class SourceStats:
     def has_null(self, position: int) -> bool:
         value = self._has_null.get(position)
         if value is None:
-            value = any(isinstance(v, Null) for v in self.column(position))
+            column = map(itemgetter(position), self.rows)
+            value = any(map(isinstance, column, repeat(Null)))
             self._has_null[position] = value
         return value
 

@@ -10,6 +10,7 @@ correct query is *faster* (Q2's short-circuit); above 1 it is slower
 
 from __future__ import annotations
 
+import gc
 import random
 import time
 from typing import Dict, Iterable, List, Optional, Tuple, Union as TUnion
@@ -48,7 +49,10 @@ def time_query(
     ``query`` may be SQL text or an already-parsed statement.  The
     statement is prepared once (through the plan cache when given as
     text) and re-run ``repeats`` times, so the repeats measure evaluation
-    rather than parsing and recompilation.
+    rather than parsing and recompilation.  As in :mod:`timeit`, the
+    cyclic garbage collector is off while a run is timed: a collection
+    of objects allocated before the run would otherwise land in it, and
+    can take longer than a sub-millisecond query (``Q2+``).
     """
     if isinstance(query, str):
         query = PLAN_CACHE.get_or_parse(query, False)
@@ -56,9 +60,15 @@ def time_query(
     best = float("inf")
     size = 0
     for _ in range(repeats):
-        start = time.perf_counter()
-        result = prepared.run()
-        elapsed = time.perf_counter() - start
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            result = prepared.run()
+            elapsed = time.perf_counter() - start
+        finally:
+            if enabled:
+                gc.enable()
         best = min(best, elapsed)
         size = len(result)
     return best, size

@@ -1,8 +1,11 @@
 """Experiment harnesses on miniature settings: structure and shapes."""
 
+import gc
 import math
 
 
+from repro.data import Database, Relation
+from repro.engine.executor import PreparedQuery
 from repro.experiments import performance
 from repro.experiments.falsepos import run_false_positive_experiment
 from repro.experiments.infeasible import run_infeasibility_experiment
@@ -72,6 +75,20 @@ class TestPriceOfCorrectness:
         )
         assert series["Q2"][0][1] < 0.5
         assert series["Q4"][0][1] > 1.0
+
+    def test_time_query_runs_with_gc_off(self, monkeypatch):
+        """Each timed run has the cyclic collector off, and the caller's
+        setting is restored afterwards."""
+        db = Database({"r": Relation(("a",), [(1,), (2,)])})
+        seen = []
+        run = PreparedQuery.run
+        monkeypatch.setattr(
+            PreparedQuery, "run", lambda self: seen.append(gc.isenabled()) or run(self)
+        )
+        assert gc.isenabled()
+        _elapsed, size = performance.time_query(db, "SELECT a FROM r", {}, repeats=2)
+        assert (seen, size) == ([False, False], 2)
+        assert gc.isenabled()
 
 
 class TestParallelHarness:
