@@ -24,14 +24,17 @@ do this:
 
 ``SearchStats.worlds`` and ``SearchStats.world_evals`` count the two.
 
-Because that role includes serving as an *anytime* oracle under harness
-deadlines, the search is **best-first**: each candidate is probed
-against a small sample of worlds, and since any rejecting world is a
-proof of non-certainty, sample survivors stream straight into
+Candidates come in **boxes**, one per answer row of the first world:
+per position, the pool of domain elements the first valuation sends
+to the row's value; the candidates are the product of the pools.
+Because that role includes serving as an *anytime* oracle under
+harness deadlines, the search is **best-first**: each candidate is
+probed against a small sample of worlds, and since any rejecting world
+is a proof of non-certainty, sample survivors stream straight into
 verification while refuted candidates are dropped with a certificate
-(huge pools fall back to plain seeding order); rejecting worlds are
-promoted by their observed kill rate so doomed survivors die at their
-first check.
+(huge candidate counts fall back to plain seeding order); rejecting
+worlds are promoted by their observed kill rate so doomed survivors
+die at their first check.
 A tuple is only ever emitted after surviving every world, so a
 deadline- or cancellation-cut result is always a sound subset of
 ``cert(Q, D)`` — and a richer one than verifying candidates in seeding
@@ -47,6 +50,7 @@ The classical null-free certain answers are the null-free tuples of
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -54,7 +58,6 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -114,7 +117,8 @@ class SearchStats:
 
     ``exhaustive_candidates`` is what the unpruned enumeration would have
     considered (``|adom|**arity``); ``candidates_considered`` is what the
-    search actually examined; ``world_checks`` counts candidate-vs-world
+    search seeded, the sum of its boxes' sizes (the exhaustive search is
+    one box of ``|adom|**arity``); ``world_checks`` counts candidate-vs-world
     membership tests in the verification loop (each candidate
     short-circuits at its first rejecting world).  ``complete`` is
     ``False`` when a ``deadline=`` or a fired ``cancel=`` token cut the
@@ -186,53 +190,36 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _candidate_tuples(db: Database, arity: int, extra: Iterable[Row] = ()) -> Set[Row]:
-    """Candidate answers: all tuples over ``adom(D)`` of the given arity.
-
-    Exponential in the arity — fine for the unit-test scale this module
-    targets.  ``extra`` lets callers seed known candidates (e.g. tuples
-    already returned by some evaluation) without paying for a larger
-    domain.
-    """
-    domain = sorted(db.active_domain(), key=repr)
-    candidates = set(itertools.product(domain, repeat=arity))
-    candidates.update(tuple(row) for row in extra)
-    return candidates
-
-
 def _seed_candidates(
-    db: Database, first_world: Tuple[Valuation, Set[Row]]
-) -> List[Row]:
-    """Candidates over ``adom(D)`` whose image lies in the first world's
-    answers — the only tuples that can possibly be certain.
+    domain: List[object], first_world: Tuple[Valuation, Set[Row]]
+) -> List[List[List[object]]]:
+    """The boxes whose candidates have their image among the first
+    world's answers — the only tuples that can possibly be certain.
 
     For the first valuation ``v`` the certain answers satisfy
     ``v(ā) ∈ Q(v(D))``, so instead of enumerating ``adom^arity`` we take
     the preimage of the first world's answer set under ``v``: at each
-    position of an answer row the candidate may hold any domain element
-    mapping to that constant (the constant itself if it is in the
-    domain, plus every null ``v`` sends there).
+    position of an answer row the candidate may hold any element of the
+    sorted *domain* mapping to that constant (the constant itself if it
+    is in the domain, plus every null ``v`` sends there).  One answer row
+    gives one box, its candidates are the product of its pools.
 
-    The returned list is deduplicated in a deterministic generation
-    order — answer rows in canonical sorted order, pool positions in
-    sorted active-domain order — which is the order unscored candidates
-    stream in.  (Generation order beats a global ``repr`` sort,
-    whose string building dominated seeding on pool-heavy instances.)
+    No candidate is seeded twice: ``v`` sends each candidate to exactly
+    one answer row, so the boxes are disjoint, and a pool lists distinct
+    elements, so a product has no repeats.  Boxes follow the answer rows
+    by ``repr`` and pools keep *domain* order; that generation order is
+    the order candidates stream in.
     """
     v, rows = first_world
     preimage: Dict[object, List[object]] = {}
-    for x in sorted(db.active_domain(), key=repr):
+    for x in domain:
         preimage.setdefault(v(x), []).append(x)
-    candidates: Dict[Row, None] = {}
+    boxes: List[List[List[object]]] = []
     for row in sorted(rows, key=repr):
         pools = [preimage.get(value) for value in row]
-        if any(pool is None for pool in pools):
-            continue  # some output constant is outside adom's image
-        # dict.fromkeys + update runs the dedup at C speed; new keys keep
-        # product order, repeats keep their first position — exactly the
-        # setdefault semantics, several times faster on big pools.
-        candidates.update(dict.fromkeys(itertools.product(*pools)))
-    return list(candidates)
+        if None not in pools:  # else some value is outside adom's image
+            boxes.append(pools)  # type: ignore[arg-type]
+    return boxes
 
 
 #: Per relation: name, attributes, complete rows, and the rows holding
@@ -372,92 +359,98 @@ def _orbit_valuations(
 
 
 def _best_first_stream(
-    candidates: List[Row],
+    domain: List[object],
+    boxes: List[List[List[object]]],
     worlds: List[Tuple[Valuation, Set[Row]]],
     stats: "SearchStats",
     cutoff: Optional[float],
     cancel: Optional[CancelToken],
-) -> Iterable[Tuple[Row, List[int]]]:
+) -> Iterator[Tuple[Row, List[int]]]:
     """Yield plausible ``(candidate, null_positions)`` pairs, best first.
 
-    Each candidate is probed against an evenly spaced sample of *worlds*
-    until its first rejection.  A candidate admitted by every sampled
-    world — the plausibly-certain kind — is yielded *immediately*, so
-    confirmation starts streaming after microseconds instead of waiting
-    behind a global ordering pass (whose up-front cost would eat exactly
-    the tight-deadline budget the ordering exists to serve).  A
-    candidate a sampled world rejects needs no further attention at all:
-    the probe *is* a world membership test, so the rejecting world is a
-    certificate that the candidate is not certain.  It is counted in
+    Each candidate of each box (see :func:`_seed_candidates`) is probed
+    against an evenly spaced sample of *worlds* until its first
+    rejection.  A candidate admitted by every sampled world — the
+    plausibly-certain kind — is yielded *immediately*, so confirmation
+    starts streaming without waiting behind a global ordering pass.  A
+    candidate a sampled world rejects needs no further attention: the
+    probe *is* a world membership test, so the rejecting world is a
+    certificate that it is not certain.  It is counted in
     ``stats.sample_refuted`` and dropped — the expensive verification
     loop only ever sees sample survivors.
 
-    The sample shrinks as the candidate pool grows so total probes stay
+    The first sampled world is applied to a box's pools, not to its
+    candidates: the product of the mapped pools lists the candidates'
+    images in candidate order, so a box's first probes run without
+    touching a candidate.  Only survivors are mapped through the later
+    sampled worlds, and only yielded ones get their null positions.
+
+    The sample shrinks as the candidate count grows so total probes stay
     under :data:`SCORE_PROBE_BUDGET` (early exit keeps the spend far
-    lower in practice).  With no worlds, a single candidate, or a pool
-    so large that not even one probe per candidate fits the budget,
-    candidates stream unscored in seeding order and all of them are
-    verified.
+    lower in practice).  With no worlds, a single candidate, or so many
+    candidates that not even one probe each fits the budget, candidates
+    stream unscored in seeding order and all of them are verified.
 
     Either way no candidate is ever dropped *unexamined*, so soundness
     and completeness are untouched.  After a deadline or cancellation
-    hit the remainder streams unscored in seeding order — the
-    verification loop is about to stop at its own check anyway.
+    hit the remainder, from the candidate that hit it, streams unscored
+    — the verification loop is about to stop at its own check anyway.
+    Probe and refutation counts in *stats* are current at every yield.
     """
-    n = len(candidates)
+    n = stats.candidates_considered
     sample_size = (
         min(SCORE_SAMPLE_WORLDS, len(worlds), SCORE_PROBE_BUDGET // n) if n > 1 else 0
     )
-    if sample_size <= 0:
-        for candidate in candidates:
-            yield candidate, [
-                i for i, value in enumerate(candidate) if is_null(value)
-            ]
-        return
-    out_of_budget = False
-    position = 0
-    ticks = _CLOCK_EVERY  # first candidate reads the clock
-    step = max(1, len(worlds) // sample_size)
-    sample = worlds[::step][:sample_size]
-    stats.sampled_worlds = full = len(sample)
-    for position, candidate in enumerate(candidates):
-        if cancel is not None and cancel.cancelled:
-            out_of_budget = True
-        elif cutoff is not None:
-            ticks += 1
-            if ticks >= _CLOCK_EVERY:
-                ticks = 0
-                if time.monotonic() > cutoff:
-                    out_of_budget = True
-        if out_of_budget:
-            break
-        null_pos = [i for i, value in enumerate(candidate) if is_null(value)]
-        hits = 0
-        if null_pos:
-            image = list(candidate)
-            for v, rows in sample:
-                stats.score_probes += 1
-                mapping = v.mapping
-                for i in null_pos:
-                    image[i] = mapping[candidate[i]]
-                if tuple(image) not in rows:
-                    break
-                hits += 1
+    candidates = itertools.chain.from_iterable(
+        itertools.product(*pools) for pools in boxes
+    )
+    if sample_size > 0:
+        step = max(1, len(worlds) // sample_size)
+        # Each sampled world as a total map over adom, with its answers.
+        identity = dict(zip(domain, domain))
+        (first_map, first), *later = [
+            ({**identity, **v.mapping}, rows) for v, rows in worlds[::step][:sample_size]
+        ]
+        stats.sampled_worlds = 1 + len(later)
+        # The first sample's probes, box by box: the product of the
+        # mapped pools is every candidate's image, in candidate order.
+        hits = itertools.chain.from_iterable(
+            map(
+                first.__contains__,
+                itertools.product(*[list(map(first_map.__getitem__, p)) for p in pools]),
+            )
+            for pools in boxes
+        )
+        probes = refuted = 0
+        ticks = _CLOCK_EVERY  # first candidate reads the clock
+        for candidate, hit in zip(candidates, hits):
+            if cancel is not None and cancel.cancelled:
+                break
+            if cutoff is not None:
+                ticks += 1
+                if ticks >= _CLOCK_EVERY:
+                    ticks = 0
+                    if time.monotonic() > cutoff:
+                        break
+            probes += 1
+            if hit:
+                for image, rows in later:
+                    probes += 1
+                    if tuple(map(image.__getitem__, candidate)) not in rows:
+                        break
+                else:
+                    stats.score_probes, stats.sample_refuted = probes, refuted
+                    yield candidate, [i for i, x in enumerate(candidate) if is_null(x)]
+                    continue
+            refuted += 1
         else:
-            for _v, rows in sample:
-                stats.score_probes += 1
-                if candidate not in rows:
-                    break
-                hits += 1
-        if hits == full:
-            yield candidate, null_pos
-        else:
-            stats.sample_refuted += 1
-    if out_of_budget:
-        for candidate in candidates[position:]:
-            yield candidate, [
-                i for i, value in enumerate(candidate) if is_null(value)
-            ]
+            stats.score_probes, stats.sample_refuted = probes, refuted
+            return  # every candidate scored
+        stats.score_probes, stats.sample_refuted = probes, refuted
+        # Cut: the rest streams unscored, from the candidate that hit it.
+        candidates = itertools.chain((candidate,), candidates)
+    for candidate in candidates:
+        yield candidate, [i for i, x in enumerate(candidate) if is_null(x)]
 
 
 def certain_answers_with_nulls(
@@ -480,8 +473,9 @@ def certain_answers_with_nulls(
     (every valuation if the query uses ``LIKE``), and identical worlds
     are evaluated once; see the module docstring.
 
-    With ``prune=True`` (the default) the candidate set is seeded from
-    the first world's answers instead of all of ``adom^arity``, and each
+    With ``prune=True`` (the default) the candidates are seeded from
+    the first world's answers, one box per answer row, instead of one
+    box holding all of ``adom^arity`` in product order, and each
     candidate is abandoned at the first world that rejects it; the
     result is provably identical to the exhaustive search
     (``prune=False``), which is kept for cross-checking.  Search effort
@@ -555,21 +549,22 @@ def certain_answers_with_nulls(
         stats.elapsed = time.monotonic() - start
         _SEARCH_LOG.stats = stats
         return Relation(result_attrs, [])
+    domain = sorted(db.active_domain(), key=repr)
     if prune:
         # Seeding already enforces membership in the first world.
-        candidates = _seed_candidates(db, worlds[0])
+        boxes = _seed_candidates(domain, worlds[0])
         remaining = worlds[1:]
     else:
-        candidates = sorted(_candidate_tuples(db, arity), key=repr)
+        boxes = [[domain] * arity]  # every tuple over adom(D)
         remaining = worlds
-    stats.candidates_considered = len(candidates)
+    stats.candidates_considered = sum(math.prod(map(len, box)) for box in boxes)
     # Mutable [kills, valuation, rows] entries so the rejecting-world
     # queue can be promoted as worlds prove their kill power.
     queue: List[List[object]] = [[0, v, rows] for v, rows in remaining]
     certain: List[Row] = []
     ticks = _CLOCK_EVERY  # first candidate reads the clock
     for candidate, null_pos in _best_first_stream(
-        candidates, remaining, stats, cutoff, cancel
+        domain, boxes, remaining, stats, cutoff, cancel
     ):
         if cancel is not None and cancel.cancelled:
             stats.complete = False
