@@ -34,7 +34,7 @@ from repro.engine.scope import CompileScope, EngineError, Resolution
 from repro.engine.stats import SourceStats, TableBytesMeter, choose_join_order
 from repro.sql import ast
 
-__all__ = ["CompiledBlock", "ExecContext", "compile_block"]
+__all__ = ["CompiledBlock", "ExecContext"]
 
 Row = Tuple[object, ...]
 Key = Tuple[str, str]  # (binding, column)
@@ -445,13 +445,10 @@ class _CorrelatedSubquery(_Cond):
         """One-pass hash semi-join build: the inner rows grouped by their
         correlated key, each bucket holding their ``_out`` values."""
         block = self.block
-        if block._order is not None:
-            # The block was already planned with its probes baked in
-            # (e.g. EXPLAIN prepared it); replan without them.
-            block._reset_runtime()
         ctx = block.ctx
-        self._saved_probes = block.probes
-        block.probes = [(k, e) for k, e in block.probes if not e.has_outer]
+        if self._saved_probes is None:  # else a cut-short build stripped them
+            self._saved_probes = block.probes
+            block.probes = [(k, e) for k, e in block.probes if not e.has_outer]
         locals_ = tuple(local for local, _key in self.decor)
         out = self._out
         cap = None if ctx.limits is None else ctx.limits.max_probe_build_rows
@@ -908,23 +905,32 @@ class CompiledBlock:
             self._filtered[binding] = rows
         return rows
 
+    def _join_model(
+        self, probes: Sequence[Tuple[Key, _Expr]], env_available: bool
+    ) -> Tuple[List[str], List[float], Dict[str, SourceStats]]:
+        """The selectivity-driven join-order model over *probes*: the
+        binding order, each step's estimated rows (before attached
+        residuals) and the per-source statistics.  Stores nothing; the
+        planner and EXPLAIN both read the engine's cardinalities here."""
+        # Score each candidate from its *filtered* cardinality and the
+        # NDV of its usable equality keys (|R ⋈ S| ≈ |R|·|S| / key NDV).
+        # Multi-table blocks materialise their filtered rows for hash
+        # indexes anyway, so the statistics pass reuses that work.
+        stats = {b: SourceStats(self._get_filtered(b)) for b in self.sources}
+        positions = {
+            b: {col: i for i, col in enumerate(s.columns)}
+            for b, s in self.sources.items()
+        }
+        order, estimates = choose_join_order(
+            stats, positions, probes, self.equi, env_available
+        )
+        return order, estimates, stats
+
     def _build_order(self, env_available: bool) -> None:
         if len(self.sources) > 1:
-            # Selectivity-driven greedy ordering: score each candidate
-            # from its *filtered* cardinality and the NDV of its usable
-            # equality keys (|R ⋈ S| ≈ |R|·|S| / key NDV).  Multi-table
-            # blocks materialise their filtered rows for hash indexes
-            # anyway, so the statistics pass reuses that work.
-            stats = {b: SourceStats(self._get_filtered(b)) for b in self.sources}
-            positions = {
-                b: {col: i for i, col in enumerate(s.columns)}
-                for b, s in self.sources.items()
-            }
-            order, estimates = choose_join_order(
-                stats, positions, self.probes, self.equi, env_available
+            order, self._order_estimates, self._stats = self._join_model(
+                self.probes, env_available
             )
-            self._stats = stats
-            self._order_estimates = estimates
         else:
             # Single-table blocks stream (EXISTS short-circuits without
             # materialising the filter), so keep the trivial order and
@@ -1213,9 +1219,3 @@ def _contains_subquery(cond: _Cond) -> bool:
             cond.right, _ScalarSubquery
         )
     return False
-
-
-def compile_block(
-    select: ast.Select, ctx: ExecContext, parent: Optional[CompileScope] = None
-) -> CompiledBlock:
-    return CompiledBlock(select, ctx, parent)

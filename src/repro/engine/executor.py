@@ -6,14 +6,13 @@ Two amortisation layers live here (see ``docs/engine.md``):
   statement executed repeatedly (``repeats``/``param_draws`` loops in
   the experiment harness) compiles its blocks, join orders and hash
   indexes once and re-streams results on every :meth:`PreparedQuery.run`;
-* a module-level LRU plan cache keyed on SQL text plus the execution
-  flags lets :func:`execute_sql` skip re-parsing repeated statements.
+* a module-level LRU plan cache keyed on SQL text lets
+  :func:`execute_sql` skip re-parsing repeated statements.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from threading import Lock
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple, Union as TUnion
 
 from repro.data.database import Database
@@ -30,6 +29,7 @@ __all__ = [
     "PreparedQuery",
     "execute_sql",
     "execute_query",
+    "parse_cached",
     "plan_cache_stats",
     "clear_plan_cache",
 ]
@@ -67,20 +67,17 @@ class PreparedQuery:
         return self._runner()
 
     def explain(self) -> str:
-        """Cost-annotated plan for this statement's blocks.
+        """Cost-annotated plan of this statement: the ``WITH`` views it
+        materialised, then one plan per block (``WITH`` view, set
+        operand or body) and the total estimated cost.
 
-        Includes the chosen join order; when the selectivity-driven
-        planner ran, each step also reports its model-estimated
-        cardinality and — after :meth:`run` — the actual rows the step
-        produced.
+        Each step reports the join order's estimated rows and — once
+        the block has run — the rows it actually produced.  Costs are
+        in rows examined (see :mod:`repro.engine.explain`).
         """
-        from repro.engine.explain import estimate_block
+        from repro.engine.explain import render_plans
 
-        sections = []
-        for block in self.executor.blocks:
-            plan = estimate_block(block, correlated=False)
-            sections.append(plan.render())
-        return "\n".join(sections)
+        return render_plans(self.ctx.ctes, self.executor.blocks)
 
 
 class Executor:
@@ -104,7 +101,8 @@ class Executor:
         limits: Optional[ResourceLimits] = None,
     ):
         self.ctx = ExecContext(db, params, marked_nulls=marked_nulls, limits=limits)
-        #: top-level blocks compiled by this executor (explain support)
+        #: top-level blocks compiled by this executor, ``WITH`` views
+        #: first (what :meth:`PreparedQuery.explain` plans)
         self.blocks: List[CompiledBlock] = []
 
     # ------------------------------------------------------------------
@@ -251,70 +249,36 @@ def _expr_getter(expr):
 
 
 # ---------------------------------------------------------------------------
-# Plan cache: SQL text + flags → validated AST
+# Plan cache: SQL text → parsed AST
 # ---------------------------------------------------------------------------
 
 
-class _PlanCache:
-    """A small thread-safe LRU mapping ``(sql, flags)`` to parsed ASTs.
+@lru_cache(maxsize=256)
+def parse_cached(sql: str) -> ast.Query:
+    """Parse *sql* through the shared plan cache.
 
     Compiled blocks bind parameter values and per-database runtime state,
-    so the artefact cached *across* databases and parameter sets is the
-    validated parse tree; per-statement compiled state is reused through
-    :class:`PreparedQuery` instead.
+    so the artefact cached *across* databases, parameter sets and null
+    semantics is the parse tree; per-statement compiled state is reused
+    through :class:`PreparedQuery` instead.
     """
-
-    def __init__(self, maxsize: int = 256):
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self._entries: "OrderedDict[Tuple[str, bool], ast.Query]" = OrderedDict()
-        self._lock = Lock()
-
-    def get_or_parse(self, sql: str, marked_nulls: bool) -> ast.Query:
-        key = (sql, marked_nulls)
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return cached
-            self.misses += 1
-        parsed = ast.query_of(parse_sql(sql))
-        with self._lock:
-            self._entries[key] = parsed
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-        return parsed
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "size": len(self._entries),
-                "maxsize": self.maxsize,
-                "hits": self.hits,
-                "misses": self.misses,
-            }
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-
-PLAN_CACHE = _PlanCache()
+    return ast.query_of(parse_sql(sql))
 
 
 def plan_cache_stats() -> Dict[str, int]:
     """Hit/miss/size counters of the shared SQL-text plan cache."""
-    return PLAN_CACHE.stats()
+    info = parse_cached.cache_info()
+    return {
+        "size": info.currsize,
+        "maxsize": info.maxsize,
+        "hits": info.hits,
+        "misses": info.misses,
+    }
 
 
 def clear_plan_cache() -> None:
     """Drop all cached plans and reset the counters (test isolation)."""
-    PLAN_CACHE.clear()
+    parse_cached.cache_clear()
 
 
 def execute_query(
@@ -349,5 +313,5 @@ def execute_sql(
 ) -> Relation:
     """Parse (if necessary, through the plan cache) and execute SQL."""
     if isinstance(sql, str):
-        sql = PLAN_CACHE.get_or_parse(sql, marked_nulls)
+        sql = parse_cached(sql)
     return execute_query(db, sql, params, marked_nulls=marked_nulls, limits=limits)

@@ -1,15 +1,27 @@
-"""EXPLAIN: cost-annotated plans for compiled blocks.
+"""EXPLAIN: the plan the engine runs, costed in the rows it examines.
 
-The estimator is deliberately simple (textbook selectivities over exact
-base cardinalities) but is enough to *show* the Section 7 optimizer
-story: for the unsplit ``Q+4`` the subquery plan contains Cartesian
-steps and its estimated cost is astronomically higher than both the
+There is one cardinality model: a join step's estimate is the one the
+selectivity-driven planner ordered it by
+(:func:`repro.engine.stats.choose_join_order`, reached through
+``CompiledBlock._join_model``), and a step costs those rows — the unit
+of ``ExecContext.rows_examined``.  Subquery predicates cost what the
+engine does with them: a decorrelated one builds its probe table once
+(the unit of ``probe_build_rows``) and is listed with the per-row plan
+it falls back to over budget, uncounted; a correlated one runs its plan
+once per row of the step it is attached to; an uncorrelated one runs
+once.  That is enough to *show* the Section 7 optimizer story: without
+disjunction splitting, ``Q+4``'s subquery joins its tables by nested
+loops, and its estimated cost is orders of magnitude above both the
 original query's and the split rewriting's.
+
+EXPLAIN reads each block through a throwaway copy, planned the way its
+first run plans it, so it changes no state a later run reads.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union as TUnion
+import copy
+from typing import Dict, List, Optional, Sequence, Tuple, Union as TUnion
 
 from repro.data.database import Database
 from repro.engine.blocks import (
@@ -17,195 +29,180 @@ from repro.engine.blocks import (
     _Bool,
     _Cmp,
     _Cond,
+    _CorrelatedSubquery,
     _Exists,
-    _InSubquery,
-    _InValues,
-    _IsNull,
     _Not,
+    _ScalarSubquery,
 )
+from repro.engine.executor import Executor
 from repro.sql import ast
 from repro.sql.parser import parse_sql
 
 __all__ = ["explain_sql", "PlanNode", "estimate_block"]
 
-#: Textbook selectivity guesses.
-_SEL_EQ = 0.1
-_SEL_RANGE = 1.0 / 3.0
-_SEL_ISNULL = 0.05
-_SEL_DEFAULT = 0.5
-
 
 class PlanNode:
-    """One step of a block plan, with cardinality and cost estimates."""
+    """One plan line: a block, a join step or a subquery predicate.
+
+    A line costs its own ``cost`` plus its children's, the children
+    ``repeat`` times (a correlated subquery's estimated invocations).
+    A step's own cost is its estimated rows.
+    """
 
     def __init__(
         self,
         description: str,
         est_rows: float,
-        est_cost: float,
         children: Optional[List["PlanNode"]] = None,
+        repeat: float = 1.0,
+        cost: float = 0.0,
+        step: bool = False,
+        actual_rows: Optional[int] = None,
     ):
         self.description = description
         self.est_rows = est_rows
-        self.est_cost = est_cost
         self.children = children or []
-        #: cardinality the selectivity-driven join-order model assigned
-        #: to this step (``None`` when the static planner ordered it)
-        self.model_rows: Optional[float] = None
-        #: rows the step actually produced so far (before attached
-        #: residuals), accumulated across runs of the prepared statement
-        self.actual_rows: Optional[int] = None
+        self.repeat = repeat
+        self.cost = est_rows if step else cost
+        self.step = step
+        #: rows the step actually produced (before attached residuals),
+        #: accumulated across runs; ``None`` until the block has run
+        self.actual_rows = actual_rows
 
     def total_cost(self) -> float:
-        return self.est_cost + sum(child.total_cost() for child in self.children)
+        return self.cost + self.repeat * sum(child.total_cost() for child in self.children)
 
     def render(self, depth: int = 0) -> str:
-        pad = "  " * depth
-        line = (
-            f"{pad}{self.description}  "
-            f"(rows≈{self.est_rows:.0f}, cost≈{self.est_cost:.0f})"
-        )
-        if self.model_rows is not None:
-            line += f"  [order est≈{self.model_rows:.0f}"
+        line = "  " * depth + self.description + "  "
+        if self.step:
+            line += f"[order est≈{self.est_rows:.0f}"
             if self.actual_rows is not None:
                 line += f", actual {self.actual_rows}"
             line += "]"
-        lines = [line]
-        for child in self.children:
-            lines.append(child.render(depth + 1))
-        return "\n".join(lines)
-
-
-def _cond_selectivity(cond: _Cond) -> float:
-    if isinstance(cond, _Cmp):
-        if cond.op == "=":
-            return _SEL_EQ
-        if cond.op == "<>":
-            return 1.0 - _SEL_EQ
-        return _SEL_RANGE
-    if isinstance(cond, _IsNull):
-        return _SEL_ISNULL if not cond.negated else 1.0 - _SEL_ISNULL
-    if isinstance(cond, _Bool):
-        if cond.op == "and":
-            sel = 1.0
-            for item in cond.items:
-                sel *= _cond_selectivity(item)
-            return sel
-        sel = 0.0
-        for item in cond.items:
-            sel = sel + _cond_selectivity(item) - sel * _cond_selectivity(item)
-        return min(sel, 1.0)
-    if isinstance(cond, _Not):
-        return 1.0 - _cond_selectivity(cond.item)
-    if isinstance(cond, (_Exists, _InSubquery, _InValues)):
-        return _SEL_DEFAULT
-    return _SEL_DEFAULT
-
-
-def estimate_block(block: CompiledBlock, correlated: bool) -> PlanNode:
-    """Estimate the plan of a prepared block (children = subqueries)."""
-    block._prepare(env_available=correlated or bool(block.probes))
-    assert block._order is not None and block._attached is not None
-
-    nodes: List[PlanNode] = []
-    current_rows = 1.0
-    total_cost = 0.0
-    for step_index, (binding, keys) in enumerate(block._order):
-        source = block.sources[binding]
-        base = len(block.ctx.relation(source.table).rows)
-        sel = 1.0
-        for f in source.filters:
-            sel *= _cond_selectivity(f)
-        filtered = max(base * sel, 0.001)
-        if keys:
-            fanout = max(filtered * (_SEL_EQ ** len(keys)), 0.001)
-            step_rows = current_rows * fanout
-            step_cost = current_rows + filtered  # probe + index build amortised
-            how = f"hash probe {source.table} [{', '.join(c for c, _ in keys)}]"
         else:
-            step_rows = current_rows * filtered
-            step_cost = current_rows * filtered
-            how = f"{'scan' if step_index == 0 else 'nested loop'} {source.table}"
-        for cond in block._attached[step_index]:
-            step_rows *= _cond_selectivity(cond)
-        node = PlanNode(how, step_rows, step_cost)
-        if block._order_estimates is not None:
-            node.model_rows = block._order_estimates[step_index]
-            if block._step_actual is not None:
-                node.actual_rows = block._step_actual[step_index]
-        nodes.append(node)
-        current_rows = max(step_rows, 0.001)
-        total_cost += step_cost
+            line += f"(rows≈{self.est_rows:.0f}, cost≈{self.total_cost():.0f})"
+        return "\n".join([line] + [child.render(depth + 1) for child in self.children])
 
-    children = nodes
-    # Subquery plans (attached predicates), estimated per invocation and
-    # multiplied by the number of outer invocations.
-    for step_index, conds in enumerate(block._attached or []):
-        for cond in conds:
-            for sub, label, is_corr in _subqueries_of(cond):
-                sub_node = estimate_block(sub, correlated=is_corr)
-                invocations = nodes[step_index].est_rows if is_corr else 1.0
-                wrapper = PlanNode(
-                    f"{label} (×{invocations:.0f} invocations)",
-                    sub_node.est_rows,
-                    sub_node.total_cost() * max(invocations, 1.0),
-                )
-                wrapper.children = sub_node.children
-                children.append(wrapper)
-    for cond in block._pre:
-        for sub, label, is_corr in _subqueries_of(cond):
-            sub_node = estimate_block(sub, correlated=is_corr)
-            wrapper = PlanNode(f"{label} (×1 invocation)", sub_node.est_rows, sub_node.total_cost())
-            wrapper.children = sub_node.children
-            children.append(wrapper)
 
-    root = PlanNode(
+def _planned(
+    block: CompiledBlock,
+    probes: Optional[Sequence[Tuple[object, object]]],
+    env_available: bool,
+) -> CompiledBlock:
+    """A throwaway copy of *block* with the plan it runs (the one it has,
+    or the one its first run will make), or with a fresh plan over other
+    *probes*."""
+    plan = copy.copy(block)
+    plan._filtered = {}
+    plan._passes = {}
+    if probes is not None:
+        plan.probes = list(probes)
+        plan._order = None
+    plan._prepare(env_available)  # a no-op once the block has run
+    return plan
+
+
+def estimate_block(
+    block: CompiledBlock,
+    correlated: bool = False,
+    probes: Optional[Sequence[Tuple[object, object]]] = None,
+) -> PlanNode:
+    """The plan of one block (children: its steps, then its subquery
+    predicates).  *probes* plans it afresh over other equality probes,
+    as a decorrelated predicate's probe-table build does."""
+    env_available = correlated or bool(block.probes if probes is None else probes)
+    plan = _planned(block, probes, env_available)
+    estimates = plan._order_estimates
+    if estimates is None:  # a single source streams without the model
+        _order, estimates, _stats = plan._join_model(plan.probes, env_available)
+    ran = probes is None and block._order is not None
+    actual = block._step_actual if ran else None
+
+    children: List[PlanNode] = []
+    for i, (binding, keys) in enumerate(plan._order):
+        table = plan.sources[binding].table
+        if keys:
+            how = f"hash probe {table} [{', '.join(col for col, _src in keys)}]"
+        else:
+            how = f"{'scan' if i == 0 else 'nested loop'} {table}"
+        rows = None if actual is None else actual[i]
+        children.append(PlanNode(how, estimates[i], step=True, actual_rows=rows))
+    # Conditions without local columns run once per block invocation,
+    # attached ones once per row of their step.
+    attached = [(cond, 1.0) for cond in plan._pre]
+    for i, conds in enumerate(plan._attached):
+        attached.extend((cond, estimates[i]) for cond in conds)
+    for cond, invocations in attached:
+        children.extend(_subquery_node(sub, invocations) for sub in _subqueries_of(cond))
+
+    return PlanNode(
         f"block over {', '.join(s.table for s in block.sources.values())}",
-        current_rows,
-        total_cost,
+        estimates[-1],
+        children,
     )
-    root.children = children
-    return root
 
 
-def _subqueries_of(cond: _Cond) -> List[Tuple[CompiledBlock, str, bool]]:
-    found: List[Tuple[CompiledBlock, str, bool]] = []
-    if isinstance(cond, _Exists):
-        label = "NOT EXISTS" if cond.negated else "EXISTS"
-        found.append((cond.block, label, bool(cond.block.external)))
-    elif isinstance(cond, _InSubquery):
-        label = "NOT IN" if cond.negated else "IN"
-        found.append((cond.block, label, bool(cond.block.external)))
-    elif isinstance(cond, _Bool):
-        for item in cond.items:
-            found.extend(_subqueries_of(item))
-    elif isinstance(cond, _Not):
-        found.extend(_subqueries_of(cond.item))
-    return found
+def _subquery_node(
+    sub: TUnion[_CorrelatedSubquery, _ScalarSubquery], invocations: float
+) -> PlanNode:
+    """A subquery predicate's line: what the engine does with its block."""
+    block = sub.block
+    if isinstance(sub, _ScalarSubquery):
+        label = f"scalar {sub.func.upper()}"
+    else:
+        kind = "EXISTS" if isinstance(sub, _Exists) else "IN"
+        label = f"NOT {kind}" if sub.negated else kind
+    if isinstance(sub, _CorrelatedSubquery) and sub.decor is not None:
+        # Costed as one pass over the block without its correlated
+        # probes; listed with the per-row plan the predicate falls back
+        # to when that build goes over budget, run zero times.
+        kept = [(key, expr) for key, expr in block.probes if not expr.has_outer]
+        build = estimate_block(block, True, kept)
+        per_row = estimate_block(block, True, sub._saved_probes or block.probes)
+        return PlanNode(
+            f"{label} (probe table, one build)",
+            build.est_rows,
+            per_row.children,
+            repeat=0.0,
+            cost=build.total_cost(),
+        )
+    if block.external:
+        how, repeat = f"×{invocations:.0f} invocations", invocations
+    else:
+        how, repeat = "×1 invocation", 1.0
+    node = estimate_block(block, bool(block.external))
+    return PlanNode(f"{label} ({how})", node.est_rows, node.children, repeat)
+
+
+def _subqueries_of(cond: _Cond) -> List[TUnion[_CorrelatedSubquery, _ScalarSubquery]]:
+    if isinstance(cond, _CorrelatedSubquery):
+        return [cond]
+    if isinstance(cond, _Cmp):
+        return [e for e in (cond.left, cond.right) if isinstance(e, _ScalarSubquery)]
+    if isinstance(cond, _Bool):
+        return [sub for item in cond.items for sub in _subqueries_of(item)]
+    if isinstance(cond, _Not):
+        return _subqueries_of(cond.item)
+    return []
 
 
 def explain_sql(
     db: Database,
-    sql: TUnion[str, ast.Query],
+    sql: TUnion[str, ast.Query, ast.Select, ast.SetOp],
     params: Optional[Dict[str, object]] = None,
 ) -> str:
-    """Return a cost-annotated plan description for a query."""
+    """Return the cost-annotated plan of a query (see
+    :meth:`~repro.engine.executor.PreparedQuery.explain`)."""
     if isinstance(sql, str):
         sql = parse_sql(sql)
-    query = ast.query_of(sql)
-    sections: List[str] = []
-    from repro.engine.executor import Executor  # local import to avoid a cycle
+    return Executor(db, params).prepare(sql).explain()
 
-    executor = Executor(db, params)
-    for name, sub in query.ctes:
-        executor.ctx.ctes[name] = executor._run_query(sub)
-        sections.append(f"-- WITH {name}: materialised "
-                        f"({len(executor.ctx.ctes[name])} rows)")
-    body = query.body
-    if not isinstance(body, ast.Select):
-        return "\n".join(sections + ["(set operation: operands explained separately)"])
-    block = CompiledBlock(body, executor.ctx, parent=None)
-    plan = estimate_block(block, correlated=False)
-    sections.append(plan.render())
-    sections.append(f"-- total estimated cost: {plan.total_cost():.0f}")
-    return "\n".join(sections)
+
+def render_plans(ctes: Dict[str, object], blocks: Sequence[CompiledBlock]) -> str:
+    """The ``WITH`` views a statement materialised, the plan of each of
+    its blocks, and their total estimated cost."""
+    lines = [f"-- WITH {name}: materialised ({len(rel)} rows)" for name, rel in ctes.items()]
+    plans = [estimate_block(block) for block in blocks]
+    lines.extend(plan.render() for plan in plans)
+    lines.append(f"-- total estimated cost: {sum(p.total_cost() for p in plans):.0f}")
+    return "\n".join(lines)

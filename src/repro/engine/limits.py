@@ -79,10 +79,6 @@ class CancelToken:
     def cancelled(self) -> bool:
         return self._cancelled
 
-    def raise_if_cancelled(self) -> None:
-        if self._cancelled:
-            raise QueryCancelled(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = f"fired, reason={self.reason!r}" if self._cancelled else "armed"
         return f"CancelToken({state})"

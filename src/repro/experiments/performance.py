@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union as TUnion
 
 from repro.data.database import Database
 from repro.engine import Executor
-from repro.engine.executor import PLAN_CACHE
+from repro.engine.executor import parse_cached
 from repro.engine.limits import CancelToken
 from repro.sql import ast
 from repro.sql.parser import parse_sql
@@ -55,7 +55,7 @@ def time_query(
     can take longer than a sub-millisecond query (``Q2+``).
     """
     if isinstance(query, str):
-        query = PLAN_CACHE.get_or_parse(query, False)
+        query = parse_cached(query)
     prepared = Executor(db, params).prepare(ast.query_of(query))
     best = float("inf")
     size = 0

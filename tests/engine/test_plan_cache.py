@@ -43,13 +43,18 @@ class TestPlanCache:
         assert first.attributes == second.attributes
         assert first.rows == second.rows
 
-    def test_cache_keys_include_null_semantics(self, db):
-        sql = "SELECT a FROM r"
-        execute_sql(db, sql, marked_nulls=False)
-        execute_sql(db, sql, marked_nulls=True)
+    def test_null_semantics_share_one_entry(self, db):
+        # The parse does not depend on the null semantics, so both runs
+        # share one entry; each still answers under its own semantics
+        # (the same null joins itself only under marked nulls).
+        sql = "SELECT r1.b FROM r r1, r r2 WHERE r1.a = r2.a"
+        sql_nulls = execute_sql(db, sql, marked_nulls=False)
+        assert plan_cache_stats()["misses"] == 1
+        marked = execute_sql(db, sql, marked_nulls=True)
         stats = plan_cache_stats()
-        assert stats["misses"] == 2
-        assert stats["size"] == 2
+        assert (stats["size"], stats["hits"], stats["misses"]) == (1, 1, 1)
+        assert sorted(sql_nulls.rows) == [(10,), (20,)]
+        assert sorted(marked.rows) == [(10,), (20,), (30,)]
 
     def test_clear_resets_everything(self, db):
         execute_sql(db, "SELECT a FROM r")

@@ -6,6 +6,7 @@ import pytest
 from repro.data import Database, Null, Relation
 from repro.engine import Executor, ResourceLimits
 from repro.sql.parser import parse_sql
+from repro.testing.faults import InjectedFault, scan_fault
 
 from ..engine.sqlite_ref import engine_bag, sqlite_rows
 
@@ -83,3 +84,19 @@ class TestDegradationAccounting:
         full, ctx = run(probe_db, IN_SQL, limits=ResourceLimits(max_probe_build_rows=1))
         assert ctx.degradations == 0
         assert engine_bag(full.rows) == sqlite_rows(probe_db, IN_SQL)
+
+    def test_degrading_after_a_cut_short_build_keeps_the_correlation(self, probe_db):
+        # A fault cuts the first build short; the rerun finishes it.  A
+        # later limit change that degrades the predicate must restore the
+        # inner block's correlated probes, not the stripped ones.
+        executor = Executor(probe_db)
+        prepared = executor.prepare(parse_sql(NOT_EXISTS_SQL))
+        with scan_fault("s", nth=3, times=1):
+            with pytest.raises(InjectedFault):
+                prepared.run()
+        full = prepared.run()
+        executor.ctx.set_limits(ResourceLimits(max_probe_build_rows=0))
+        degraded = prepared.run()
+        assert executor.ctx.degradations == 1
+        assert degraded.rows == full.rows
+        assert engine_bag(degraded.rows) == sqlite_rows(probe_db, NOT_EXISTS_SQL)
