@@ -32,19 +32,11 @@ from repro.algebra.expr import (
     UnifSemiJoin,
 )
 from repro.data.database import Database
-from repro.data.nulls import is_null
 from repro.data.schema import DatabaseSchema
 
-__all__ = [
-    "output_attributes",
-    "output_nullability",
-    "arity_of",
-    "attribute_lookup",
-    "nullability_lookup",
-]
+__all__ = ["output_attributes", "arity_of", "attribute_lookup"]
 
 Lookup = Callable[[str], Tuple[str, ...]]
-NullLookup = Callable[[str], Tuple[bool, ...]]
 
 
 def attribute_lookup(source: TUnion[Database, DatabaseSchema, Dict[str, Tuple[str, ...]]]) -> Lookup:
@@ -64,56 +56,10 @@ def attribute_lookup(source: TUnion[Database, DatabaseSchema, Dict[str, Tuple[st
     raise TypeError(f"cannot derive attribute lookup from {type(source).__name__}")
 
 
-def nullability_lookup(
-    source: TUnion[Database, DatabaseSchema, Dict[str, Tuple[str, ...]]],
-) -> NullLookup:
-    """Normalise a schema source into a ``name -> nullable flags`` function.
-
-    A :class:`Database` yields *instance* nullability (which columns
-    actually carry marked nulls); a :class:`DatabaseSchema` yields the
-    declared nullability; a plain attribute dict carries no constraint
-    information, so every column is conservatively nullable.
-    """
-    if isinstance(source, Database):
-        def lookup(name: str) -> Tuple[bool, ...]:
-            return _relation_nullability(source[name])
-        return lookup
-    if isinstance(source, DatabaseSchema):
-        def lookup(name: str) -> Tuple[bool, ...]:
-            schema = source[name]
-            return tuple(schema.is_nullable(a) for a in schema.attribute_names)
-        return lookup
-    if isinstance(source, dict):
-        def lookup(name: str) -> Tuple[bool, ...]:
-            return tuple(True for _ in source[name])
-        return lookup
-    raise TypeError(f"cannot derive nullability lookup from {type(source).__name__}")
-
-
-def _relation_nullability(relation) -> Tuple[bool, ...]:
-    flags = [False] * len(relation.attributes)
-    for row in relation.rows:
-        for i, value in enumerate(row):
-            if not flags[i] and is_null(value):
-                flags[i] = True
-    return tuple(flags)
-
-
 def output_attributes(expr: Expr, source) -> Tuple[str, ...]:
     """Attribute names of the relation *expr* evaluates to."""
     lookup = source if callable(source) else attribute_lookup(source)
     return _infer(expr, lookup)
-
-
-def output_nullability(expr: Expr, source) -> Tuple[bool, ...]:
-    """Which output positions of *expr* may carry (marked) nulls.
-
-    Aligned with :func:`output_attributes`.  The result is an
-    over-approximation: ``False`` is a guarantee, ``True`` only a
-    possibility.  Used by the algebra-level soundness checks of
-    :mod:`repro.analysis.algebra_check`.
-    """
-    return _infer_nullable(expr, attribute_lookup(source), nullability_lookup(source))
 
 
 def arity_of(expr: Expr, source) -> int:
@@ -145,43 +91,3 @@ def _infer(expr: Expr, lookup: Lookup) -> Tuple[str, ...]:
         right = set(_infer(expr.right, lookup))
         return tuple(a for a in left if a not in right)
     raise TypeError(f"cannot infer attributes of {type(expr).__name__}")
-
-
-def _infer_nullable(expr: Expr, lookup: Lookup, nlookup: NullLookup) -> Tuple[bool, ...]:
-    if isinstance(expr, RelationRef):
-        return nlookup(expr.name)
-    if isinstance(expr, Literal):
-        return _relation_nullability(expr.relation)
-    if isinstance(expr, AdomPower):
-        # The active domain includes every null in the database.
-        return tuple(True for _ in expr.attributes)
-    if isinstance(expr, Selection):
-        return _infer_nullable(expr.child, lookup, nlookup)
-    if isinstance(expr, Projection):
-        child_attrs = _infer(expr.child, lookup)
-        child_flags = _infer_nullable(expr.child, lookup, nlookup)
-        by_name = dict(zip(child_attrs, child_flags))
-        return tuple(by_name.get(a, True) for a in expr.attributes)
-    if isinstance(expr, Rename):
-        return _infer_nullable(expr.child, lookup, nlookup)
-    if isinstance(expr, (Product, Join)):
-        return _infer_nullable(expr.left, lookup, nlookup) + _infer_nullable(
-            expr.right, lookup, nlookup
-        )
-    if isinstance(expr, Union):
-        left = _infer_nullable(expr.left, lookup, nlookup)
-        right = _infer_nullable(expr.right, lookup, nlookup)
-        return tuple(a or b for a, b in zip(left, right))
-    if isinstance(expr, Intersection):
-        # A surviving tuple must be producible by both operands.
-        left = _infer_nullable(expr.left, lookup, nlookup)
-        right = _infer_nullable(expr.right, lookup, nlookup)
-        return tuple(a and b for a, b in zip(left, right))
-    if isinstance(expr, (Difference, SemiJoin, AntiJoin, UnifSemiJoin, UnifAntiJoin)):
-        return _infer_nullable(expr.left, lookup, nlookup)
-    if isinstance(expr, Division):
-        left_attrs = _infer(expr.left, lookup)
-        left_flags = _infer_nullable(expr.left, lookup, nlookup)
-        right = set(_infer(expr.right, lookup))
-        return tuple(f for a, f in zip(left_attrs, left_flags) if a not in right)
-    raise TypeError(f"cannot infer nullability of {type(expr).__name__}")

@@ -1,13 +1,12 @@
 """Static query-soundness analysis (``repro.analysis``).
 
-A rule-based analyzer that walks the SQL AST (and, separately, the
-translated algebra) and reports where naive SQL evaluation can diverge
-from certain answers with nulls — the divergence the paper measures and
-repairs.  See ``docs/analyzer.md`` for the rule catalog and verdict
-semantics, and ``python -m repro lint`` for the CLI.
+A rule-based analyzer that walks the SQL AST and reports where naive
+SQL evaluation can diverge from certain answers with nulls — the
+divergence the paper measures and repairs.  See ``docs/analyzer.md``
+for the rule catalog and verdict semantics, and ``python -m repro lint``
+for the CLI.
 """
 
-from repro.analysis.algebra_check import analyze_algebra
 from repro.analysis.analyzer import analyze_query, analyze_sql
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, severity_rank
 from repro.analysis.fragment import fragment_diagnostics
@@ -22,7 +21,6 @@ __all__ = [
     "CERTIFIED",
     "SUSPECT",
     "UNSOUND",
-    "analyze_algebra",
     "analyze_query",
     "analyze_sql",
     "fragment_diagnostics",

@@ -164,40 +164,6 @@ _CATALOG = (
             "rewriting is available for it."
         ),
     ),
-    Rule(
-        id="SA401",
-        slug="algebra-negation-over-nullable",
-        severity=UNSOUND,
-        title="Algebra anti-join/difference over possibly-null attributes",
-        explanation=(
-            "An anti-join, difference or division whose right side carries "
-            "possibly-null attributes (or whose condition touches them) "
-            "can fail to match naively yet match under a valuation — the "
-            "algebra-level mirror of SA101."
-        ),
-    ),
-    Rule(
-        id="SA402",
-        slug="algebra-null-test",
-        severity=UNSOUND,
-        title="Algebra selection on a non-invariant null test",
-        explanation=(
-            "A selection condition containing null(A) (or a negation over "
-            "comparisons of possibly-null attributes) selects tuples whose "
-            "membership flips once nulls are valuated."
-        ),
-    ),
-    Rule(
-        id="SA403",
-        slug="algebra-nullable-filter",
-        severity=SUSPECT,
-        title="Algebra selection/join over possibly-null attributes",
-        explanation=(
-            "A positive selection or join condition over possibly-null "
-            "attributes is sound for certainty but can drop tuples every "
-            "completion would keep (false negatives)."
-        ),
-    ),
 )
 
 RULES: Dict[str, Rule] = {r.id: r for r in _CATALOG}

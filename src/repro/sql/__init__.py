@@ -11,7 +11,6 @@ from repro.sql.parser import parse_sql
 from repro.sql.printer import to_sql
 from repro.sql.rewrite import rewrite_certain, rewrite_possible
 from repro.sql.to_algebra import sql_to_algebra
-from repro.sql.from_algebra import algebra_to_sql
 
 __all__ = [
     "parse_sql",
@@ -19,5 +18,4 @@ __all__ = [
     "rewrite_certain",
     "rewrite_possible",
     "sql_to_algebra",
-    "algebra_to_sql",
 ]

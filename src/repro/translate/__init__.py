@@ -10,15 +10,14 @@
 * :mod:`repro.translate.improved` — the paper's contribution: the
   implementation-friendly Figure 3 translation ``Q → (Q+, Q?)``
   (Theorem 1).
-* :mod:`repro.translate.simplify` — post-translation simplifications,
-  notably the key-based rule ``R ▷⇑ S → R − S`` used to derive the
-  appendix rewrites.
+* :mod:`repro.translate.simplify` — the key rule ``R ▷⇑ S → R − S``
+  used to derive the appendix rewrites.
 """
 
 from repro.translate.conditions import translate_certain, translate_possible
 from repro.translate.libkin import translate_libkin
 from repro.translate.improved import translate_improved, certain_query, possible_query
-from repro.translate.simplify import simplify, key_antijoin_to_difference
+from repro.translate.simplify import key_antijoin_to_difference
 
 __all__ = [
     "translate_certain",
@@ -27,6 +26,5 @@ __all__ = [
     "translate_improved",
     "certain_query",
     "possible_query",
-    "simplify",
     "key_antijoin_to_difference",
 ]

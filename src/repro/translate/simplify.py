@@ -1,45 +1,28 @@
-"""Post-translation simplifications (Section 7).
+"""The key rule, a post-translation simplification (Section 7).
 
-Two families:
-
-* **Boolean cleanup** — the condition translations introduce ``⊤``/``⊥``
-  leaves (e.g. ``const(A)`` on a provably null-free operand) and
-  duplicated null escapes; flattening and pruning them keeps the
-  translated queries readable and executable.
-* **The key rule** — if ``R`` has a (non-null) primary key and
-  ``S ⊆ R``, then ``R ▷⇑ S = R − S``: two distinct tuples of ``R``
-  cannot unify, as their keys would have to coincide.  This is exactly
-  the observation the paper uses to turn the translated ``Q+3`` into a
-  plain ``NOT EXISTS`` query.  Containment ``S ⊆ R`` is established by
-  a conservative structural analysis (selections, intersections and
-  differences preserve it; a projection of a product onto ``R``'s
-  attributes yields tuples of ``R``; and so on).
+If ``R`` has a (non-null) primary key and ``S ⊆ R``, then
+``R ▷⇑ S = R − S``: two distinct tuples of ``R`` cannot unify, as their
+keys would have to coincide.  This is exactly the observation the paper
+uses to turn the translated ``Q+3`` into a plain ``NOT EXISTS`` query.
+Containment ``S ⊆ R`` is established by a conservative structural
+analysis (selections, intersections and differences preserve it; a
+projection of a product onto ``R``'s attributes yields tuples of ``R``;
+and so on).
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.algebra.conditions import (
-    And,
-    Condition,
-    FalseCond,
-    Not,
-    Or,
-    TrueCond,
-    negate,
-)
 from repro.algebra.expr import (
     AntiJoin,
     Difference,
-    Division,
     Expr,
     Intersection,
     Join,
     Product,
     Projection,
     RelationRef,
-    Rename,
     Selection,
     SemiJoin,
     Union,
@@ -48,49 +31,7 @@ from repro.algebra.expr import (
 )
 from repro.data.schema import DatabaseSchema
 
-__all__ = ["simplify", "simplify_condition", "key_antijoin_to_difference"]
-
-
-# ---------------------------------------------------------------------------
-# Boolean cleanup
-# ---------------------------------------------------------------------------
-
-
-def simplify_condition(cond: Condition) -> Condition:
-    """Flatten ∧/∨, drop neutral elements, deduplicate, fold constants."""
-    if isinstance(cond, Not):
-        return simplify_condition(negate(cond.item))
-    if isinstance(cond, And):
-        items = []
-        for item in cond.items:
-            item = simplify_condition(item)
-            if isinstance(item, FalseCond):
-                return FalseCond()
-            if isinstance(item, TrueCond):
-                continue
-            if item not in items:
-                items.append(item)
-        if not items:
-            return TrueCond()
-        if len(items) == 1:
-            return items[0]
-        return And(*items)
-    if isinstance(cond, Or):
-        items = []
-        for item in cond.items:
-            item = simplify_condition(item)
-            if isinstance(item, TrueCond):
-                return TrueCond()
-            if isinstance(item, FalseCond):
-                continue
-            if item not in items:
-                items.append(item)
-        if not items:
-            return FalseCond()
-        if len(items) == 1:
-            return items[0]
-        return Or(*items)
-    return cond
+__all__ = ["key_antijoin_to_difference"]
 
 
 # ---------------------------------------------------------------------------
@@ -166,69 +107,3 @@ def key_antijoin_to_difference(
     if _contained_in(expr.right, left.name, rel_schema.attribute_names):
         return Difference(expr.left, expr.right)
     return None
-
-
-# ---------------------------------------------------------------------------
-# Whole-expression simplification
-# ---------------------------------------------------------------------------
-
-
-def simplify(expr: Expr, schema: Optional[DatabaseSchema] = None) -> Expr:
-    """Bottom-up simplification pass.
-
-    Cleans conditions, removes no-op selections, and (when a schema with
-    keys is provided) rewrites unification anti-semijoins into plain
-    differences per the key rule.
-    """
-    expr = _map_children(expr, lambda child: simplify(child, schema))
-
-    if isinstance(expr, Selection):
-        cond = simplify_condition(expr.condition)
-        if isinstance(cond, TrueCond):
-            return expr.child
-        return Selection(expr.child, cond)
-    if isinstance(expr, Join):
-        cond = simplify_condition(expr.condition)
-        if isinstance(cond, TrueCond):
-            return Product(expr.left, expr.right)
-        return Join(expr.left, expr.right, cond)
-    if isinstance(expr, SemiJoin):
-        return SemiJoin(expr.left, expr.right, simplify_condition(expr.condition))
-    if isinstance(expr, AntiJoin):
-        return AntiJoin(expr.left, expr.right, simplify_condition(expr.condition))
-    if isinstance(expr, UnifAntiJoin) and schema is not None:
-        as_difference = key_antijoin_to_difference(expr, schema)
-        if as_difference is not None:
-            return as_difference
-    return expr
-
-
-def _map_children(expr: Expr, fn) -> Expr:
-    """Rebuild *expr* with children replaced by ``fn(child)``."""
-    if isinstance(expr, Selection):
-        return Selection(fn(expr.child), expr.condition)
-    if isinstance(expr, Projection):
-        return Projection(fn(expr.child), expr.attributes)
-    if isinstance(expr, Rename):
-        return Rename(fn(expr.child), expr.mapping)
-    if isinstance(expr, Product):
-        return Product(fn(expr.left), fn(expr.right))
-    if isinstance(expr, Join):
-        return Join(fn(expr.left), fn(expr.right), expr.condition)
-    if isinstance(expr, Union):
-        return Union(fn(expr.left), fn(expr.right))
-    if isinstance(expr, Intersection):
-        return Intersection(fn(expr.left), fn(expr.right))
-    if isinstance(expr, Difference):
-        return Difference(fn(expr.left), fn(expr.right))
-    if isinstance(expr, SemiJoin):
-        return SemiJoin(fn(expr.left), fn(expr.right), expr.condition)
-    if isinstance(expr, AntiJoin):
-        return AntiJoin(fn(expr.left), fn(expr.right), expr.condition)
-    if isinstance(expr, UnifSemiJoin):
-        return UnifSemiJoin(fn(expr.left), fn(expr.right), codd=expr.codd)
-    if isinstance(expr, UnifAntiJoin):
-        return UnifAntiJoin(fn(expr.left), fn(expr.right), codd=expr.codd)
-    if isinstance(expr, Division):
-        return Division(fn(expr.left), fn(expr.right))
-    return expr

@@ -1,5 +1,8 @@
 """Unit tests for the analyzer's rule catalog, one shape per rule."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import (
@@ -54,6 +57,18 @@ def test_catalog_is_consistent():
         assert rule.id == rule_id
         assert rule.severity in (UNSOUND, SUSPECT)
         assert rule.slug and rule.title and rule.explanation
+
+
+def test_docs_catalog_lists_exactly_the_rules():
+    """docs/analyzer.md's rule table names every rule, with its slug and
+    severity, and no other."""
+    docs = Path(__file__).resolve().parents[2] / "docs" / "analyzer.md"
+    rows = [
+        tuple(cell.strip() for cell in line.strip("|").split("|")[:3])
+        for line in docs.read_text(encoding="utf-8").splitlines()
+        if re.match(r"\| SA\d{3} \|", line)
+    ]
+    assert sorted(rows) == sorted((r.id, r.slug, r.severity) for r in RULES.values())
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ instances the paper points at:
 """
 
 import random
+from functools import partial
 
 import pytest
 
 from repro.algebra import (
     Difference,
-    RelationRef,
     Rename,
     Selection,
     UnifAntiJoin,
@@ -28,29 +28,10 @@ from repro.data import Database, Null, Relation
 from repro.translate.conditions import translate_certain, translate_possible
 from repro.translate.improved import certain_query
 
-R, S = RelationRef("R"), RelationRef("S")
-S_AS_R = Rename(S, {"C": "A", "D": "B"})
+from . import instances
+from .instances import R, S, S_AS_R
 
-
-def random_db(rng, null_rate=0.35):
-    null_budget = 3  # bounds brute-force valuation enumeration
-
-    def cell():
-        nonlocal null_budget
-        if null_budget and rng.random() < null_rate:
-            null_budget -= 1
-            return Null()
-        return rng.choice([1, 2])
-
-    def rows(n):
-        return [(cell(), cell()) for _ in range(n)]
-
-    return Database(
-        {
-            "R": Relation(("A", "B"), rows(rng.randint(1, 3))),
-            "S": Relation(("C", "D"), rows(rng.randint(1, 3))),
-        }
-    )
+random_db = partial(instances.random_db, domain=(1, 2), max_rows=3, null_rate=0.35)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -10,6 +10,7 @@
 """
 
 import random
+from functools import partial
 
 import pytest
 
@@ -20,7 +21,6 @@ from repro.algebra import (
     Product,
     Projection,
     RelationRef,
-    Rename,
     Selection,
     Union,
     eq,
@@ -29,8 +29,11 @@ from repro.algebra import (
 from repro.certain import certain_answers_with_nulls
 from repro.data import Database, Null, Relation
 
-R, S = RelationRef("R"), RelationRef("S")
-S_AS_R = Rename(S, {"C": "A", "D": "B"})
+from . import instances
+from .instances import R, S, S_AS_R
+
+random_db = partial(instances.random_db, domain=(1, 2, 3), max_rows=3, null_rate=0.3)
+
 
 #: Positive algebra: σ (equalities only), π, ×, ∪, ∩ — no −, no ≠.
 POSITIVE_QUERIES = {
@@ -46,27 +49,6 @@ POSITIVE_QUERIES = {
         Selection(Union(R, S_AS_R), eq("A", 2)), ("A",)
     ),
 }
-
-
-def random_db(rng, null_rate=0.3):
-    null_budget = 3  # bounds brute-force valuation enumeration
-
-    def cell():
-        nonlocal null_budget
-        if null_budget and rng.random() < null_rate:
-            null_budget -= 1
-            return Null()
-        return rng.choice([1, 2, 3])
-
-    def rows(n):
-        return [(cell(), cell()) for _ in range(n)]
-
-    return Database(
-        {
-            "R": Relation(("A", "B"), rows(rng.randint(1, 3))),
-            "S": Relation(("C", "D"), rows(rng.randint(1, 3))),
-        }
-    )
 
 
 @pytest.mark.parametrize("name", sorted(POSITIVE_QUERIES))

@@ -3,6 +3,7 @@ potential answers, against brute-force ground truth on random databases.
 """
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -34,12 +35,14 @@ from repro.data import Database, Null, Relation
 from repro.translate import translate_improved
 from repro.translate.improved import certain_query, possible_query
 
+from . import instances
+from .instances import R, S, S_AS_R
+
+random_db = partial(instances.random_db, domain=(1, 2, 3), max_rows=3, null_rate=0.35)
+
 # ---------------------------------------------------------------------------
 # A menu of query shapes over R(A, B) and S(C, D)
 # ---------------------------------------------------------------------------
-
-R, S = RelationRef("R"), RelationRef("S")
-S_AS_R = Rename(S, {"C": "A", "D": "B"})
 
 QUERY_MENU = {
     "difference": Difference(R, S_AS_R),
@@ -63,29 +66,6 @@ QUERY_MENU = {
         Projection(R, ("A",)), Projection(S, ("C",))
     ),
 }
-
-
-def random_db(rng: random.Random, null_rate: float = 0.35) -> Database:
-    # Brute-force ground truth enumerates |domain|^nulls valuations, so
-    # cap the number of nulls per database to keep tests fast.
-    null_budget = 3
-
-    def cell():
-        nonlocal null_budget
-        if null_budget and rng.random() < null_rate:
-            null_budget -= 1
-            return Null()
-        return rng.choice([1, 2, 3])
-
-    def rows(n):
-        return [(cell(), cell()) for _ in range(n)]
-
-    return Database(
-        {
-            "R": Relation(("A", "B"), rows(rng.randint(1, 3))),
-            "S": Relation(("C", "D"), rows(rng.randint(1, 3))),
-        }
-    )
 
 
 @pytest.mark.parametrize("name", sorted(QUERY_MENU))
@@ -129,13 +109,15 @@ def test_identity_on_complete_databases(name):
 
 @pytest.mark.parametrize("name", sorted(QUERY_MENU))
 @pytest.mark.parametrize("seed", [20, 21])
-def test_sql_adjusted_sound_under_3vl(name, seed):
+@pytest.mark.parametrize("codd", [False, True])
+def test_sql_adjusted_sound_under_3vl(name, seed, codd):
     """The Section 7 adjustment keeps Q+ sound when conditions are
-    evaluated with SQL's three-valued logic."""
+    evaluated with SQL's three-valued logic, also with Corollary 1's
+    position-wise unifiability test."""
     query = QUERY_MENU[name]
     rng = random.Random(hash((name, seed)) & 0xFFFF)
     db = random_db(rng)
-    plus, _ = translate_improved(query, sql_adjusted=True)
+    plus, _ = translate_improved(query, sql_adjusted=True, codd=codd)
     got = evaluate(plus, db, semantics="sql")
     cert = certain_answers_with_nulls(query, db)
     assert set(got.rows) <= set(cert.rows)

@@ -1,6 +1,7 @@
 """The Figure 2 translation: soundness and its Section 5 blow-up."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -11,8 +12,6 @@ from repro.algebra import (
     Intersection,
     Projection,
     Product,
-    RelationRef,
-    Rename,
     Selection,
     UnifAntiJoin,
     Union,
@@ -22,12 +21,14 @@ from repro.algebra import (
 )
 from repro.algebra.evaluate import Evaluator
 from repro.certain import certain_answers_with_nulls
-from repro.data import Database, Null, Relation
 from repro.translate import translate_libkin
 from repro.experiments.infeasible import make_rst_database, section6_example_query
 
-R, S = RelationRef("R"), RelationRef("S")
-S_AS_R = Rename(S, {"C": "A", "D": "B"})
+from . import instances
+from .instances import R, S, S_AS_R
+
+random_db = partial(instances.random_db, domain=(1, 2), max_rows=2, null_rate=0.3)
+
 
 QUERIES = [
     Difference(R, S_AS_R),
@@ -37,27 +38,6 @@ QUERIES = [
     Union(R, S_AS_R),
     Difference(R, Selection(S_AS_R, eq("A", 1))),
 ]
-
-
-def random_db(rng, null_rate=0.3):
-    null_budget = 3  # keeps valuation enumeration small
-
-    def cell():
-        nonlocal null_budget
-        if null_budget and rng.random() < null_rate:
-            null_budget -= 1
-            return Null()
-        return rng.choice([1, 2])
-
-    def rows(n):
-        return [(cell(), cell()) for _ in range(n)]
-
-    return Database(
-        {
-            "R": Relation(("A", "B"), rows(rng.randint(1, 2))),
-            "S": Relation(("C", "D"), rows(rng.randint(1, 2))),
-        }
-    )
 
 
 @pytest.mark.parametrize("qi", range(len(QUERIES)))

@@ -1,10 +1,9 @@
-"""Post-translation simplification: Boolean cleanup and the key rule."""
+"""The key rule ``R ▷⇑ S → R − S`` and its side conditions."""
 
 import pytest
 
 from repro.algebra import (
     Difference,
-    Intersection,
     Product,
     Projection,
     RelationRef,
@@ -14,16 +13,10 @@ from repro.algebra import (
     UnifAntiJoin,
     eq,
     evaluate,
-    neq,
 )
-from repro.algebra.conditions import And, FalseCond, Not, Or, TrueCond
 from repro.data import Database, Null, Relation
 from repro.data.schema import DatabaseSchema, make_schema
-from repro.translate.simplify import (
-    key_antijoin_to_difference,
-    simplify,
-    simplify_condition,
-)
+from repro.translate.simplify import key_antijoin_to_difference
 
 R = RelationRef("R")
 S = RelationRef("S")
@@ -35,30 +28,6 @@ def keyed_schema():
     schema.add(make_schema("R", [("A", "int"), ("B", "int")], key=["A"]))
     schema.add(make_schema("NoKey", [("A", "int"), ("B", "int")]))
     return schema
-
-
-class TestConditionCleanup:
-    def test_drop_true_from_and(self):
-        assert simplify_condition(And(eq("A", 1), TrueCond())) == eq("A", 1)
-
-    def test_false_collapses_and(self):
-        assert simplify_condition(And(eq("A", 1), FalseCond())) == FalseCond()
-
-    def test_drop_false_from_or(self):
-        assert simplify_condition(Or(eq("A", 1), FalseCond())) == eq("A", 1)
-
-    def test_true_collapses_or(self):
-        assert simplify_condition(Or(eq("A", 1), TrueCond())) == TrueCond()
-
-    def test_deduplication(self):
-        cond = Or(eq("A", 1), eq("A", 1), eq("B", 2))
-        assert simplify_condition(cond) == Or(eq("A", 1), eq("B", 2))
-
-    def test_empty_and_is_true(self):
-        assert simplify_condition(And(TrueCond(), TrueCond())) == TrueCond()
-
-    def test_not_is_pushed(self):
-        assert simplify_condition(Not(eq("A", 1))) == neq("A", 1)
 
 
 class TestKeyRule:
@@ -117,20 +86,3 @@ class TestKeyRule:
         anti = UnifAntiJoin(R, subset)
         diff = key_antijoin_to_difference(anti, keyed_schema)
         assert evaluate(anti, db) == evaluate(diff, db)
-
-
-class TestWholeExpressionSimplify:
-    def test_selection_with_true_condition_removed(self, keyed_schema):
-        expr = Selection(R, And(TrueCond(), TrueCond()))
-        assert simplify(expr, keyed_schema) == R
-
-    def test_key_rule_applied_recursively(self, keyed_schema):
-        expr = Projection(
-            UnifAntiJoin(R, Selection(R, And(eq("A", 1), TrueCond()))), ("A",)
-        )
-        out = simplify(expr, keyed_schema)
-        assert isinstance(out.child, Difference)
-
-    def test_intersection_untouched(self, keyed_schema):
-        expr = Intersection(R, R)
-        assert simplify(expr, keyed_schema) == expr
