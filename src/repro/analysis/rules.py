@@ -64,12 +64,19 @@ _CATALOG = (
         id="SA102",
         slug="nullable-membership-under-negation",
         severity=UNSOUND,
-        title="IN membership over possibly-null values in a negated block",
+        title=(
+            "Membership (IN, or EXCEPT's tuple match) over possibly-null "
+            "values under negation"
+        ),
         explanation=(
             "An IN predicate inside a negated block compares the probe "
             "expression against member values; if either side may be NULL "
             "the membership test can be UNKNOWN naively while TRUE under "
-            "some valuation, so the negation admits non-certain answers."
+            "some valuation, so the negation admits non-certain answers.  "
+            "EXCEPT is the same shape: a left row survives naively when no "
+            "right row matches it, yet a possibly-null column on either "
+            "side can make some right row match under a valuation.  The "
+            "rewriter repairs both with OR … IS NULL escapes."
         ),
     ),
     Rule(

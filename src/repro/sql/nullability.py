@@ -53,19 +53,21 @@ class Catalog:
 
     def __init__(self, schema: DatabaseSchema):
         self.schema = schema
-        self._view_columns: Dict[str, Tuple[str, ...]] = {}
+        #: Output columns of views and of the base tables looked up so far.
+        self._columns: Dict[str, Tuple[str, ...]] = {}
         self._view_nullable: Dict[str, Dict[str, bool]] = {}
 
     # ------------------------------------------------------------------
     def has_table(self, name: str) -> bool:
-        return name in self._view_columns or name in self.schema
+        return name in self._columns or name in self.schema
 
     def columns_of(self, name: str) -> Tuple[str, ...]:
-        if name in self._view_columns:
-            return self._view_columns[name]
-        if name in self.schema:
-            return self.schema[name].attribute_names
-        raise RewriteError(f"unknown table {name!r}")
+        columns = self._columns.get(name)
+        if columns is None:
+            if name not in self.schema:
+                raise RewriteError(f"unknown table {name!r}")
+            columns = self._columns[name] = self.schema[name].attribute_names
+        return columns
 
     def is_nullable(self, table: str, column: str) -> bool:
         if table in self._view_nullable:
@@ -76,7 +78,7 @@ class Catalog:
     def register_view(self, name: str, query: ast.Query) -> None:
         """Derive a view's output columns and their nullability."""
         columns, nullable = self._analyze_view(query)
-        self._view_columns[name] = columns
+        self._columns[name] = columns
         self._view_nullable[name] = nullable
 
     def _analyze_view(self, query: ast.Query) -> Tuple[Tuple[str, ...], Dict[str, bool]]:
@@ -201,13 +203,18 @@ def columns_in_expr(expr: ast.SqlExpr) -> List[ast.ColumnRef]:
 
 
 def forced_nonnull(where: Optional[ast.SqlCond], scope: Scope) -> None:
-    """Populate ``forced_nonnull`` on *scope* (and enclosing scopes).
+    """Populate ``forced_nonnull`` on *scope*.
 
     Walks the top-level conjuncts of a *positively evaluated* WHERE
     clause.  A conjunct that must be ``TRUE`` under 3VL forces its
     comparison operands non-null; positive ``EXISTS`` conjuncts force
-    the outer columns their own conjuncts compare (the subquery only
+    the columns of *scope* their own conjuncts compare (the subquery only
     passes if some inner row made those comparisons ``TRUE``).
+
+    Only columns of *scope* itself are forced.  An enclosing block's
+    rows are not filtered by this WHERE clause: when this block sits
+    under ``NOT EXISTS`` or ``OR``, an enclosing row can carry the null
+    and still pass.
     """
     if where is None:
         return
@@ -223,23 +230,30 @@ def forced_nonnull(where: Optional[ast.SqlCond], scope: Scope) -> None:
         elif isinstance(item, ast.InPredicate) and not item.negated:
             _force_expr(item.expr, scope)
             if item.query is not None:
-                _force_subquery(item.query, scope)
+                _force_subquery(item.query, scope, scope)
         elif isinstance(item, ast.Exists) and not item.negated:
-            _force_subquery(item.query, scope)
+            _force_subquery(item.query, scope, scope)
         # OR blocks, negated predicates and literals force nothing.
 
 
-def _force_expr(expr: ast.SqlExpr, scope: Scope) -> None:
-    for column in columns_in_expr(expr):
+def _force_columns(columns: List[ast.ColumnRef], scope: Scope, target: Scope) -> None:
+    """Force the *columns* (resolved from *scope*) that belong to *target*."""
+    for column in columns:
         try:
             resolved = scope.resolve(column)
         except RewriteError:
             continue
-        resolved.scope.forced_nonnull.add(resolved.key)
+        if resolved.scope is target:
+            target.forced_nonnull.add(resolved.key)
 
 
-def _force_subquery(query: ast.Query, outer: Scope) -> None:
-    """Record outer columns forced by a positive subquery's conjuncts."""
+def _force_expr(expr: ast.SqlExpr, scope: Scope) -> None:
+    _force_columns(columns_in_expr(expr), scope, scope)
+
+
+def _force_subquery(query: ast.Query, outer: Scope, target: Scope) -> None:
+    """Record columns of *target* forced by a positive subquery's
+    conjuncts (the subquery's own rows are witnesses, not outputs)."""
     body = query.body
     if not isinstance(body, ast.Select):
         return
@@ -256,14 +270,8 @@ def _force_subquery(query: ast.Query, outer: Scope) -> None:
     )
     for item in conjuncts:
         if isinstance(item, ast.Comparison):
-            for column in columns_in_expr(item.left) + columns_in_expr(item.right):
-                try:
-                    resolved = scope.resolve(column)
-                except RewriteError:
-                    continue
-                # Only outer references escape the existential: the
-                # subquery's own rows are witnesses, not outputs.
-                if resolved.depth > 0:
-                    resolved.scope.forced_nonnull.add(resolved.key)
+            _force_columns(
+                columns_in_expr(item.left) + columns_in_expr(item.right), scope, target
+            )
         elif isinstance(item, ast.Exists) and not item.negated:
-            _force_subquery(item.query, scope)
+            _force_subquery(item.query, scope, target)

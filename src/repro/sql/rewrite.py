@@ -17,6 +17,14 @@ rewritten in one of two modes mirroring Figure 3:
   *and* the non-null facts forced by the enclosing positive context
   (:mod:`repro.sql.nullability`); ``NOT EXISTS`` flips back to ``+``.
 
+Pass 1 is also the static analyzer's walk.  Run in *report mode*
+(:func:`pass1_findings`) it records a :class:`Finding` at every site
+where it decides something — a null escape added, an ``IS [NOT] NULL``
+folded to a constant, a construct outside the fragment — and walks on
+past fragment exits; :mod:`repro.analysis` turns the findings into
+diagnostics.  A failed :func:`rewrite_certain` re-runs it that way to
+name every offending construct.
+
 **Pass 2 — dimension view folding** (the Q+4 treatment).  Inside a
 ``NOT EXISTS``, a cluster of tables attached to the correlated anchor
 table through a single weakened join ``(x = t.k OR x IS NULL)`` is
@@ -41,7 +49,17 @@ for the A1 ablation and the EXPLAIN cost story.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union as TUnion
+from typing import (
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union as TUnion,
+)
 
 from repro.data.schema import DatabaseSchema
 from repro.sql import ast
@@ -53,10 +71,19 @@ from repro.sql.nullability import (
     forced_nonnull,
 )
 
-__all__ = ["rewrite_certain", "rewrite_possible", "RewriteError"]
+__all__ = [
+    "rewrite_certain",
+    "rewrite_possible",
+    "RewriteError",
+    "Finding",
+    "pass1_findings",
+]
 
 CERTAIN = "+"
 POSSIBLE = "?"
+
+#: A mode's name as a polarity, in findings.
+_POLARITY = {CERTAIN: "positive", POSSIBLE: "negative"}
 
 _MAX_SPLIT_COMBOS = 16
 
@@ -119,45 +146,125 @@ def negate_sql(cond: ast.SqlCond) -> ast.SqlCond:
 # ---------------------------------------------------------------------------
 
 
+class Finding(NamedTuple):
+    """One decision of pass 1, recorded in report mode.
+
+    ``rule`` is the :mod:`repro.analysis` rule id, ``node`` the AST node
+    the decision was made at, and ``facts`` what decided it: the
+    possibly-null ``columns`` (``ColumnRef``\\ s, or output names for
+    SA202), the ``polarity`` (``"positive"`` for mode ``+``,
+    ``"negative"`` for ``?``), the comparison ``op``, an ``escaped``
+    side, or a fragment exit's ``message``.  ``boxed`` marks a finding
+    inside a scalar subquery, which the engine evaluates as a black-box
+    constant.  The analysis layer turns findings into diagnostics.
+    """
+
+    rule: str
+    node: object
+    facts: Dict[str, object]
+    boxed: bool
+
+
+def _subexpressions(expr: ast.SqlExpr) -> Iterator[ast.SqlExpr]:
+    yield expr
+    if isinstance(expr, ast.Concat):
+        for part in expr.parts:
+            yield from _subexpressions(part)
+    elif isinstance(expr, ast.Aggregate) and expr.arg is not None:
+        yield from _subexpressions(expr.arg)
+
+
 class _ModeRewriter:
-    def __init__(self, catalog: Catalog):
+    """The one polarity walk (Figure 3's modes), in one of two modes.
+
+    In *rewrite mode* (``findings is None``) it builds ``Q+``/``Q?`` and
+    raises :class:`RewriteError` at the first fragment exit.  In *report
+    mode* it still builds the rewrite, but records a :class:`Finding` at
+    every site where it decides something — a null escape added, an
+    ``IS [NOT] NULL`` folded to a constant, a fragment exit (SA301) —
+    and keeps walking past fragment exits.  Report mode also runs the
+    checks only the analyzer needs: aggregates (SA201), ``DISTINCT`` and
+    set operations (SA202), and scalar subqueries, walked as black boxes.
+    """
+
+    def __init__(self, catalog: Catalog, findings: Optional[List[Finding]] = None):
         self.catalog = catalog
+        self.findings = findings
+        #: >0 while walking a scalar subquery (report mode only).
+        self._boxed = 0
+        #: The ``x = y`` synthesized from the ``x IN (SELECT y …)`` being
+        #: walked (report mode only); the IN predicate carries its finding.
+        self._membership: Optional[ast.Comparison] = None
+
+    # -- findings -------------------------------------------------------
+    def _note(self, rule: str, node: object, **facts: object) -> None:
+        self.findings.append(Finding(rule, node, facts, self._boxed > 0))
+
+    def _exit(self, err: RewriteError, node: object = None) -> None:
+        """A fragment exit: raise it, or in report mode record it (SA301)."""
+        if self.findings is None:
+            raise err
+        self._note("SA301", err.node if err.node is not None else node, message=str(err))
+
+    def _possibly_null(
+        self, expr: ast.SqlExpr, scope: Scope, raw: bool = False
+    ) -> List[Tuple[ast.ColumnRef, int]]:
+        """The columns of *expr* that may be NULL here, with their depth.
+
+        Every column is resolved; one that does not resolve is a fragment
+        exit.  *raw* ignores the non-null facts of the positive context.
+        """
+        found = []
+        for column in columns_in_expr(expr):
+            try:
+                resolved = scope.resolve(column)
+            except RewriteError as err:
+                self._exit(err, column)
+                continue
+            if not resolved.scope.catalog.is_nullable(resolved.table, resolved.column):
+                continue
+            if raw or resolved.key not in resolved.scope.forced_nonnull:
+                found.append((column, resolved.depth))
+        return found
 
     # -- queries --------------------------------------------------------
-    def query(self, query: ast.Query, outer: Optional[Scope], mode: str) -> ast.Query:
-        if query.ctes:
-            raise RewriteError("WITH views must be handled by the caller")
-        return ast.Query(body=self.body(query.body, outer, mode))
-
     def body(self, body, outer: Optional[Scope], mode: str):
         if isinstance(body, ast.Select):
             return self.select(body, outer, mode)
         assert isinstance(body, ast.SetOp)
-        if body.op == "union":
-            # (Q1 ∪ Q2)+ and (Q1 ∪ Q2)? are both component-wise.
-            return ast.SetOp(
-                op="union",
-                left=ast.Query(self.body(body.left.body, outer, mode)),
-                right=ast.Query(self.body(body.right.body, outer, mode)),
-                all=body.all,
-            )
-        if body.op == "except" and mode == CERTAIN:
-            return self._except_certain(body, outer)
-        if body.op == "except" and mode == POSSIBLE:
-            # (Q1 − Q2)? = Q1? − Q2+ ; tuple matching in the engine's
-            # EXCEPT is exact (marked-null labels), i.e. set difference.
-            return ast.SetOp(
-                op="except",
-                left=ast.Query(self.body(body.left.body, outer, POSSIBLE)),
-                right=ast.Query(self.body(body.right.body, outer, CERTAIN)),
-                all=body.all,
-            )
-        if body.op == "intersect" and mode == CERTAIN:
-            return self._intersect_certain(body, outer)
-        raise RewriteError(
-            f"{body.op.upper()} in a {'negative' if mode == POSSIBLE else 'positive'} "
-            "context is outside the rewritable fragment",
-            node=body,
+        if self.findings is not None and not body.all:
+            self._check_set_op(body)
+        try:
+            if body.op == "except" and mode == CERTAIN:
+                return self._except_certain(body, outer)
+            if body.op == "intersect" and mode == CERTAIN:
+                return self._intersect_certain(body, outer)
+            if body.op == "intersect":
+                raise RewriteError(
+                    "INTERSECT in a negative context is outside the rewritable fragment",
+                    node=body,
+                )
+        except RewriteError as err:
+            self._exit(err, body)
+            if body.op == "except" and mode == CERTAIN and self.findings is not None:
+                # The fallback below keeps EXCEPT's tuple match, which a
+                # null fails naively and some valuation satisfies.
+                nullable = self._nullable_outputs(body.left.body)
+                nullable += self._nullable_outputs(body.right.body)
+                if nullable:
+                    self._note(
+                        "SA102", body, columns=sorted(set(nullable)),
+                        operator="except", polarity="negative",
+                    )
+        # (Q1 ∪ Q2)+ and (Q1 ∪ Q2)? are component-wise; (Q1 − Q2)? =
+        # Q1? − Q2+, and tuple matching in the engine's EXCEPT is exact
+        # (marked-null labels), i.e. set difference.
+        right_mode = _flip(mode) if body.op == "except" else mode
+        return ast.SetOp(
+            op=body.op,
+            left=ast.Query(self.body(body.left.body, outer, mode)),
+            right=ast.Query(self.body(body.right.body, outer, right_mode)),
+            all=body.all,
         )
 
     def _simple_select_columns(self, query: ast.Query, what: str) -> Tuple[ast.Select, List[ast.ColumnRef]]:
@@ -205,25 +312,25 @@ class _ModeRewriter:
         forced_nonnull(left_sel.where, left_scope)
         right_scope = Scope(right_sel.tables, self.catalog, parent=left_scope)
         matches: List[ast.SqlCond] = []
+        escaped: List[ast.ColumnRef] = []
         for lcol, rcol in zip(left_cols, right_cols):
             disjuncts: List[ast.SqlCond] = [ast.Comparison("=", lcol, rcol)]
-            if left_scope.is_possibly_null(lcol):
-                disjuncts.append(ast.IsNull(lcol))
-            if right_scope.is_possibly_null(rcol):
-                disjuncts.append(ast.IsNull(rcol))
+            for col, scope in ((lcol, left_scope), (rcol, right_scope)):
+                if scope.is_possibly_null(col):
+                    disjuncts.append(ast.IsNull(col))
+                    escaped.append(col)
             matches.append(
                 disjuncts[0] if len(disjuncts) == 1 else ast.BoolOp("or", *disjuncts)
             )
-        inner_where = _and(
-            list(_conjuncts(self._rewrite_where(right_sel, left_scope, POSSIBLE)))
-            + matches
-        )
+        if escaped and self.findings is not None:
+            self._note("SA102", body, columns=escaped, operator="except", polarity="negative")
+        right_poss = self.select(right_sel, left_scope, POSSIBLE)
         anti = ast.Exists(
             ast.Query(
                 ast.Select(
                     columns=(ast.Star(),),
                     tables=right_sel.tables,
-                    where=inner_where,
+                    where=_and(list(_conjuncts(right_poss.where)) + matches),
                 )
             ),
             negated=True,
@@ -272,142 +379,239 @@ class _ModeRewriter:
         if mode == POSSIBLE:
             for ref in select.tables:
                 if not self.catalog.has_table(ref.name):
-                    raise RewriteError(f"unknown table {ref.name!r}", node=ref)
-                if ref.name not in self.catalog.schema:
-                    raise RewriteError(
+                    self._exit(RewriteError(f"unknown table {ref.name!r}", node=ref))
+                elif ref.name not in self.catalog.schema:
+                    self._exit(RewriteError(
                         f"view {ref.name!r} referenced in a negative context; "
                         "views are rewritten for certainty and cannot soundly "
                         "over-approximate there — inline it first",
                         node=ref,
-                    )
-        scope = Scope(select.tables, self.catalog, parent=outer)
+                    ))
+        try:
+            scope = Scope(select.tables, self.catalog, parent=outer)
+        except RewriteError as err:
+            self._exit(err, select)
+            return select
         if mode == CERTAIN:
             forced_nonnull(select.where, scope)
-        where = self._rewrite_where(select, scope, mode, prebuilt_scope=True)
+        if self.findings is not None:
+            self._check_outputs(select, scope)
         return ast.Select(
             columns=select.columns,
             tables=select.tables,
-            where=where,
+            where=None if select.where is None else self.condition(select.where, scope, mode),
             distinct=select.distinct,
         )
 
-    def _rewrite_where(
-        self,
-        select: ast.Select,
-        scope_or_outer,
-        mode: str,
-        prebuilt_scope: bool = False,
-    ) -> Optional[ast.SqlCond]:
-        if prebuilt_scope:
-            scope = scope_or_outer
-        else:
-            scope = Scope(select.tables, self.catalog, parent=scope_or_outer)
-            if mode == CERTAIN:
-                forced_nonnull(select.where, scope)
-        if select.where is None:
-            return None
-        return self.condition(select.where, scope, mode)
+    def subquery(self, query: ast.Query, outer: Scope, mode: str) -> ast.Query:
+        if query.ctes:
+            self._exit(RewriteError("WITH inside subqueries is not supported", node=query.body))
+            return query
+        if not isinstance(query.body, ast.Select):
+            self._exit(RewriteError(
+                "set operations inside subqueries are not supported", node=query.body
+            ))
+            return ast.Query(body=self.body(query.body, outer, mode))
+        return ast.Query(body=self.select(query.body, outer, mode))
 
     # -- conditions -----------------------------------------------------
     def condition(self, cond: ast.SqlCond, scope: Scope, mode: str) -> ast.SqlCond:
         if isinstance(cond, ast.BoolOp):
+            if cond.op == "or" and mode == POSSIBLE:
+                return self._or_block(cond, scope)
             return ast.BoolOp(
                 cond.op, *[self.condition(item, scope, mode) for item in cond.items]
             )
         if isinstance(cond, ast.NotOp):
-            return self.condition(negate_sql(cond.item), scope, mode)
+            try:
+                pushed = negate_sql(cond.item)
+            except RewriteError as err:
+                self._exit(err, cond)
+                return cond
+            return self.condition(pushed, scope, mode)
         if isinstance(cond, ast.BoolLiteral):
             return cond
         if isinstance(cond, ast.IsNull):
-            # θ*(null(A)) = θ**(null(A)) = false; dually for const(A):
-            # possible worlds contain no nulls.
-            return ast.BoolLiteral(cond.negated)
+            if self.findings is not None:
+                self._null_test(cond, scope, mode)
+            return _fold_null_test(cond)
         if isinstance(cond, ast.Comparison):
             return self.comparison(cond, scope, mode)
         if isinstance(cond, ast.Exists):
-            sub_mode = (
-                _flip(mode) if cond.negated else mode
-            )
+            sub_mode = _flip(mode) if cond.negated else mode
             rewritten = self.subquery(cond.query, scope, sub_mode)
             return ast.Exists(rewritten, negated=cond.negated)
         if isinstance(cond, ast.InPredicate):
             return self.in_predicate(cond, scope, mode)
-        raise RewriteError(f"cannot rewrite condition {cond!r}", node=cond)
+        self._exit(RewriteError(f"cannot rewrite condition {cond!r}", node=cond))
+        return cond
 
-    def comparison(self, comp: ast.Comparison, scope: Scope, mode: str) -> ast.SqlCond:
-        self._check_operand(comp.left, scope, mode)
-        self._check_operand(comp.right, scope, mode)
-        if mode == CERTAIN:
-            # SQL-adjusted θ*: 3VL only selects TRUE comparisons, which
-            # already implies both operands are non-null constants.
-            return comp
-        escapes: List[ast.SqlCond] = []
+    def _or_block(self, cond: ast.BoolOp, scope: Scope) -> ast.SqlCond:
+        """An ``OR`` in mode ``?``.  An ``x IS NULL`` disjunct beside a
+        comparison on ``x`` is that comparison's own escape, so report
+        mode reports the pair once, as the weakened comparison, and
+        reports the null test only when no comparison used it."""
+        escapes = frozenset(
+            item.expr for item in cond.items if isinstance(item, ast.IsNull) and not item.negated
+        )
+        used: Set[ast.SqlExpr] = set()
+        items: List[ast.SqlCond] = []
+        for item in cond.items:
+            if isinstance(item, ast.Comparison):
+                items.append(self.comparison(item, scope, POSSIBLE, escapes, used))
+            elif isinstance(item, ast.IsNull) and not item.negated:
+                items.append(_fold_null_test(item))
+            else:
+                items.append(self.condition(item, scope, POSSIBLE))
+        if self.findings is not None:
+            for item in cond.items:
+                if isinstance(item, ast.IsNull) and not item.negated and item.expr not in used:
+                    self._null_test(item, scope, POSSIBLE)
+        return ast.BoolOp("or", *items)
+
+    def comparison(
+        self,
+        comp: ast.Comparison,
+        scope: Scope,
+        mode: str,
+        escapes: frozenset = frozenset(),
+        used: Optional[Set[ast.SqlExpr]] = None,
+    ) -> ast.SqlCond:
+        """In mode ``?``, *comp* OR an ``IS NULL`` escape per possibly-null
+        side.  In mode ``+`` the SQL-adjusted ``θ*`` is *comp* itself: 3VL
+        only selects TRUE comparisons, which already implies non-null
+        operands.  Scalar subqueries are black boxes, untouched in either
+        mode."""
+        report = self.findings is not None and comp is not self._membership
+        rewritten: List[ast.SqlCond] = [comp]
         for side in (comp.left, comp.right):
-            columns = columns_in_expr(side)
-            if columns and any(scope.is_possibly_null(c) for c in columns):
-                escapes.append(ast.IsNull(side))
-        if not escapes:
-            return comp
-        return ast.BoolOp("or", comp, *escapes)
+            if report:
+                self._check_expr(side, scope)
+            hazard = self._possibly_null(side, scope)
+            if not hazard:
+                continue
+            if mode == POSSIBLE:
+                rewritten.append(ast.IsNull(side))
+            if report:
+                self._note_comparison(comp, side, hazard, mode, escapes, used)
+        return rewritten[0] if len(rewritten) == 1 else ast.BoolOp("or", *rewritten)
 
-    def _check_operand(self, expr: ast.SqlExpr, scope: Scope, mode: str) -> None:
-        """Resolve columns early (clear errors) — scalar subqueries are
-        the paper's black boxes and stay untouched in either mode."""
-        for column in columns_in_expr(expr):
-            scope.resolve(column)
+    def _note_comparison(self, comp, side, hazard, mode, escapes, used) -> None:
+        local = [column for column, depth in hazard if depth == 0]
+        outer = [column for column, depth in hazard if depth > 0]
+        facts = {"op": comp.op, "polarity": _POLARITY[mode]}
+        if mode == CERTAIN:
+            self._note("SA203", comp, columns=local + outer, **facts)
+        elif side in escapes:
+            used.add(side)
+            self._note("SA203", comp, columns=local + outer, escaped=side, **facts)
+        else:
+            if outer:
+                self._note("SA105", comp, columns=outer, **facts)
+            if local:
+                rule = "SA103" if comp.op in ("like", "not like") else "SA101"
+                self._note(rule, comp, columns=local, **facts)
+
+    def _null_test(self, cond: ast.IsNull, scope: Scope, mode: str) -> None:
+        # Deliberately *raw* schema nullability: ``b IS NOT NULL`` forces
+        # b itself, which must not talk the test out of its own hazard.
+        hazard = [column for column, _ in self._possibly_null(cond.expr, scope, raw=True)]
+        self._check_expr(cond.expr, scope)
+        if hazard:
+            # IS NULL in mode + and IS NOT NULL in mode ? select *because*
+            # of the null (false positives); the duals only drop tuples.
+            rule = "SA104" if cond.negated == (mode == POSSIBLE) else "SA203"
+            self._note(rule, cond, columns=hazard, polarity=_POLARITY[mode])
 
     def in_predicate(self, pred: ast.InPredicate, scope: Scope, mode: str) -> ast.SqlCond:
+        if self.findings is not None:
+            self._check_expr(pred.expr, scope)
         if pred.values is not None:
+            operands = (pred.expr,) + pred.values
+            hazards = [self._possibly_null(operand, scope) for operand in operands]
+            if self.findings is not None:
+                for value in pred.values:
+                    self._check_expr(value, scope)
+                self._note_membership(pred, [h for hazard in hazards for h in hazard], mode)
             if mode == CERTAIN:
                 return pred
-            base = ast.InPredicate(
-                expr=pred.expr, values=pred.values, negated=pred.negated
-            )
-            if pred.negated:
-                # x NOT IN (c1..cn) possibly holds unless x certainly
-                # equals some ci; a null x possibly differs from all.
-                escapes = self._expr_escape(pred.expr, scope)
-                return ast.BoolOp("or", base, *escapes) if escapes else base
-            escapes = self._expr_escape(pred.expr, scope)
+            # x [NOT] IN (v1..vn) possibly holds when x or some vi is null.
+            base = ast.InPredicate(expr=pred.expr, values=pred.values, negated=pred.negated)
+            escapes = [ast.IsNull(o) for o, hazard in zip(operands, hazards) if hazard]
             return ast.BoolOp("or", base, *escapes) if escapes else base
-        # Subquery IN.
-        assert pred.query is not None
+        # Subquery IN.  It is three-valued, so even ``x NOT IN (…)`` fails
+        # closed in mode +: the membership's hazard is the current mode's,
+        # while the subquery's WHERE runs in the flipped mode when negated
+        # (a filtered-out member admits answers under NOT IN).
+        query = pred.query
+        assert query is not None
+        try:
+            sub, sub_scope = self._in_block(pred, scope)
+            failure = None
+        except RewriteError as err:
+            sub = sub_scope = None
+            failure = err
+        if self.findings is not None:
+            hazard = self._possibly_null(pred.expr, scope)
+            if sub is not None:
+                hazard += self._possibly_null(sub.columns[0].expr, sub_scope)
+            self._note_membership(pred, hazard, mode)
         if not pred.negated and mode == CERTAIN:
-            return ast.InPredicate(
-                expr=pred.expr, query=self.subquery(pred.query, scope, CERTAIN)
-            )
+            return ast.InPredicate(expr=pred.expr, query=self.subquery(query, scope, CERTAIN))
         # Remaining cases need the membership comparison inside the
         # subquery, where it can be strengthened/weakened uniformly.
-        exists = self._in_to_exists(pred, scope)
-        return self.condition(exists, scope, mode)
+        try:
+            if failure is not None:
+                raise failure
+            exists = self._in_to_exists(pred, sub, scope, sub_scope)
+        except RewriteError as err:
+            self._exit(err, pred)
+            return pred
+        if self.findings is None:
+            return self.condition(exists, scope, mode)
+        # The IN predicate carries the membership's finding, so the walk
+        # does not report the synthesized ``x = y`` (the last conjunct).
+        outer_membership = self._membership
+        self._membership = _conjuncts(exists.query.body.where)[-1]
+        try:
+            return self.condition(exists, scope, mode)
+        finally:
+            self._membership = outer_membership
 
-    def _expr_escape(self, expr: ast.SqlExpr, scope: Scope) -> List[ast.SqlCond]:
-        columns = columns_in_expr(expr)
-        if columns and any(scope.is_possibly_null(c) for c in columns):
-            return [ast.IsNull(expr)]
-        return []
+    def _note_membership(self, pred: ast.InPredicate, hazard, mode: str) -> None:
+        if hazard:
+            rule = "SA102" if mode == POSSIBLE else "SA203"
+            columns = [column for column, _ in hazard]
+            self._note(rule, pred, columns=columns, polarity=_POLARITY[mode])
 
-    def _in_to_exists(self, pred: ast.InPredicate, scope: Scope) -> ast.Exists:
+    def _in_block(self, pred: ast.InPredicate, scope: Scope) -> Tuple[ast.Select, Scope]:
+        """The ``SELECT y FROM …`` block of ``x [NOT] IN (SELECT y …)``
+        and its scope, or :class:`RewriteError` when it is not one."""
+        query = pred.query
+        if query.ctes or not isinstance(query.body, ast.Select):
+            raise RewriteError("IN subquery must be a plain SELECT block", node=pred)
+        sub = query.body
+        if len(sub.columns) != 1 or isinstance(sub.columns[0], ast.Star):
+            raise RewriteError("IN subquery must select exactly one column", node=pred)
+        return sub, Scope(sub.tables, self.catalog, parent=scope)
+
+    def _in_to_exists(
+        self, pred: ast.InPredicate, sub: ast.Select, scope: Scope, sub_scope: Scope
+    ) -> ast.Exists:
         """``x [NOT] IN (SELECT y FROM …)`` → ``[NOT] EXISTS (… AND x = y)``.
 
         Equivalent under the certain-answer (first-order) semantics the
         rewriting targets; the rewriter then applies the usual mode
         rules to the equality.
         """
-        query = pred.query
-        assert query is not None
-        if query.ctes or not isinstance(query.body, ast.Select):
-            raise RewriteError("IN subquery must be a plain SELECT block", node=pred)
-        sub = query.body
-        if len(sub.columns) != 1 or isinstance(sub.columns[0], ast.Star):
-            raise RewriteError("IN subquery must select exactly one column", node=pred)
         out = sub.columns[0]
         assert isinstance(out, ast.OutputColumn)
         # Re-qualify outer columns so they cannot be captured by the
         # subquery's own bindings.
-        sub_scope = Scope(sub.tables, self.catalog, parent=scope)
         outer_expr = self._requalify(pred.expr, scope, sub_scope)
         membership = ast.Comparison("=", outer_expr, out.expr)
+        if self.findings is not None:
+            self._check_outputs(sub, sub_scope)
         new_where = _and(list(_conjuncts(sub.where)) + [membership])
         return ast.Exists(
             ast.Query(
@@ -432,18 +636,106 @@ class _ModeRewriter:
             )
         return expr
 
-    def subquery(self, query: ast.Query, outer: Scope, mode: str) -> ast.Query:
-        if query.ctes:
-            raise RewriteError("WITH inside subqueries is not supported", node=query.body)
-        if not isinstance(query.body, ast.Select):
-            raise RewriteError(
-                "set operations inside subqueries are not supported", node=query.body
-            )
-        return ast.Query(body=self.select(query.body, outer, mode))
+    # -- report-only checks ---------------------------------------------
+    def _check_outputs(self, select: ast.Select, scope: Scope) -> None:
+        for col in select.columns:
+            if not isinstance(col, ast.Star):
+                self._check_expr(col.expr, scope)
+        if select.distinct:
+            nullable = self._nullable_outputs(select)
+            if nullable:
+                self._note("SA202", select, columns=sorted(nullable), operator="distinct")
+
+    def _check_set_op(self, body: ast.SetOp) -> None:
+        for side in (body.left.body, body.right.body):
+            nullable = self._nullable_outputs(side)
+            if nullable:
+                self._note("SA202", body, columns=sorted(nullable), operator=body.op)
+                return
+
+    def _check_expr(self, expr: ast.SqlExpr, scope: Scope) -> None:
+        """Aggregates (SA201) and scalar subqueries, walked as black boxes."""
+        for part in _subexpressions(expr):
+            if isinstance(part, ast.Aggregate) and part.arg is not None:
+                # COUNT(*) never skips rows for nulls.
+                hazard = [column for column, _ in self._possibly_null(part.arg, scope)]
+                if hazard:
+                    self._note("SA201", part, columns=hazard, function=part.func)
+            elif isinstance(part, ast.ScalarSubquery):
+                self._boxed += 1
+                try:
+                    self.body(part.query.body, scope, CERTAIN)
+                finally:
+                    self._boxed -= 1
+
+    def _nullable_outputs(self, body) -> List[str]:
+        """Names of output columns that may carry nulls (best effort)."""
+        if isinstance(body, ast.SetOp):
+            return self._nullable_outputs(body.left.body)
+        try:
+            scope = Scope(body.tables, self.catalog)
+        except RewriteError:
+            return []
+        nullable: List[str] = []
+        for col in body.columns:
+            if isinstance(col, ast.Star):
+                for table in scope.bindings.values():
+                    for name in self.catalog.columns_of(table):
+                        if self.catalog.is_nullable(table, name):
+                            nullable.append(name)
+                continue
+            expr = col.expr
+            if isinstance(expr, ast.ColumnRef):
+                try:
+                    if scope.is_possibly_null(expr):
+                        nullable.append(col.alias or expr.name)
+                except RewriteError:
+                    continue
+            elif not isinstance(expr, (ast.Literal, ast.Param)):
+                # Concats, aggregates and scalar subqueries may be NULL.
+                nullable.append(col.alias or f"column{len(nullable) + 1}")
+        return nullable
+
+
+def _fold_null_test(cond: ast.IsNull) -> ast.BoolLiteral:
+    # θ*(null(A)) = θ**(null(A)) = false; dually for const(A): possible
+    # worlds contain no nulls.
+    return ast.BoolLiteral(cond.negated)
 
 
 def _flip(mode: str) -> str:
     return POSSIBLE if mode == CERTAIN else CERTAIN
+
+
+def _pass1(
+    query: ast.Query, catalog: Catalog, findings: Optional[List[Finding]] = None
+) -> Tuple[List[Tuple[str, ast.Query]], TUnion[ast.Select, ast.SetOp]]:
+    """Pass 1 over *query*: its rewritten views (registered in *catalog*)
+    and body."""
+    rewriter = _ModeRewriter(catalog, findings)
+    ctes: List[Tuple[str, ast.Query]] = []
+    for name, sub in query.ctes:
+        view = ast.Query(body=rewriter.body(sub.body, None, CERTAIN))
+        try:
+            catalog.register_view(name, view)
+        except RewriteError as err:
+            rewriter._exit(err, sub.body)
+        ctes.append((name, view))
+    return ctes, rewriter.body(query.body, None, CERTAIN)
+
+
+def pass1_findings(
+    query: TUnion[ast.Query, ast.Select, ast.SetOp], schema: DatabaseSchema
+) -> List[Finding]:
+    """Run pass 1 of :func:`rewrite_certain` in report mode.
+
+    Never raises :class:`RewriteError`: every fragment exit becomes an
+    SA301 finding and the walk goes on.  :mod:`repro.analysis` builds
+    its diagnostics from the result.
+    """
+    findings: List[Finding] = []
+    _pass1(ast.query_of(query), Catalog(schema), findings)
+    return findings
 
 
 # ---------------------------------------------------------------------------
@@ -936,17 +1228,8 @@ def rewrite_certain(
     """
     query = ast.query_of(query)
     catalog = Catalog(schema)
-
     try:
-        rewriter = _ModeRewriter(catalog)
-        user_ctes: List[Tuple[str, ast.Query]] = []
-        for name, sub in query.ctes:
-            body = rewriter.body(sub.body, None, CERTAIN)
-            rewritten_view = ast.Query(body=body)
-            catalog.register_view(name, rewritten_view)
-            user_ctes.append((name, rewritten_view))
-
-        body = rewriter.body(query.body, None, CERTAIN)
+        user_ctes, body = _pass1(query, catalog)
     except RewriteError as err:
         raise _enrich_rewrite_error(err, query, schema)
 
@@ -963,14 +1246,14 @@ def rewrite_certain(
 def _enrich_rewrite_error(
     err: RewriteError, query: ast.Query, schema: DatabaseSchema
 ) -> RewriteError:
-    """Attach static-analyzer fragment diagnostics to a rewrite failure.
+    """Attach the query's fragment diagnostics to a rewrite failure.
 
-    The analyzer walks the whole query without bailing on the first
-    problem, so the enriched error names *every* construct that left the
-    rewritable fragment, each with its source span.  Imported lazily:
-    :mod:`repro.analysis` sits above this module in the layering.
+    Re-runs pass 1 in report mode, which walks past every fragment exit,
+    so the error names *every* construct that left the fragment, each
+    with its source span.  Imported lazily: :mod:`repro.analysis` sits
+    above this module in the layering.
     """
-    from repro.analysis.fragment import fragment_diagnostics
+    from repro.analysis.analyzer import fragment_diagnostics
 
     try:
         err.diagnostics = fragment_diagnostics(query, schema)

@@ -6,8 +6,8 @@ the same.  ``EXISTS`` / ``NOT EXISTS`` and ``IN`` / ``NOT IN``
 subqueries become condition semijoins / antijoins whose right side is
 the subquery's ``FROM`` product and whose condition is the subquery's
 ``WHERE`` clause (which may reference the enclosing block — one level of
-correlation, which covers the paper's queries; deeper correlation raises
-``NotImplementedError``).
+correlation, which covers the paper's queries; a reference two or more
+blocks out raises :class:`AlgebraTranslationError`).
 
 Attributes are qualified as ``binding.column`` throughout and renamed to
 their SQL output names at the top of each block, so translated queries
@@ -228,7 +228,8 @@ class _Translator:
         )
         if len(sub_attrs) != 1:
             raise AlgebraTranslationError("IN subquery must return one column")
-        left_term = self.term(pred.expr, scope)
+        # The semijoin's left side is this block alone: no outer columns.
+        left_term = self.term(pred.expr, scope, max_depth=0)
         membership = AC.Comparison("=", left_term, AC.Attr(sub_attrs[0]))
         cond = AC.And(sub_cond, membership) if not isinstance(sub_cond, AC.TrueCond) else membership
         node = AntiJoin if pred.negated else SemiJoin
@@ -318,9 +319,17 @@ class _Translator:
             )
         raise AlgebraTranslationError(f"cannot translate condition {cond!r}")
 
-    def term(self, expr: ast.SqlExpr, scope: _Scope) -> AC.Term:
+    def term(self, expr: ast.SqlExpr, scope: _Scope, max_depth: int = 1) -> AC.Term:
+        """*expr* as an algebra term.  A condition sees its own block and
+        the one enclosing it (the left side of its semijoin), so a column
+        more than *max_depth* blocks out is not bound where it is used."""
         if isinstance(expr, ast.ColumnRef):
-            name, _depth = scope.resolve(expr)
+            name, depth = scope.resolve(expr)
+            if depth > max_depth:
+                raise AlgebraTranslationError(
+                    f"column {expr.display!r} is not bound where it is used: "
+                    "only one level of correlation is supported"
+                )
             return AC.Attr(name)
         if isinstance(expr, ast.Literal):
             return AC.Const(expr.value)
@@ -331,7 +340,7 @@ class _Translator:
         if isinstance(expr, ast.Concat):
             parts = []
             for part in expr.parts:
-                folded = self.term(part, scope)
+                folded = self.term(part, scope, max_depth)
                 if not isinstance(folded, AC.Const):
                     raise AlgebraTranslationError(
                         "|| is only supported over literals and parameters"

@@ -71,6 +71,14 @@ UNSOUND_WITNESSES = [
         "(SELECT * FROM s WHERE s.d IS NOT NULL)",
         {"t": [(1, 0)], "s": [(10, Null())]},
     ),
+    (
+        "SELECT a, b FROM t EXCEPT SELECT c, d FROM s",
+        {"t": [(1, 0)], "s": [(1, Null())]},
+    ),
+    (
+        "SELECT * FROM t EXCEPT SELECT * FROM s",
+        {"t": [(1, 0)], "s": [(1, Null())]},
+    ),
 ]
 
 

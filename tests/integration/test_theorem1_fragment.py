@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.analysis import UNSOUND, analyze_sql
 from repro.certain import certain_answers_with_nulls
 from repro.data import Database, Relation
 from repro.data.schema import DatabaseSchema, make_schema
@@ -76,6 +77,20 @@ def test_rewrite_returns_only_certain_answers(name, seed):
     query = parse_sql(QUERIES[name])
     db = instance(seed, null_rate=0.35)
     got = set(execute_sql(db, rewrite_certain(query, schema())).rows)
+    certain = set(certain_answers_with_nulls(sql_to_algebra(query, db), db).rows)
+    assert got <= certain, f"non-certain answers {got - certain}"
+
+
+@pytest.mark.parametrize("name", sorted(QUERIES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_naive_is_certain_unless_flagged_unsound(name, seed):
+    """An analyzer verdict other than ``unsound`` promises that naive
+    evaluation returns no false positive."""
+    if analyze_sql(QUERIES[name], schema()).verdict == UNSOUND:
+        return
+    query = parse_sql(QUERIES[name])
+    db = instance(seed, null_rate=0.35)
+    got = set(execute_sql(db, query).rows)
     certain = set(certain_answers_with_nulls(sql_to_algebra(query, db), db).rows)
     assert got <= certain, f"non-certain answers {got - certain}"
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.certain import certain_answers_with_nulls
 from repro.data import Database, Null, Relation
 from repro.data.schema import DatabaseSchema, make_schema
 from repro.engine import execute_sql
@@ -11,6 +12,7 @@ from repro.sql import ast
 from repro.sql.parser import parse_condition, parse_sql
 from repro.sql.printer import to_sql
 from repro.sql.rewrite import RewriteError, negate_sql, rewrite_certain
+from repro.sql.to_algebra import sql_to_algebra
 from repro.tpch.datafiller import generate_small_instance
 from repro.tpch.nullify import inject_nulls
 from repro.tpch.queries import QUERIES, sample_parameters
@@ -248,6 +250,106 @@ class TestFragmentCorners:
     def test_unknown_table_rejected(self, rs):
         with pytest.raises(RewriteError, match="unknown table"):
             rewrite_certain(parse_sql("SELECT a FROM zzz"), rs)
+
+
+@pytest.fixture
+def tsu():
+    schema = DatabaseSchema()
+    schema.add(make_schema("t", [("a", "int"), ("b", "int")], key=["a"]))
+    schema.add(make_schema("s", [("c", "int"), ("d", "int")], key=["c"]))
+    schema.add(make_schema("u", [("e", "int"), ("f", "int")], key=["e"]))
+    return schema
+
+
+def tsu_db(t, s, u):
+    return Database(
+        {
+            "t": Relation(("a", "b"), t),
+            "s": Relation(("c", "d"), s),
+            "u": Relation(("e", "f"), u),
+        }
+    )
+
+
+def certain_rows(query, db):
+    return set(certain_answers_with_nulls(sql_to_algebra(query, db), db).rows)
+
+
+class TestForcedNonNullStaysInItsBlock:
+    """A positive block's conjuncts force only its own columns non-null.
+
+    An enclosing block under ``NOT EXISTS`` or ``OR`` is not filtered by
+    them, so its rows can still carry the null; its comparisons keep
+    their escapes and ``Q+`` stays within the certain answers.
+    """
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT a FROM t WHERE NOT EXISTS (SELECT * FROM s WHERE "
+            "NOT EXISTS (SELECT * FROM u WHERE u.f = s.d) AND s.d = t.b)",
+            "SELECT a FROM t WHERE NOT EXISTS (SELECT * FROM s WHERE "
+            "s.d NOT IN (SELECT f FROM u) AND s.d = t.b)",
+        ],
+    )
+    def test_under_not_exists(self, tsu, sql):
+        # With s.d := 5 the s row witnesses the outer NOT EXISTS, so
+        # t's row 1 is not certain.
+        query = parse_sql(sql)
+        plus = rewrite_certain(query, tsu)
+        assert "s.d IS NULL" in to_sql(plus)
+        db = tsu_db([(1, 5)], [(1, Null())], [])
+        assert certain_rows(query, db) == set()
+        assert execute_sql(db, plus).rows == []
+
+    def test_under_or(self, tsu):
+        sql = (
+            "SELECT a FROM t WHERE (a = 1 OR EXISTS (SELECT * FROM s WHERE s.d = t.b)) "
+            "AND NOT EXISTS (SELECT * FROM u WHERE u.f = t.b)"
+        )
+        plus = rewrite_certain(parse_sql(sql), tsu)
+        assert "t.b IS NULL" in to_sql(plus)
+        # The valuation t.b := 7 drops row 1, so it is not certain.
+        assert execute_sql(tsu_db([(1, 7)], [], [(1, 7)]), sql).rows == []
+        assert execute_sql(tsu_db([(1, Null())], [], [(1, 7)]), plus).rows == []
+
+
+def test_in_list_member_gets_an_escape_in_mode_possible(tsu):
+    # With t.b := 5 the s row is a member and witnesses the NOT EXISTS.
+    query = parse_sql(
+        "SELECT a FROM t WHERE NOT EXISTS (SELECT * FROM s WHERE s.c IN (t.b, 99))"
+    )
+    plus = rewrite_certain(query, tsu)
+    assert "t.b IS NULL" in to_sql(plus)
+    db = tsu_db([(1, Null())], [(5, 0)], [])
+    assert certain_rows(query, db) == set()
+    assert execute_sql(db, plus).rows == []
+
+
+class TestExceptRightOperand:
+    """EXCEPT's right operand is rewritten in mode ``?``."""
+
+    def test_view_on_the_right_is_a_fragment_exit(self, tsu):
+        # The view is rewritten for certainty, which under-approximates
+        # where mode ? needs an over-approximation: on t={(1,0)},
+        # s={(1,⊥)} it is empty, yet d := 1 puts 1 in it, so cert = ∅.
+        query = parse_sql(
+            "WITH v AS (SELECT c FROM s WHERE d = 1) "
+            "SELECT a FROM t EXCEPT SELECT c FROM v"
+        )
+        with pytest.raises(RewriteError, match="view 'v' referenced in a negative") as info:
+            rewrite_certain(query, tsu)
+        assert [d.rule for d in info.value.diagnostics] == ["SA301"]
+        inlined = parse_sql("SELECT a FROM t EXCEPT SELECT c FROM s WHERE d = 1")
+        db = tsu_db([(1, 0)], [(1, Null())], [])
+        assert certain_rows(inlined, db) == set()
+        assert execute_sql(db, rewrite_certain(inlined, tsu)).rows == []
+
+
+def test_unknown_column_in_a_positive_in_list_is_rejected(tsu):
+    with pytest.raises(RewriteError, match="cannot resolve column 'zz'") as info:
+        rewrite_certain(parse_sql("SELECT a FROM t WHERE a IN (zz, 2)"), tsu)
+    assert [d.rule for d in info.value.diagnostics] == ["SA301"]
 
 
 class TestNegateSql:

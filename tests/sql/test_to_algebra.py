@@ -111,3 +111,21 @@ def test_select_star_keeps_qualified_names(db):
 def test_duplicate_output_names_rejected(db):
     with pytest.raises(AlgebraTranslationError, match="duplicate"):
         sql_to_algebra(parse_sql("SELECT eid, eid FROM emp"), db)
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT a FROM t WHERE NOT EXISTS (SELECT * FROM s WHERE s.c = t.a "
+        "AND NOT EXISTS (SELECT * FROM t t2 WHERE t2.b = t.b))",
+        "SELECT a FROM t WHERE EXISTS (SELECT * FROM s WHERE t.a IN (SELECT d FROM s s2))",
+    ],
+)
+def test_correlation_two_blocks_out_rejected(sql):
+    # The inner block is folded into its parent's expression, where the
+    # outermost block's columns are not bound.
+    db = Database(
+        {"t": Relation(("a", "b"), [(1, 2)]), "s": Relation(("c", "d"), [(1, 2)])}
+    )
+    with pytest.raises(AlgebraTranslationError, match="one level of correlation"):
+        sql_to_algebra(parse_sql(sql), db)
