@@ -9,7 +9,7 @@ set semantics is required.  Here deduplication is explicit via
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, cast
 
 from repro.data.nulls import is_null
 
@@ -21,14 +21,18 @@ Row = Tuple[object, ...]
 class Relation:
     """An ordered collection of equal-width tuples with named columns."""
 
-    __slots__ = ("attributes", "rows", "_index_cache")
+    __slots__ = ("attributes", "rows", "indexes")
 
     def __init__(self, attributes: Sequence[str], rows: Iterable[Sequence[object]] = ()):
         self.attributes: Tuple[str, ...] = tuple(attributes)
         if len(set(self.attributes)) != len(self.attributes):
             raise ValueError(f"duplicate attribute names: {self.attributes}")
         self.rows: List[Row] = []
-        self._index_cache: Dict[str, Dict[object, List[Row]]] = {}
+        #: Hash indexes derived from ``rows``, kept until :meth:`add` or
+        #: :meth:`extend` changes them (rows change no other way): those
+        #: of :meth:`hash_index` under the attribute name, the engine's
+        #: equi-join and probe indexes under ``(key columns, null slots)``.
+        self.indexes: Dict[object, object] = {}
         width = len(self.attributes)
         for row in rows:
             row = tuple(row)
@@ -91,7 +95,7 @@ class Relation:
         if len(row) != self.arity:
             raise ValueError(f"row width {len(row)} != arity {self.arity}")
         self.rows.append(row)
-        self._index_cache.clear()
+        self.indexes.clear()
 
     def extend(self, rows: Iterable[Sequence[object]]) -> None:
         for row in rows:
@@ -137,17 +141,17 @@ class Relation:
 
     # ------------------------------------------------------------------
     # Hash index over one column; only repro.fp.detectors calls it.
-    # Kept apart from the engine's hash builds: it keeps null keys.
     # ------------------------------------------------------------------
     def hash_index(self, attribute: str) -> Dict[object, List[Row]]:
         """Rows grouped by the value of *attribute* (nulls under ``Null``)."""
-        if attribute not in self._index_cache:
+        index = self.indexes.get(attribute)
+        if index is None:
             i = self.index_of(attribute)
-            index: Dict[object, List[Row]] = {}
+            built: Dict[object, List[Row]] = {}
             for row in self.rows:
-                index.setdefault(row[i], []).append(row)
-            self._index_cache[attribute] = index
-        return self._index_cache[attribute]
+                built.setdefault(row[i], []).append(row)
+            index = self.indexes[attribute] = built
+        return cast(Dict[object, List[Row]], index)
 
     def pretty(self, limit: int = 20) -> str:
         """Small ASCII rendering for examples and docs."""

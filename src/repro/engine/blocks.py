@@ -16,8 +16,9 @@ A :class:`CompiledBlock` is the engine's unit of execution.  Compiling a
 At run time the block lazily picks a greedy left-deep join order (hash
 joins on available equality keys, Cartesian products otherwise — which
 is how an ``OR … IS NULL`` join condition degrades to nested loops, the
-Section 7 Q4 effect), builds hash indexes once, and streams result rows
-so ``EXISTS`` probes stop at the first match.
+Section 7 Q4 effect), builds hash indexes once (one over a whole table
+once per relation, kept in ``Relation.indexes`` for later statements),
+and streams result rows so ``EXISTS`` probes stop at the first match.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 from itertools import chain, repeat, tee
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from weakref import WeakSet
 
 from repro.algebra.conditions import like_match
 from repro.algebra.threevl import FALSE, TRUE, UNKNOWN, ThreeValued, from_bool
@@ -89,13 +91,15 @@ class ExecContext:
         #: decorrelations abandoned because a probe-table build exceeded
         #: ``max_probe_build_rows`` — graceful degradation, not an error
         self.degradations = 0
-        #: approximate bytes held by live probe/equi hash tables
-        #: (:class:`~repro.engine.stats.TableBytesMeter` estimates), used
-        #: to enforce ``ResourceLimits.max_probe_table_bytes``
+        #: approximate bytes of the probe/equi hash tables this context
+        #: built or reused (:class:`~repro.engine.stats.TableBytesMeter`
+        #: estimates), used to enforce ``ResourceLimits.max_probe_table_bytes``
         self.table_bytes = 0
-        #: registries for :meth:`set_limits` invalidation
-        self._blocks: List["CompiledBlock"] = []
-        self._probe_preds: List[object] = []
+        #: registries for :meth:`set_limits` invalidation; weak, so that
+        #: a dropped statement's blocks and run state are freed at once
+        #: instead of waiting, as a reference cycle, for the cyclic GC
+        self._blocks: "WeakSet[CompiledBlock]" = WeakSet()
+        self._probe_preds: "WeakSet[_CorrelatedSubquery]" = WeakSet()
 
     def set_limits(self, limits: Optional[ResourceLimits]) -> None:
         """Swap the resource limits, invalidating limit-dependent state.
@@ -104,8 +108,10 @@ class ExecContext:
         build degrades at ``max_probe_build_rows``, an equi index at
         ``max_probe_table_bytes``), so changing them drops probe tables,
         decorrelation decisions and hash indexes; the next run replans
-        under the new caps.  Results are unaffected — only degradation
-        behavior changes.  No-op when the limits compare equal.
+        under the new caps.  Indexes kept on a relation stay: the caps
+        only decide whether a statement may reuse one.  Results are
+        unaffected — only degradation behavior changes.  No-op when the
+        limits compare equal.
         """
         if limits == self.limits:
             return
@@ -309,16 +315,16 @@ def _key_stream(rows, positions: Sequence[int]) -> Iterator[Tuple]:
     return map(itemgetter(*positions), rows)
 
 
-def _hash_group(ctx, pairs, nulls, check=None, value=None):
+def _hash_group(ctx, meter, pairs, nulls, check=None, value=None):
     """Every engine hash table's build: the ``(key, item)`` *pairs*
     grouped by key, streamed.  A bucket holds ``value(item)``, or the item
     if *value* is ``None``; a ``None`` item only creates its bucket.
     Keys with a null at a position in *nulls* never compare TRUE and are
     skipped.  Returns ``None`` (abandoned) when *check*, run per item,
-    returns true or the byte meter (first new key, then every 256th)
-    finds the table over ``max_probe_table_bytes``."""
+    returns true or the byte *meter* (first new key, then every 256th)
+    finds the table over ``max_probe_table_bytes``; the meter keeps the
+    estimate at its last check point."""
     byte_cap = None if ctx.limits is None else ctx.limits.max_probe_table_bytes
-    meter = TableBytesMeter()
     table: Dict[Tuple, List[object]] = {}
     get = table.get
     null_at = nulls[0] if len(nulls) == 1 else None  # the common case
@@ -333,10 +339,8 @@ def _hash_group(ctx, pairs, nulls, check=None, value=None):
         bucket = get(key)
         if bucket is None:
             bucket = table[key] = []
-            meter.add(key)
-            if byte_cap is not None and meter.should_check():
-                if meter.over_budget(ctx.table_bytes, byte_cap):
-                    return None
+            if meter.add(key) and meter.over_budget(ctx.table_bytes, byte_cap):
+                return None
         if item is not None:
             bucket.append(item if value is None else value(item))
     ctx.table_bytes += meter.approx_bytes()
@@ -366,7 +370,7 @@ class _CorrelatedSubquery(_Cond):
     __slots__ = (
         "block", "negated", "needed", "local_keys", "has_outer", "_out",
         "_cache", "decor", "_table", "_memo", "_memo_keys",
-        "_decor0", "_saved_probes",
+        "_decor0", "_saved_probes", "__weakref__",
     )
 
     def __init__(
@@ -390,7 +394,7 @@ class _CorrelatedSubquery(_Cond):
         self._memo_keys = tuple(dict.fromkeys(res.key for res in block.external))
         self._decor0 = decor
         self._saved_probes = None
-        block.ctx._probe_preds.append(self)
+        block.ctx._probe_preds.add(self)
 
     def answer(self, cursor, env):
         """The subquery's result for the outer row at *cursor*: a truth
@@ -464,6 +468,7 @@ class _CorrelatedSubquery(_Cond):
             keys = _key_stream(map(itemgetter(1), cursors), [first[0][k] for k in locals_])
             table = _hash_group(
                 ctx,
+                TableBytesMeter(),
                 zip(keys, items),
                 block._null_slots(locals_),
                 None if cap is None else lambda: ctx.rows_examined - before > cap,
@@ -685,7 +690,7 @@ class CompiledBlock:
         # Compiled batch filter passes, cached per binding (filter sets
         # are immutable after compilation, so these survive resets).
         self._passes: Dict[str, List[object]] = {}
-        ctx._blocks.append(self)
+        ctx._blocks.add(self)
 
     def _reset_runtime(self) -> None:
         """Drop lazily-built plan state so the next iteration re-plans
@@ -1030,16 +1035,44 @@ class CompiledBlock:
         cache_key = (binding, columns)
         index = self._indexes.get(cache_key, _MISSING)
         if index is _MISSING:
-            ctx = self.ctx
+            index = self._indexes[cache_key] = self._build_index(binding, columns)
+        return index
+
+    def _build_index(
+        self, binding: str, columns: Tuple[str, ...]
+    ) -> Optional[Dict[Tuple, List[Row]]]:
+        """:meth:`_index`'s table for this statement.  An index over a
+        whole table (no pushed filter) is kept in the relation's
+        ``indexes`` under its key columns and null slots, the build's
+        only inputs besides the rows, so every later statement reuses
+        it.  Reuse charges the table's bytes, or degrades if the build
+        would have been abandoned at one of its byte check points."""
+        ctx = self.ctx
+        source = self.sources[binding]
+        nulls = self._null_slots([(binding, col) for col in columns])
+        store = None if source.filters else ctx.relation(source.table).indexes
+        key = (columns, nulls)
+        stored = None if store is None else store.get(key)
+        if stored is None:
+            meter = TableBytesMeter()
             index = _hash_group(
                 ctx,
+                meter,
                 self._keyed_rows(binding, columns),
-                self._null_slots([(binding, col) for col in columns]),
+                nulls,
                 None if ctx.governor is None else ctx.check,
             )
-            if index is None:
-                ctx.degradations += 1
-            self._indexes[cache_key] = index
+            if index is not None and store is not None:
+                store[key] = (index, meter)
+        else:
+            index, meter = stored
+            cap = None if ctx.limits is None else ctx.limits.max_probe_table_bytes
+            if meter.over_budget(ctx.table_bytes, cap):
+                index = None
+            else:
+                ctx.table_bytes += meter.approx_bytes()
+        if index is None:
+            ctx.degradations += 1
         return index
 
     def _linear_matches(
@@ -1149,7 +1182,13 @@ class CompiledBlock:
                 else:
                     yield from pipeline(step_index + 1, combined)
 
-        yield from pipeline(0, ())
+        try:
+            yield from pipeline(0, ())
+        finally:
+            # pipeline refers to itself through its closure cell: clear
+            # the cell, or the cycle keeps this block alive until the
+            # cyclic GC runs
+            pipeline = None  # type: ignore[assignment]
 
     def _stream_filtered(self, source: _Source) -> Iterator[Row]:
         ctx = self.ctx

@@ -138,13 +138,14 @@ class ResourceLimits:
         and bumps ``ExecContext.degradations`` instead of raising.
     ``max_probe_table_bytes``
         Soft cap on the *cumulative* approximate memory of the probe and
-        equi-join hash tables one execution context holds (tracked on
+        equi-join hash tables one execution context uses (tracked on
         ``ExecContext.table_bytes`` via
         :class:`~repro.engine.stats.TableBytesMeter`).  A build that
         would cross the cap degrades gracefully — probe tables fall back
         to memoized probing, equi-join indexes to linear probing of the
         filtered rows — with identical results, counted in
-        ``ExecContext.degradations``.
+        ``ExecContext.degradations``.  Reusing an index kept on a
+        relation charges and degrades exactly as its build would.
     ``cancel``
         A :class:`CancelToken` another thread may fire; the next
         governed checkpoint after firing raises

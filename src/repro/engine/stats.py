@@ -181,21 +181,25 @@ class TableBytesMeter:
 
     ``sys.getsizeof`` is sampled on the first few keys and the average
     is extrapolated, so the per-entry cost of metering is an integer
-    increment.  :meth:`over_budget` answers whether adding this table
-    would push the context's cumulative ``table_bytes`` past the cap.
+    increment.  The estimate is taken at check points (the first entry,
+    then every ``_CHECK_EVERY``-th) and kept in ``checked_bytes``;
+    :meth:`over_budget` answers from it whether adding this table would
+    push the context's cumulative ``table_bytes`` past the cap.
     """
 
-    __slots__ = ("entries", "_sampled", "_sample_total", "_since_check")
+    __slots__ = ("entries", "checked_bytes", "_sampled", "_sample_total", "_since_check")
 
     _SAMPLE = 64
 
     def __init__(self) -> None:
         self.entries = 0
+        self.checked_bytes = 0
         self._sampled = 0
         self._sample_total = 0
         self._since_check = 0
 
-    def add(self, key: object) -> None:
+    def add(self, key: object) -> bool:
+        """Count one new entry; true at a check point."""
         self.entries += 1
         if self._sampled < self._SAMPLE:
             self._sampled += 1
@@ -204,6 +208,13 @@ class TableBytesMeter:
             except TypeError:  # pragma: no cover - exotic keys
                 size = 64
             self._sample_total += size
+        self._since_check += 1
+        if self._since_check >= _CHECK_EVERY:
+            self._since_check = 0
+        elif self.entries > 1:
+            return False
+        self.checked_bytes = self.approx_bytes()
+        return True
 
     def approx_bytes(self) -> int:
         if self.entries == 0:
@@ -211,15 +222,11 @@ class TableBytesMeter:
         avg_key = self._sample_total / self._sampled if self._sampled else 64
         return int(self.entries * (avg_key + _ENTRY_OVERHEAD))
 
-    def should_check(self) -> bool:
-        """Amortise budget checks to every ``_CHECK_EVERY`` insertions."""
-        self._since_check += 1
-        if self._since_check >= _CHECK_EVERY:
-            self._since_check = 0
-            return True
-        return self.entries <= 1  # always validate the very first entry
-
     def over_budget(self, used_bytes: int, cap: Optional[int]) -> bool:
+        """Whether the estimate at the last check point, on top of
+        *used_bytes*, exceeds *cap*.  The estimate only grows, so for a
+        fixed *used_bytes* this is true exactly when some check point of
+        the build would have been over."""
         if cap is None:
             return False
-        return used_bytes + self.approx_bytes() > cap
+        return used_bytes + self.checked_bytes > cap

@@ -98,9 +98,13 @@ class _FaultyRows(list):
 
 class _FaultyRelation:
     """Duck-typed stand-in for :class:`~repro.data.relation.Relation`
-    exposing the two attributes the engine reads."""
+    exposing the attributes the engine reads.  It has no index store
+    (``indexes`` is ``None``), so the engine neither reuses nor keeps
+    an index of the real relation: every statement scans the faulty
+    rows, and the fault fires on each."""
 
     __slots__ = ("attributes", "rows")
+    indexes = None
 
     def __init__(self, relation, nth: int, fault: Fault):
         self.attributes = relation.attributes

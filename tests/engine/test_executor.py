@@ -1,5 +1,7 @@
 """Engine basics: selects, projections, set ops, CTEs, parameters."""
 
+import gc
+
 import pytest
 
 from repro.data import Database, Null, Relation
@@ -169,6 +171,34 @@ class TestCtes:
         executor = Executor(db)
         with pytest.raises(EngineError, match="duplicate WITH"):
             executor.prepare(query)
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT t.b FROM t, u WHERE t.a = u.a AND u.c > 5",
+        "SELECT a FROM t WHERE EXISTS (SELECT * FROM u WHERE u.a = t.a)",
+        "SELECT a FROM t WHERE NOT EXISTS (SELECT * FROM u WHERE u.a = t.a AND u.c > t.a)",
+        "SELECT a FROM t WHERE a IN (SELECT a FROM u WHERE u.c > 5)",
+        "SELECT a FROM t WHERE a < (SELECT MAX(a) FROM u)",
+        "WITH v AS (SELECT a FROM u) SELECT t.b FROM t, v WHERE t.a = v.a "
+        "UNION SELECT b FROM t WHERE a = 3",
+    ],
+)
+def test_statement_leaves_no_reference_cycles(db, sql):
+    """A finished statement's blocks and run state (filtered rows, hash
+    tables, probe tables) are freed by reference counting, not left for
+    the cyclic GC."""
+    execute_sql(db, sql)  # parse once through the plan cache
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        execute_sql(db, sql)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestErrors:

@@ -53,6 +53,23 @@ class TestScanFaults:
             assert len(execute_sql(db, "SELECT a FROM t")) == 200
             assert fault.fired == 1
 
+    def test_fires_after_an_earlier_statement_kept_the_index(self, db):
+        # A literal probe of t reads t only through its index, which the
+        # first statement keeps on the relation.  A faulty scan of t must
+        # not be answered from it, statement after statement, nor change
+        # what is kept.
+        sql = "SELECT a FROM t WHERE a = 7"
+        assert len(execute_sql(db, sql)) == 1
+        kept = dict(db["t"].indexes)
+        assert kept
+        with faults.scan_fault("t", nth=5) as fault:
+            for _ in range(2):
+                with pytest.raises(faults.InjectedFault):
+                    execute_sql(db, sql)
+            assert fault.fired == 2
+        assert db["t"].indexes == kept
+        assert len(execute_sql(db, sql)) == 1
+
     def test_delay_fault_is_caught_by_deadline(self, db):
         # A stalled scan (e.g. slow storage) must trip the query's
         # deadline rather than hang: delay injects the stall, the
