@@ -28,10 +28,13 @@ class Relation:
         if len(set(self.attributes)) != len(self.attributes):
             raise ValueError(f"duplicate attribute names: {self.attributes}")
         self.rows: List[Row] = []
-        #: Hash indexes derived from ``rows``, kept until :meth:`add` or
-        #: :meth:`extend` changes them (rows change no other way): those
-        #: of :meth:`hash_index` under the attribute name, the engine's
-        #: equi-join and probe indexes under ``(key columns, null slots)``.
+        #: What is derived from ``rows`` alone, kept until :meth:`add` or
+        #: :meth:`extend` changes them (rows change no other way): the
+        #: indexes of :meth:`hash_index` under the attribute name; the
+        #: engine's filtered rows with their statistics under a source
+        #: key (a frozenset of filter shapes, empty for the whole table),
+        #: and its equi-join and probe indexes under ``(key columns, null
+        #: slots)``, preceded by the source key over filtered rows.
         self.indexes: Dict[object, object] = {}
         width = len(self.attributes)
         for row in rows:

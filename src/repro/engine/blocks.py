@@ -16,9 +16,15 @@ A :class:`CompiledBlock` is the engine's unit of execution.  Compiling a
 At run time the block lazily picks a greedy left-deep join order (hash
 joins on available equality keys, Cartesian products otherwise — which
 is how an ``OR … IS NULL`` join condition degrades to nested loops, the
-Section 7 Q4 effect), builds hash indexes once (one over a whole table
-once per relation, kept in ``Relation.indexes`` for later statements),
-and streams result rows so ``EXISTS`` probes stop at the first match.
+Section 7 Q4 effect), builds hash indexes once, and streams result rows
+so ``EXISTS`` probes stop at the first match.
+
+What depends only on a relation's rows is built once per relation and
+kept in ``Relation.indexes`` for later statements: a source's rows under
+*constant-free* pushed filters (no constant, parameter, subquery or
+outer column; :func:`_source_key`), their statistics, and the equi-join
+and probe indexes over them or over the whole table.  A single-table
+block over kept rows iterates them instead of streaming its filter.
 """
 
 from __future__ import annotations
@@ -44,9 +50,9 @@ Key = Tuple[str, str]  # (binding, column)
 #: Cursor slotmap for rows with no local columns (pre-join conditions).
 _EMPTY_SLOTMAP: Dict[Key, int] = {}
 
-#: Rows per chunk when streaming a filtered single-table scan through
-#: the columnar batch passes (keeps ``EXISTS`` short-circuiting without
-#: materialising the whole filtered table).
+#: Rows per chunk when streaming a single-table scan through the
+#: columnar batch passes of a filter that is not kept (keeps ``EXISTS``
+#: short-circuiting without materialising the whole filtered table).
 _FILTER_CHUNK = 1024
 
 #: Test-only scan instrumentation installed by :mod:`repro.testing.faults`
@@ -108,8 +114,9 @@ class ExecContext:
         build degrades at ``max_probe_build_rows``, an equi index at
         ``max_probe_table_bytes``), so changing them drops probe tables,
         decorrelation decisions and hash indexes; the next run replans
-        under the new caps.  Indexes kept on a relation stay: the caps
-        only decide whether a statement may reuse one.  Results are
+        under the new caps.  What a relation keeps stays (filtered rows,
+        statistics, indexes): the caps only decide whether a statement
+        may reuse a kept index.  Results are
         unaffected — only degradation behavior changes.  No-op when the
         limits compare equal.
         """
@@ -631,15 +638,17 @@ def _membership(x, values, marked: bool = False) -> ThreeValued:
 
 
 class _Source:
-    """One FROM entry with its pushed single-table filters."""
+    """One FROM entry with its pushed single-table filters and, once they
+    are compiled, their key in the relation's store (:func:`_source_key`)."""
 
-    __slots__ = ("binding", "table", "columns", "filters")
+    __slots__ = ("binding", "table", "columns", "filters", "key")
 
     def __init__(self, binding: str, table: str, columns: Tuple[str, ...]):
         self.binding = binding
         self.table = table
         self.columns = columns
         self.filters: List[_Cond] = []
+        self.key: Optional[frozenset] = None
 
 
 class CompiledBlock:
@@ -665,6 +674,8 @@ class CompiledBlock:
         self.residuals: List[_Cond] = []
 
         self._compile_where(select.where)
+        for source in self.sources.values():
+            source.key = _source_key(source.filters)
 
         # Uncorrelated/outer-only residuals (no local keys): computed
         # eagerly so iterate() can evaluate them *before* any planning
@@ -676,7 +687,7 @@ class CompiledBlock:
         self._pre_fns = [compile_cond(c) for c in self._pre]
 
         # Runtime state, built lazily on first iteration.
-        self._filtered: Optional[Dict[str, List[Row]]] = None
+        self._filtered: Optional[Dict[str, SourceStats]] = None
         self._order: Optional[List[Tuple[str, List[Tuple[int, object]]]]] = None
         self._slotmap: Optional[Dict[Key, int]] = None
         self._indexes: Dict[
@@ -886,6 +897,29 @@ class CompiledBlock:
                 break
         return [rows[i] for i in ids]
 
+    def _store(self, source: _Source) -> Optional[Dict[object, object]]:
+        """The store of *source*'s relation if *source*'s filtered rows
+        and their indexes may be kept there: its filters hold no constant
+        (:func:`_source_key`) and the relation has a store."""
+        if source.key is None:
+            return None
+        return self.ctx.relation(source.table).indexes
+
+    def _kept_source(self, source: _Source) -> SourceStats:
+        """*source*'s filtered rows with their statistics.  Rows under
+        constant-free filters depend on nothing but the relation's rows,
+        so the first statement keeps them in the relation's store under
+        the source key, and every later statement reuses them without
+        running a pass; passes that a deadline, a cancel or a fault cut
+        short keep nothing."""
+        store = self._store(source)
+        kept = None if store is None else store.get(source.key)
+        if kept is None:
+            kept = SourceStats(self._filtered_rows(source))
+            if store is not None:
+                store[source.key] = kept
+        return kept
+
     def _batch_passes(self, source: _Source) -> List[object]:
         passes = self._passes.get(source.binding)
         if passes is None:
@@ -902,26 +936,29 @@ class CompiledBlock:
         self._build_order(env_available)
         self._attach_residuals()
 
-    def _get_filtered(self, binding: str) -> List[Row]:
+    def _source_stats(self, binding: str) -> SourceStats:
         assert self._filtered is not None
-        rows = self._filtered.get(binding)
-        if rows is None:
-            rows = self._filtered_rows(self.sources[binding])
-            self._filtered[binding] = rows
-        return rows
+        stats = self._filtered.get(binding)
+        if stats is None:
+            stats = self._filtered[binding] = self._kept_source(self.sources[binding])
+        return stats
+
+    def _get_filtered(self, binding: str) -> List[Row]:
+        return self._source_stats(binding).rows
 
     def _join_model(
         self, probes: Sequence[Tuple[Key, _Expr]], env_available: bool
     ) -> Tuple[List[str], List[float], Dict[str, SourceStats]]:
         """The selectivity-driven join-order model over *probes*: the
         binding order, each step's estimated rows (before attached
-        residuals) and the per-source statistics.  Stores nothing; the
+        residuals) and the per-source statistics.  Stores no plan; the
         planner and EXPLAIN both read the engine's cardinalities here."""
         # Score each candidate from its *filtered* cardinality and the
         # NDV of its usable equality keys (|R ⋈ S| ≈ |R|·|S| / key NDV).
         # Multi-table blocks materialise their filtered rows for hash
-        # indexes anyway, so the statistics pass reuses that work.
-        stats = {b: SourceStats(self._get_filtered(b)) for b in self.sources}
+        # indexes anyway, so the statistics pass reuses that work, and
+        # a kept source's statistics are kept with its rows.
+        stats = {b: self._source_stats(b) for b in self.sources}
         positions = {
             b: {col: i for i, col in enumerate(s.columns)}
             for b, s in self.sources.items()
@@ -1042,16 +1079,17 @@ class CompiledBlock:
         self, binding: str, columns: Tuple[str, ...]
     ) -> Optional[Dict[Tuple, List[Row]]]:
         """:meth:`_index`'s table for this statement.  An index over a
-        whole table (no pushed filter) is kept in the relation's
-        ``indexes`` under its key columns and null slots, the build's
-        only inputs besides the rows, so every later statement reuses
-        it.  Reuse charges the table's bytes, or degrades if the build
-        would have been abandoned at one of its byte check points."""
+        whole table, or over rows kept under constant-free filters, is
+        kept in the relation's ``indexes`` under its key columns and
+        null slots (the build's only inputs besides the rows), preceded
+        by the source key for filtered rows, so every later statement
+        reuses it.  Reuse charges the table's bytes, or degrades if the
+        build would have been abandoned at one of its byte check points."""
         ctx = self.ctx
         source = self.sources[binding]
         nulls = self._null_slots([(binding, col) for col in columns])
-        store = None if source.filters else ctx.relation(source.table).indexes
-        key = (columns, nulls)
+        store = self._store(source)
+        key = (source.key, columns, nulls) if source.filters else (columns, nulls)
         stored = None if store is None else store.get(key)
         if stored is None:
             meter = TableBytesMeter()
@@ -1132,18 +1170,22 @@ class CompiledBlock:
             return iter(self._get_filtered(binding))
 
         if len(self._order) == 1:
-            # Stream straight off the (possibly filtered) table so that
-            # EXISTS probes short-circuit without materialising scans.
+            # Stream straight off the table, or off the rows of a filter
+            # with constants, so that EXISTS probes short-circuit without
+            # materialising scans.  Rows under a constant-free filter are
+            # filtered whole once per database and kept instead: the
+            # first EXISTS over them scans the whole filter.
             binding, keys = self._order[0]
             checks = attached_fns[0]
+            source = self.sources[binding]
             if keys:
                 rows: Iterator[Row] = rows_for(0, ())
+            elif not source.filters:
+                rows = iter(ctx.relation(source.table).rows)
+            elif self._store(source) is None:
+                rows = self._stream_filtered(source)
             else:
-                source = self.sources[binding]
-                if source.filters:
-                    rows = self._stream_filtered(source)
-                else:
-                    rows = iter(ctx.relation(source.table).rows)
+                rows = iter(self._get_filtered(binding))
             for row in rows:
                 ctx.rows_examined += 1
                 step_actual[0] += 1
@@ -1244,6 +1286,51 @@ def _pure_probe_plan(
     if any(res.key not in covered for res in block.external):
         return None
     return tuple(pairs)
+
+
+def _source_key(filters: Sequence[_Cond]) -> Optional[frozenset]:
+    """The key of a source's filtered rows in its relation's store: the
+    set of its filters' shapes (:func:`_cond_key`; a conjunction's rows
+    do not depend on the order of its conjuncts), empty for an
+    unfiltered source, and ``None`` when a filter holds a constant."""
+    shapes = frozenset(map(_cond_key, filters))
+    return None if None in shapes else shapes
+
+
+def _cond_key(cond: _Cond) -> Optional[Tuple]:
+    """A pushed filter's shape over column names, free of bindings (two
+    aliases of one table share it), or ``None`` when the filter holds a
+    constant, a subquery or an outer column.  A constant may be a
+    parameter's value or a literal the SQL text inlined, so a store
+    keyed on it would grow with every statement."""
+    if isinstance(cond, _Cmp):
+        left, right = _expr_key(cond.left), _expr_key(cond.right)
+        if left is None or right is None:
+            return None
+        return ("cmp", cond.op, left, right, cond.marked)
+    if isinstance(cond, _IsNull):
+        expr = _expr_key(cond.expr)
+        return None if expr is None else ("null", expr, cond.negated)
+    if isinstance(cond, _InValues):
+        keys = tuple(map(_expr_key, (cond.expr, *cond.values)))
+        return None if None in keys else ("in", keys, cond.negated, cond.marked)
+    if isinstance(cond, _Bool):
+        keys = tuple(map(_cond_key, cond.items))
+        return None if None in keys else (cond.op, keys)
+    if isinstance(cond, _Not):
+        key = _cond_key(cond.item)
+        return None if key is None else ("not", key)
+    return None  # a Boolean constant or a subquery
+
+
+def _expr_key(expr: _Expr) -> Optional[Tuple]:
+    """:func:`_cond_key` of an operand."""
+    if isinstance(expr, _Col):
+        return None if expr.has_outer else ("col", expr.key[1])
+    if isinstance(expr, _Concat):
+        keys = tuple(map(_expr_key, expr.parts))
+        return None if None in keys else ("||", keys)
+    return None  # a constant or a scalar subquery
 
 
 def _contains_subquery(cond: _Cond) -> bool:

@@ -98,10 +98,10 @@ class _FaultyRows(list):
 
 class _FaultyRelation:
     """Duck-typed stand-in for :class:`~repro.data.relation.Relation`
-    exposing the attributes the engine reads.  It has no index store
+    exposing the attributes the engine reads.  It has no store
     (``indexes`` is ``None``), so the engine neither reuses nor keeps
-    an index of the real relation: every statement scans the faulty
-    rows, and the fault fires on each."""
+    the real relation's filtered rows, statistics or indexes: every
+    statement reads the faulty rows, and a scan fires the fault on each."""
 
     __slots__ = ("attributes", "rows")
     indexes = None

@@ -4,10 +4,13 @@
 An index over a whole table depends only on the rows, its key columns
 and the positions whose null keys it skips, so the first statement that
 needs it keeps it in ``Relation.indexes`` and later statements reuse it.
-Reuse must be invisible in every counter but the build's own checks: a
-statement charges the same ``table_bytes`` and degrades exactly where a
-build would have.  These tests pin that, the invalidation by
-``Relation.add``, and that filtered and cut-short builds are not kept.
+The statistics of a whole table are kept beside it, under the empty
+source key.  Reuse must be invisible in every counter but the build's
+own checks: a statement charges the same ``table_bytes`` and degrades
+exactly where a build would have.  These tests pin that, the
+invalidation by ``Relation.add``, and that indexes over rows filtered
+with a constant, and cut-short builds, are not kept.  Sources under
+constant-free filters have their own tests in ``test_filter_store.py``.
 
 References: the same statement on a fresh database (which builds), and
 stdlib ``sqlite3``.
@@ -25,8 +28,15 @@ from .test_hash_build import JOIN, KEYS, entry_bytes, make_budget_db, run
 
 def stored(relation):
     """The engine's entries of *relation*'s store (``hash_index`` keys
-    entries by attribute name, the engine by ``(columns, null slots)``)."""
-    return {key: value for key, value in relation.indexes.items() if isinstance(key, tuple)}
+    entries by attribute name; the engine keys a source's statistics by
+    its source key, an index over a whole table by ``(columns, null
+    slots)``)."""
+    return {key: value for key, value in relation.indexes.items() if not isinstance(key, str)}
+
+
+#: the source key of a source with no pushed filter, under which the
+#: store keeps the whole table's statistics
+WHOLE = frozenset()
 
 
 #: JOIN's one table is an equi index on s.c; this memoized correlated
@@ -49,10 +59,13 @@ def test_second_statement_reuses_without_build_checks(monkeypatch):
     limits = ResourceLimits(deadline_seconds=600)
     first, ctx1 = run(db, JOIN, limits=limits)
     assert len(calls) == KEYS + 40 + 40  # index build rows, r's scan, joined rows
-    assert list(stored(db["s"])) == [(("c",), ())]
+    kept = {name: stored(db[name]) for name in ("r", "s")}
+    assert list(kept["r"]) == [WHOLE]
+    assert list(kept["s"]) == [WHOLE, (("c",), ())]
     calls.clear()
     second, ctx2 = run(db, JOIN, limits=limits)
     assert len(calls) == 40 + 40  # no build
+    assert {name: stored(db[name]) for name in ("r", "s")} == kept  # the same objects
     assert second.rows == first.rows
     assert ctx2.table_bytes == ctx1.table_bytes == KEYS * entry_bytes()
     assert ctx2.degradations == ctx1.degradations == 0
@@ -163,32 +176,36 @@ def test_extend_clears_engine_and_hash_index_entries():
     db = make_budget_db()
     run(db, JOIN)
     db["s"].hash_index("y")
-    assert set(db["s"].indexes) == {(("c",), ()), "y"}
+    assert set(db["s"].indexes) == {WHOLE, (("c",), ()), "y"}
     db["s"].extend([(KEYS, 0)])
     assert not db["s"].indexes
 
 
 def test_source_with_a_pushed_filter_is_never_stored():
+    """A source whose pushed filter holds a literal keeps neither its
+    rows, its statistics nor its index; the unfiltered r keeps its
+    statistics only (it is scanned, not indexed)."""
     db = make_budget_db()
     sql = "SELECT r.x, s.y FROM r, s WHERE r.a = s.c AND s.y < 0"
     first, ctx1 = run(db, sql)
-    assert not db["s"].indexes and not db["r"].indexes
+    assert not db["s"].indexes and list(db["r"].indexes) == [WHOLE]
     second, ctx2 = run(db, sql)
     assert second.rows == first.rows
     assert ctx2.table_bytes == ctx1.table_bytes > 0
-    assert not db["s"].indexes
+    assert not db["s"].indexes and list(db["r"].indexes) == [WHOLE]
 
 
 def test_abandoned_build_is_not_stored():
     db = make_budget_db()
     _, ctx = run(db, JOIN, limits=ResourceLimits(max_probe_table_bytes=1))
     assert ctx.degradations == 1
-    assert not db["s"].indexes
+    assert list(db["s"].indexes) == [WHOLE]  # the statistics, not the index
 
 
 def test_cut_short_build_is_not_stored(monkeypatch):
-    """A deadline that fires inside the build leaves nothing behind; the
-    next statement builds the whole index."""
+    """A deadline that fires inside the build leaves no index behind
+    (the statistics the planner read before it stay); the next statement
+    builds the whole index."""
     db = make_budget_db()
     check = LimitGovernor.check
     calls = []
@@ -202,7 +219,7 @@ def test_cut_short_build_is_not_stored(monkeypatch):
     monkeypatch.setattr(LimitGovernor, "check", timeout_inside_build)
     with pytest.raises(QueryTimeout):
         run(db, JOIN, limits=ResourceLimits(deadline_seconds=600))
-    assert not db["s"].indexes
+    assert list(db["s"].indexes) == [WHOLE]
     monkeypatch.setattr(LimitGovernor, "check", check)
     result, ctx = run(db, JOIN)
     assert ctx.table_bytes == KEYS * entry_bytes()

@@ -6,7 +6,7 @@ import math
 
 from repro.data import Database, Relation
 from repro.engine.executor import PreparedQuery
-from repro.experiments import performance
+from repro.experiments import performance, scaling
 from repro.experiments.falsepos import run_false_positive_experiment
 from repro.experiments.infeasible import run_infeasibility_experiment
 from repro.experiments.performance import rewritten_queries, run_price_of_correctness
@@ -166,6 +166,32 @@ class TestScaling:
             assert set(per_scale) == {1.0, 2.0}
             for lo, hi in per_scale.values():
                 assert 0 < lo <= hi
+
+    def test_timed_runs_build_no_kept_entry(self, monkeypatch):
+        """Table 1 times one run per statement.  Untimed runs of every
+        draw's Q and Q+ keep the instance's indexes and filtered rows
+        first, so no timed run builds one and neither side of a ratio
+        pays for what both reuse."""
+        growth = []
+
+        def counting(db, query, params, repeats=3):
+            before = {name: set(db[name].indexes) for name in db}
+            result = performance.time_query(db, query, params, repeats)
+            growth.append(sum(len(set(db[name].indexes) - before[name]) for name in db))
+            return result
+
+        monkeypatch.setattr(scaling, "time_query", counting)
+        qids, draws = ("Q1", "Q2", "Q3", "Q4"), 3
+        # the first Q1 draw has no supplier in its nation and ends early
+        task = ("1:0.03", 1.0, 0.03, 104, 204, 304, qids, draws, 1, 0.1)
+        scaling._scale_rate_averages(task)
+        per_qid = 4 * draws  # untimed then timed, Q and Q+ per draw
+        assert len(growth) == len(qids) * per_qid
+        for i, qid in enumerate(qids):
+            timed = i * per_qid + 2 * draws
+            assert growth[timed:timed + 2 * draws] == [0] * (2 * draws), qid
+        # the second draw's untimed Q1 builds what the first one did not reach
+        assert growth[0] > 0 and growth[2] > 0
 
 
 class TestInfeasibility:
