@@ -33,8 +33,8 @@ class Relation:
         #: indexes of :meth:`hash_index` under the attribute name; the
         #: engine's filtered rows with their statistics under a source
         #: key (a frozenset of filter shapes, empty for the whole table),
-        #: and its equi-join and probe indexes under ``(key columns, null
-        #: slots)``, preceded by the source key over filtered rows.
+        #: and its equi-join and probe indexes under ``(source key, key
+        #: columns, null slots)``.
         self.indexes: Dict[object, object] = {}
         width = len(self.attributes)
         for row in rows:

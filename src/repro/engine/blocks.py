@@ -19,12 +19,15 @@ is how an ``OR … IS NULL`` join condition degrades to nested loops, the
 Section 7 Q4 effect), builds hash indexes once, and streams result rows
 so ``EXISTS`` probes stop at the first match.
 
-What depends only on a relation's rows is built once per relation and
-kept in ``Relation.indexes`` for later statements: a source's rows under
+Every source is read one way: its pushed filters run as columnar batch
+passes over the whole table, once per statement, and the block iterates
+the filtered rows (or an index over them).  What depends only on a
+relation's rows is built once per relation and kept in
+``Relation.indexes`` for later statements: a source's rows under
 *constant-free* pushed filters (no constant, parameter, subquery or
 outer column; :func:`_source_key`), their statistics, and the equi-join
-and probe indexes over them or over the whole table.  A single-table
-block over kept rows iterates them instead of streaming its filter.
+and probe indexes over them, all keyed by the source key (``frozenset()``
+for a whole table).
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from __future__ import annotations
 from itertools import chain, repeat, tee
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-from weakref import WeakSet
 
 from repro.algebra.conditions import like_match
 from repro.algebra.threevl import FALSE, TRUE, UNKNOWN, ThreeValued, from_bool
@@ -50,11 +52,6 @@ Key = Tuple[str, str]  # (binding, column)
 #: Cursor slotmap for rows with no local columns (pre-join conditions).
 _EMPTY_SLOTMAP: Dict[Key, int] = {}
 
-#: Rows per chunk when streaming a single-table scan through the
-#: columnar batch passes of a filter that is not kept (keeps ``EXISTS``
-#: short-circuiting without materialising the whole filtered table).
-_FILTER_CHUNK = 1024
-
 #: Test-only scan instrumentation installed by :mod:`repro.testing.faults`
 #: (``(table name, relation) -> relation`` wrapper); ``None`` in production,
 #: so the hot path pays one global load.
@@ -62,7 +59,9 @@ SCAN_FAULT_HOOK = None
 
 
 class ExecContext:
-    """Shared execution state: database, parameters, materialised CTEs."""
+    """Shared execution state: database, parameters, materialised CTEs.
+    Its limits are fixed for its whole life: lazily-built runtime state
+    (probe tables, degradation decisions, hash indexes) bakes them in."""
 
     def __init__(
         self,
@@ -100,36 +99,6 @@ class ExecContext:
         #: approximate bytes of the probe/equi hash tables this context
         #: built or reused (:class:`~repro.engine.stats.TableBytesMeter`
         #: estimates), used to enforce ``ResourceLimits.max_probe_table_bytes``
-        self.table_bytes = 0
-        #: registries for :meth:`set_limits` invalidation; weak, so that
-        #: a dropped statement's blocks and run state are freed at once
-        #: instead of waiting, as a reference cycle, for the cyclic GC
-        self._blocks: "WeakSet[CompiledBlock]" = WeakSet()
-        self._probe_preds: "WeakSet[_CorrelatedSubquery]" = WeakSet()
-
-    def set_limits(self, limits: Optional[ResourceLimits]) -> None:
-        """Swap the resource limits, invalidating limit-dependent state.
-
-        Lazily-built runtime state bakes the limits in (a probe-table
-        build degrades at ``max_probe_build_rows``, an equi index at
-        ``max_probe_table_bytes``), so changing them drops probe tables,
-        decorrelation decisions and hash indexes; the next run replans
-        under the new caps.  What a relation keeps stays (filtered rows,
-        statistics, indexes): the caps only decide whether a statement
-        may reuse a kept index.  Results are
-        unaffected — only degradation behavior changes.  No-op when the
-        limits compare equal.
-        """
-        if limits == self.limits:
-            return
-        self.limits = limits
-        self.governor = (
-            None if limits is None or limits.unlimited else LimitGovernor(limits)
-        )
-        for pred in self._probe_preds:
-            pred._reset_decor()
-        for block in self._blocks:
-            block._reset_runtime()
         self.table_bytes = 0
 
     def arm(self) -> None:
@@ -376,8 +345,7 @@ class _CorrelatedSubquery(_Cond):
 
     __slots__ = (
         "block", "negated", "needed", "local_keys", "has_outer", "_out",
-        "_cache", "decor", "_table", "_memo", "_memo_keys",
-        "_decor0", "_saved_probes", "__weakref__",
+        "_cache", "decor", "_table", "_memo", "_memo_keys", "_saved_probes",
     )
 
     def __init__(
@@ -399,9 +367,7 @@ class _CorrelatedSubquery(_Cond):
         self._table: Optional[Dict[Tuple, List[object]]] = None
         self._memo: Dict[Tuple, object] = {}
         self._memo_keys = tuple(dict.fromkeys(res.key for res in block.external))
-        self._decor0 = decor
         self._saved_probes = None
-        block.ctx._probe_preds.add(self)
 
     def answer(self, cursor, env):
         """The subquery's result for the outer row at *cursor*: a truth
@@ -496,26 +462,13 @@ class _CorrelatedSubquery(_Cond):
         The inner block gets its correlated shape back and the predicate
         falls back to memoized probing, whose results bit-match by
         construction."""
-        self._reset_decor()
-        self.decor = None
-        self.block.ctx.degradations += 1
-
-    def _reset_decor(self) -> None:
-        """Restore the predicate to its pre-decorrelation shape.
-
-        Used by :meth:`_degrade` and by :meth:`ExecContext.set_limits`:
-        probe tables, memo entries and past degradation decisions all
-        baked in the old limits, so the predicate gets its original probes
-        and decorrelation plan back and rebuilds lazily under the new caps.
-        """
         block = self.block
         if self._saved_probes is not None:
             block.probes = self._saved_probes
             self._saved_probes = None
-        self._table = None
-        self._memo.clear()
-        self.decor = self._decor0
+        self.decor = None
         block._reset_runtime()
+        block.ctx.degradations += 1
 
 
 class _Exists(_CorrelatedSubquery):
@@ -701,13 +654,11 @@ class CompiledBlock:
         # Compiled batch filter passes, cached per binding (filter sets
         # are immutable after compilation, so these survive resets).
         self._passes: Dict[str, List[object]] = {}
-        ctx._blocks.add(self)
 
     def _reset_runtime(self) -> None:
         """Drop lazily-built plan state so the next iteration re-plans
         (used when a degraded probe-table build restores the block's
-        probes after planning stripped them, and by
-        :meth:`ExecContext.set_limits`)."""
+        probes after planning stripped them)."""
         self._filtered = None
         self._order = None
         self._slotmap = None
@@ -974,9 +925,7 @@ class CompiledBlock:
                 self.probes, env_available
             )
         else:
-            # Single-table blocks stream (EXISTS short-circuits without
-            # materialising the filter), so keep the trivial order and
-            # skip the statistics pass.
+            # A single table has one order: skip the statistics pass.
             order = list(self.sources)
             self._stats = None
             self._order_estimates = None
@@ -1078,18 +1027,18 @@ class CompiledBlock:
     def _build_index(
         self, binding: str, columns: Tuple[str, ...]
     ) -> Optional[Dict[Tuple, List[Row]]]:
-        """:meth:`_index`'s table for this statement.  An index over a
-        whole table, or over rows kept under constant-free filters, is
-        kept in the relation's ``indexes`` under its key columns and
-        null slots (the build's only inputs besides the rows), preceded
-        by the source key for filtered rows, so every later statement
-        reuses it.  Reuse charges the table's bytes, or degrades if the
-        build would have been abandoned at one of its byte check points."""
+        """:meth:`_index`'s table for this statement.  An index over rows
+        kept under constant-free filters (a whole table has the empty
+        source key) is kept in the relation's ``indexes`` under the source
+        key, its key columns and null slots (the build's only inputs), so
+        every later statement reuses it.  Reuse charges the table's bytes,
+        or degrades if the build would have been abandoned at one of its
+        byte check points."""
         ctx = self.ctx
         source = self.sources[binding]
         nulls = self._null_slots([(binding, col) for col in columns])
         store = self._store(source)
-        key = (source.key, columns, nulls) if source.filters else (columns, nulls)
+        key = (source.key, columns, nulls)
         stored = None if store is None else store.get(key)
         if stored is None:
             meter = TableBytesMeter()
@@ -1170,23 +1119,10 @@ class CompiledBlock:
             return iter(self._get_filtered(binding))
 
         if len(self._order) == 1:
-            # Stream straight off the table, or off the rows of a filter
-            # with constants, so that EXISTS probes short-circuit without
-            # materialising scans.  Rows under a constant-free filter are
-            # filtered whole once per database and kept instead: the
-            # first EXISTS over them scans the whole filter.
-            binding, keys = self._order[0]
+            # One step: a flat loop saves the pipeline's generator level
+            # on every (memoized) probe of the block.
             checks = attached_fns[0]
-            source = self.sources[binding]
-            if keys:
-                rows: Iterator[Row] = rows_for(0, ())
-            elif not source.filters:
-                rows = iter(ctx.relation(source.table).rows)
-            elif self._store(source) is None:
-                rows = self._stream_filtered(source)
-            else:
-                rows = iter(self._get_filtered(binding))
-            for row in rows:
+            for row in rows_for(0, ()):
                 ctx.rows_examined += 1
                 step_actual[0] += 1
                 ctx.check()
@@ -1231,25 +1167,6 @@ class CompiledBlock:
             # the cell, or the cycle keeps this block alive until the
             # cyclic GC runs
             pipeline = None  # type: ignore[assignment]
-
-    def _stream_filtered(self, source: _Source) -> Iterator[Row]:
-        ctx = self.ctx
-        rows = ctx.relation(source.table).rows
-        # Chunked columnar filtering: batch passes over a window of row
-        # ids at a time, preserving first-match short-circuits.
-        passes = self._batch_passes(source)
-        total = len(rows)
-        start = 0
-        while start < total:
-            ctx.check()
-            ids: Sequence[int] = range(start, min(start + _FILTER_CHUNK, total))
-            for batch_pass in passes:
-                ids = batch_pass(rows, ids)
-                if not ids:
-                    break
-            for i in ids:
-                yield rows[i]
-            start += _FILTER_CHUNK
 
 
 def _pure_probe_plan(

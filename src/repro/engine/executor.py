@@ -34,9 +34,6 @@ __all__ = [
     "clear_plan_cache",
 ]
 
-#: Sentinel distinguishing "no limits argument" from ``limits=None``.
-_UNSET_LIMITS = object()
-
 _EMPTY_ENV: Dict[Tuple[str, str], object] = {}
 
 
@@ -106,21 +103,10 @@ class Executor:
         self.blocks: List[CompiledBlock] = []
 
     # ------------------------------------------------------------------
-    def prepare(
-        self,
-        query: TUnion[ast.Query, ast.Select, ast.SetOp],
-        limits: object = _UNSET_LIMITS,
-    ) -> PreparedQuery:
-        """Compile *query* into a re-runnable :class:`PreparedQuery`.
-
-        Passing ``limits=`` swaps the executor's resource limits first:
-        runtime state that baked the old limits in (probe tables,
-        degradation decisions, hash indexes) is invalidated via
-        :meth:`ExecContext.set_limits`, so the statement replans under
-        the new caps instead of reusing stale state.
-        """
-        if limits is not _UNSET_LIMITS:
-            self.ctx.set_limits(limits)  # type: ignore[arg-type]
+    def prepare(self, query: TUnion[ast.Query, ast.Select, ast.SetOp]) -> PreparedQuery:
+        """Compile *query* into a re-runnable :class:`PreparedQuery`
+        under the executor's resource limits, which are fixed for its
+        life: a run under other limits takes a new :class:`Executor`."""
         query = ast.query_of(query)
         seen = set()
         for name, sub in query.ctes:

@@ -113,7 +113,7 @@ def estimate_block(
     env_available = correlated or bool(block.probes if probes is None else probes)
     plan = _planned(block, probes, env_available)
     estimates = plan._order_estimates
-    if estimates is None:  # a single source streams without the model
+    if estimates is None:  # a single source runs without the model
         _order, estimates, _stats = plan._join_model(plan.probes, env_available)
     ran = probes is None and block._order is not None
     actual = block._step_actual if ran else None

@@ -208,54 +208,6 @@ class TestByteBudgetDegradation:
         assert ctx.table_bytes > 0
 
 
-class TestLimitsInvalidation:
-    def _db(self):
-        rows_r = [(i % 50, i % 7) for i in range(200)]
-        rows_s = [(i % 50, i % 11) for i in range(200)]
-        return Database(
-            {
-                "r": Relation(("a", "b"), rows_r),
-                "s": Relation(("c", "d"), rows_s),
-            }
-        )
-
-    def test_prepare_with_new_limits_replans(self):
-        db = self._db()
-        query = parse_sql(
-            "SELECT a FROM r WHERE EXISTS (SELECT * FROM s WHERE s.c = r.a)"
-        )
-        executor = Executor(db)
-        baseline = executor.prepare(query).run()
-        assert executor.ctx.decorrelated_probes > 0
-        assert executor.ctx.degradations == 0
-
-        # Tighten: the already-built probe table baked in the old limits,
-        # so prepare(limits=...) must drop it and degrade on the rerun.
-        capped = executor.prepare(
-            query, limits=ResourceLimits(max_probe_build_rows=1)
-        ).run()
-        assert executor.ctx.degradations > 0
-        assert capped.rows == baseline.rows
-
-        # Relax back to unlimited: decorrelation comes back.
-        before = executor.ctx.decorrelated_probes
-        relaxed = executor.prepare(query, limits=None).run()
-        assert executor.ctx.decorrelated_probes > before
-        assert relaxed.rows == baseline.rows
-
-    def test_equal_limits_are_a_noop(self):
-        db = self._db()
-        query = parse_sql("SELECT r.a FROM r, s WHERE r.a = s.c AND r.b = 1")
-        limits = ResourceLimits(max_probe_table_bytes=1 << 30)
-        executor = Executor(db, limits=limits)
-        executor.prepare(query).run()
-        bytes_before = executor.ctx.table_bytes
-        assert bytes_before > 0
-        # Same caps (a fresh but equal dataclass): state must survive.
-        executor.prepare(query, limits=ResourceLimits(max_probe_table_bytes=1 << 30))
-        assert executor.ctx.table_bytes == bytes_before
-
-
 class TestJoinOrderAndExplain:
     def test_small_filtered_side_drives_first(self):
         rows_r = [(i, i % 3) for i in range(100)]

@@ -12,8 +12,8 @@ the passes' own checks, what is shared and what is never kept, the
 invalidation by ``Relation.add``, and that cut-short passes keep nothing.
 
 References: stdlib ``sqlite3``, the same statement on a fresh database,
-and a relation without a store, which streams its filters chunk by chunk
-(every filter did so before the store).
+and a relation without a store, whose filters run once per statement and
+are not kept.
 """
 
 import pytest
@@ -59,8 +59,10 @@ def filter_entries(relation):
 
 
 def filtered_indexes(relation):
-    """The kept indexes over filtered rows: ``(source key, columns, null slots)``."""
-    return [key for key in relation.indexes if isinstance(key, tuple) and len(key) == 3]
+    """The kept indexes over filtered rows: ``(source key, columns, null
+    slots)`` with a non-empty source key (an index over the whole table
+    has the empty one)."""
+    return [key for key in relation.indexes if isinstance(key, tuple) and key[0]]
 
 
 @pytest.fixture
@@ -232,8 +234,9 @@ def test_add_invalidates_the_store():
     assert engine_bag(second.rows) == sqlite_rows(db, sql)
 
 
-def streaming_db():
-    """A database whose s has no store: its filters stream in chunks."""
+def unkept_filter_db():
+    """A database whose s has no store: its filters run once per
+    statement and are not kept."""
     db = make_db()
     db["s"].indexes = None
     return db
@@ -244,16 +247,16 @@ def streaming_db():
 ])
 def test_single_table_exists_over_a_kept_filter(sql):
     """An EXISTS over kept rows filters the whole source once per
-    database instead of stopping at its first match, but it still stops
-    iterating at the first match: answers and ``rows_examined`` are those
-    of a fresh database and of a streamed filter."""
+    database, but the block still stops iterating at the first match:
+    answers and ``rows_examined`` are those of a fresh database and of a
+    filter run per statement and not kept."""
     warm = make_db()
     run(warm, sql)
     reused, ctx_r = run(warm, sql)
     fresh, ctx_f = run(make_db(), sql)
-    streamed, ctx_s = run(streaming_db(), sql)
-    assert reused.rows == fresh.rows == streamed.rows
-    assert ctx_r.rows_examined == ctx_f.rows_examined == ctx_s.rows_examined
+    unkept, ctx_u = run(unkept_filter_db(), sql)
+    assert reused.rows == fresh.rows == unkept.rows
+    assert ctx_r.rows_examined == ctx_f.rows_examined == ctx_u.rows_examined
     assert engine_bag(reused.rows) == sqlite_rows(warm, sql)
 
 
@@ -290,7 +293,7 @@ def test_scan_fault_fires_on_every_statement():
     kept = dict(db["s"].indexes)
     # s1's filtered rows, s2's whole-table statistics and its index on y
     assert len(filter_entries(db["s"])) == 1
-    assert set(kept) - set(filter_entries(db["s"])) == {frozenset(), (("y",), ())}
+    assert set(kept) - set(filter_entries(db["s"])) == {frozenset(), (frozenset(), ("y",), ())}
     with faults.scan_fault("s", nth=5) as fault:
         for _ in range(2):
             with pytest.raises(faults.InjectedFault):

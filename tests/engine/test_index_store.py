@@ -29,8 +29,7 @@ from .test_hash_build import JOIN, KEYS, entry_bytes, make_budget_db, run
 def stored(relation):
     """The engine's entries of *relation*'s store (``hash_index`` keys
     entries by attribute name; the engine keys a source's statistics by
-    its source key, an index over a whole table by ``(columns, null
-    slots)``)."""
+    its source key, an index by ``(source key, columns, null slots)``)."""
     return {key: value for key, value in relation.indexes.items() if not isinstance(key, str)}
 
 
@@ -61,7 +60,7 @@ def test_second_statement_reuses_without_build_checks(monkeypatch):
     assert len(calls) == KEYS + 40 + 40  # index build rows, r's scan, joined rows
     kept = {name: stored(db[name]) for name in ("r", "s")}
     assert list(kept["r"]) == [WHOLE]
-    assert list(kept["s"]) == [WHOLE, (("c",), ())]
+    assert list(kept["s"]) == [WHOLE, (WHOLE, ("c",), ())]
     calls.clear()
     second, ctx2 = run(db, JOIN, limits=limits)
     assert len(calls) == 40 + 40  # no build
@@ -152,7 +151,7 @@ def test_sql_and_marked_nulls_share_one_database(repeat_labels):
             if not repeat_labels:
                 assert results[True] == results[False]
     # the marked build keeps null keys, the SQL-null one skips them
-    assert ((("c",), ()) in stored(db["s"])) and ((("c",), (0,)) in stored(db["s"]))
+    assert (WHOLE, ("c",), ()) in stored(db["s"]) and (WHOLE, ("c",), (0,)) in stored(db["s"])
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +175,7 @@ def test_extend_clears_engine_and_hash_index_entries():
     db = make_budget_db()
     run(db, JOIN)
     db["s"].hash_index("y")
-    assert set(db["s"].indexes) == {WHOLE, (("c",), ()), "y"}
+    assert set(db["s"].indexes) == {WHOLE, (WHOLE, ("c",), ()), "y"}
     db["s"].extend([(KEYS, 0)])
     assert not db["s"].indexes
 

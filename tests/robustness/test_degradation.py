@@ -86,16 +86,15 @@ class TestDegradationAccounting:
         assert engine_bag(full.rows) == sqlite_rows(probe_db, IN_SQL)
 
     def test_degrading_after_a_cut_short_build_keeps_the_correlation(self, probe_db):
-        # A fault cuts the first build short; the rerun finishes it.  A
-        # later limit change that degrades the predicate must restore the
-        # inner block's correlated probes, not the stripped ones.
-        executor = Executor(probe_db)
+        # A fault cuts the first build short, below the cap; the rerun
+        # trips the cap and degrades the predicate, which must restore
+        # the inner block's correlated probes, not the stripped ones.
+        full, _ = run(probe_db, NOT_EXISTS_SQL)
+        executor = Executor(probe_db, limits=ResourceLimits(max_probe_build_rows=50))
         prepared = executor.prepare(parse_sql(NOT_EXISTS_SQL))
         with scan_fault("s", nth=3, times=1):
             with pytest.raises(InjectedFault):
                 prepared.run()
-        full = prepared.run()
-        executor.ctx.set_limits(ResourceLimits(max_probe_build_rows=0))
         degraded = prepared.run()
         assert executor.ctx.degradations == 1
         assert degraded.rows == full.rows

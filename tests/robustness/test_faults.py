@@ -84,6 +84,27 @@ class TestScanFaults:
                 )
             assert time.monotonic() - start < 5.0
 
+    @pytest.mark.parametrize("where", ["a > b", "a > 5"])
+    def test_fires_inside_a_filter_pass(self, where):
+        # A filter pass reads rows by position, not by iterating the
+        # table: a constant-free filter and one with a literal both fire.
+        db = Database({"t": Relation(("a", "b"), [(i % 9, i % 4) for i in range(30)])})
+        sql = f"SELECT a FROM t WHERE {where}"
+        with faults.scan_fault("t", nth=5) as fault:
+            with pytest.raises(faults.InjectedFault):
+                execute_sql(db, sql)
+            assert fault.fired == 1
+        assert len(execute_sql(db, sql)) > 5
+
+    def test_delay_inside_a_filter_pass_is_caught_by_deadline(self, db):
+        with faults.scan_fault("t", nth=100, delay=0.15):
+            with pytest.raises(QueryTimeout):
+                execute_sql(
+                    db,
+                    "SELECT a FROM t WHERE a > 5",
+                    limits=ResourceLimits(deadline_seconds=0.05),
+                )
+
     def test_delay_without_limits_completes(self, db):
         with faults.scan_fault("t", nth=100, delay=0.01):
             assert len(execute_sql(db, "SELECT a FROM t")) == 200
