@@ -9,7 +9,7 @@ set semantics is required.  Here deduplication is explicit via
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, cast
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.data.nulls import is_null
 
@@ -154,7 +154,7 @@ class Relation:
             for row in self.rows:
                 built.setdefault(row[i], []).append(row)
             index = self.indexes[attribute] = built
-        return cast(Dict[object, List[Row]], index)
+        return index  # type: ignore[return-value]
 
     def pretty(self, limit: int = 20) -> str:
         """Small ASCII rendering for examples and docs."""

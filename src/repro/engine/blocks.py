@@ -39,10 +39,10 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 from repro.algebra.conditions import like_match
 from repro.algebra.threevl import FALSE, TRUE, UNKNOWN, ThreeValued, from_bool
 from repro.data.nulls import Null, is_null
-from repro.engine.limits import LimitGovernor, ResourceLimits
-from repro.engine.scope import CompileScope, EngineError, Resolution
+from repro.engine.limits import EngineError, LimitGovernor, ResourceLimits
 from repro.engine.stats import SourceStats, TableBytesMeter, choose_join_order
 from repro.sql import ast
+from repro.sql.scope import BlockScope, Resolution
 
 __all__ = ["CompiledBlock", "ExecContext"]
 
@@ -117,6 +117,15 @@ class ExecContext:
         if governor is not None:
             governor.check(self.rows_examined + self.probe_build_rows)
 
+    def columns_of(self, name: str) -> Optional[Tuple[str, ...]]:
+        """The columns of view or table *name*, or ``None`` if there is none."""
+        relation = self.ctes.get(name)
+        if relation is None:
+            if name not in self.db:
+                return None
+            relation = self.db[name]
+        return relation.attributes
+
     def relation(self, name: str):
         if name in self.ctes:
             relation = self.ctes[name]
@@ -128,6 +137,10 @@ class ExecContext:
         if SCAN_FAULT_HOOK is not None:
             relation = SCAN_FAULT_HOOK(name, relation)
         return relation
+
+
+def _engine_error(message: str, node: object) -> EngineError:
+    return EngineError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +365,7 @@ class _CorrelatedSubquery(_Cond):
         self,
         block: "CompiledBlock",
         negated: bool,
-        parent_scope: CompileScope,
+        parent_scope: BlockScope,
         decor: Optional[Tuple[Tuple[Key, Key], ...]],
     ):
         self.block = block
@@ -476,7 +489,7 @@ class _Exists(_CorrelatedSubquery):
 
     __slots__ = ()
 
-    def __init__(self, block: "CompiledBlock", negated: bool, parent_scope: CompileScope):
+    def __init__(self, block: "CompiledBlock", negated: bool, parent_scope: BlockScope):
         super().__init__(block, negated, parent_scope, _pure_probe_plan(block, parent_scope))
         self._out = None
 
@@ -504,7 +517,7 @@ class _InSubquery(_CorrelatedSubquery):
         block: "CompiledBlock",
         out: _Expr,
         negated: bool,
-        parent_scope: CompileScope,
+        parent_scope: BlockScope,
     ):
         decor = None if out.has_outer else _pure_probe_plan(block, parent_scope)
         super().__init__(block, negated, parent_scope, decor)
@@ -605,18 +618,14 @@ class _Source:
 
 
 class CompiledBlock:
-    def __init__(self, select: ast.Select, ctx: ExecContext, parent: Optional[CompileScope]):
+    def __init__(self, select: ast.Select, ctx: ExecContext, parent: Optional[BlockScope]):
         self.select = select
         self.ctx = ctx
-        self.sources: Dict[str, _Source] = {}
-        for ref in select.tables:
-            relation = ctx.relation(ref.name)
-            if ref.binding in self.sources:
-                raise EngineError(f"duplicate binding {ref.binding!r}")
-            self.sources[ref.binding] = _Source(ref.binding, ref.name, relation.attributes)
-        self.scope = CompileScope(
-            {b: s.columns for b, s in self.sources.items()}, parent=parent
-        )
+        self.scope = BlockScope(select.tables, ctx.columns_of, _engine_error, parent)
+        self.sources: Dict[str, _Source] = {
+            binding: _Source(binding, table, self.scope.columns[binding])
+            for binding, table in self.scope.tables.items()
+        }
         #: resolutions into enclosing scopes (this block + its subblocks)
         self.external: List[Resolution] = []
         #: (local key, outer expression) equality probes
@@ -1170,7 +1179,7 @@ class CompiledBlock:
 
 
 def _pure_probe_plan(
-    block: "CompiledBlock", parent_scope: CompileScope
+    block: "CompiledBlock", parent_scope: BlockScope
 ) -> Optional[Tuple[Tuple[Key, Key], ...]]:
     """``((local key, outer key), …)`` when *block*'s correlation consists
     purely of equality probes against plain columns of the immediate outer

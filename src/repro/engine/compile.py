@@ -36,7 +36,7 @@ from repro.algebra.conditions import _like_regex, like_match
 from repro.algebra.threevl import FALSE, TRUE, UNKNOWN
 from repro.data.nulls import Null
 from repro.engine import blocks as B
-from repro.engine.scope import EngineError
+from repro.engine.limits import EngineError
 
 __all__ = [
     "compile_expr",

@@ -19,10 +19,10 @@ from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine.blocks import CompiledBlock, ExecContext
 from repro.engine.compile import compile_expr
-from repro.engine.limits import ResourceLimits
-from repro.engine.scope import EngineError
+from repro.engine.limits import EngineError, ResourceLimits
 from repro.sql import ast
 from repro.sql.parser import parse_sql
+from repro.sql.scope import output_columns
 
 __all__ = [
     "Executor",
@@ -181,48 +181,14 @@ class Executor:
 
     def _output_plan(self, select: ast.Select, block: CompiledBlock):
         """Compile the SELECT list into (name, getter) pairs."""
-        outputs: List[Tuple[str, object]] = []
-        if len(select.columns) == 1 and isinstance(select.columns[0], ast.Star):
-            for binding, source in block.sources.items():
-                for column in source.columns:
-                    key = (binding, column)
-                    outputs.append((column, _slot_getter(key)))
-            return self._dedupe_names(outputs, block)
-        for col in select.columns:
-            if isinstance(col, ast.Star):
-                raise EngineError("* mixed with explicit output columns")
-            expr = block._expr(col.expr)
-            if col.alias:
-                name = col.alias
-            elif isinstance(col.expr, ast.ColumnRef):
-                name = col.expr.name
-            elif isinstance(col.expr, ast.Aggregate):
-                name = col.expr.func
-            else:
-                name = f"column{len(outputs) + 1}"
-            outputs.append((name, _expr_getter(expr)))
-        return self._dedupe_names(outputs, block)
-
-    @staticmethod
-    def _dedupe_names(outputs, block):
-        seen: Dict[str, int] = {}
-        result = []
-        for name, getter in outputs:
-            if name in seen:
-                seen[name] += 1
-                name = f"{name}_{seen[name]}"
-            else:
-                seen[name] = 0
-            result.append((name, getter))
-        return result
-
-
-def _slot_getter(key):
-    def getter(cursor):
-        slotmap, row = cursor
-        return row[slotmap[key]]
-
-    return getter
+        if len(select.columns) > 1 and any(
+            isinstance(col, ast.Star) for col in select.columns
+        ):
+            raise EngineError("* mixed with explicit output columns")
+        return [
+            (name, _expr_getter(block._expr(expr)))
+            for name, expr in output_columns(select, block.scope)
+        ]
 
 
 def _expr_getter(expr):

@@ -8,9 +8,10 @@ without a deadline; this module supplies the vocabulary:
 * :class:`ResourceLimits` — an immutable bundle of caps a caller may
   attach to an execution (``limits=`` on :class:`~repro.engine.Executor`,
   :func:`~repro.engine.execute_sql`, …);
-* a structured exception hierarchy rooted at :class:`ResourceError`
-  (itself an :class:`~repro.engine.scope.EngineError`, so existing
-  blanket handlers keep working): :class:`QueryTimeout` for wall-clock
+* :class:`EngineError`, the engine's compile-time and run-time
+  failure, and under it a structured hierarchy rooted at
+  :class:`ResourceError` (so blanket ``EngineError`` handlers keep
+  working): :class:`QueryTimeout` for wall-clock
   deadlines, :class:`RowBudgetExceeded` for row budgets and
   :class:`QueryCancelled` for cooperative cancellation;
 * :class:`CancelToken` — a one-shot flag another thread may fire to
@@ -35,9 +36,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.engine.scope import EngineError
-
 __all__ = [
+    "EngineError",
     "ResourceLimits",
     "ResourceError",
     "QueryTimeout",
@@ -46,6 +46,10 @@ __all__ = [
     "CancelToken",
     "LimitGovernor",
 ]
+
+
+class EngineError(ValueError):
+    """Execution-time or compile-time engine failure."""
 
 
 class CancelToken:

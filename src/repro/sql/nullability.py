@@ -1,4 +1,4 @@
-"""Name resolution and nullability analysis for the SQL rewriter.
+"""Nullability analysis for the SQL rewriter.
 
 The appendix rewrites of the paper add ``OR x IS NULL`` escapes only for
 attributes that can actually be null at that point.  Two sources of
@@ -13,16 +13,20 @@ attributes that can actually be null at that point.  Two sources of
    ``OR l1.l_suppkey IS NULL`` inside the ``NOT EXISTS``.
 
 This module provides the :class:`Catalog` (schema + ``WITH`` views), the
-:class:`Scope` chain (FROM bindings, with parent links for correlation)
-and :func:`forced_nonnull` (the positive-context analysis).
+rewriter's :class:`Scope` (a :class:`~repro.sql.scope.BlockScope` that
+also carries the catalog and the forced non-null facts) and
+:func:`forced_nonnull` (the positive-context analysis).  Names resolve
+and outputs are named by :mod:`repro.sql.scope`, as in the engine and
+the algebra translator.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, cast
 
 from repro.data.schema import DatabaseSchema
 from repro.sql import ast
+from repro.sql.scope import BlockScope, Resolution, output_columns
 
 __all__ = ["Catalog", "Scope", "forced_nonnull", "RewriteError", "columns_in_expr"]
 
@@ -61,11 +65,10 @@ class Catalog:
     def has_table(self, name: str) -> bool:
         return name in self._columns or name in self.schema
 
-    def columns_of(self, name: str) -> Tuple[str, ...]:
+    def columns_of(self, name: str) -> Optional[Tuple[str, ...]]:
+        """The columns of view or table *name*, or ``None`` if there is none."""
         columns = self._columns.get(name)
-        if columns is None:
-            if name not in self.schema:
-                raise RewriteError(f"unknown table {name!r}")
+        if columns is None and name in self.schema:
             columns = self._columns[name] = self.schema[name].attribute_names
         return columns
 
@@ -79,59 +82,37 @@ class Catalog:
         """Derive a view's output columns and their nullability."""
         columns, nullable = self._analyze_view(query)
         self._columns[name] = columns
-        self._view_nullable[name] = nullable
+        self._view_nullable[name] = dict(zip(columns, nullable))
 
-    def _analyze_view(self, query: ast.Query) -> Tuple[Tuple[str, ...], Dict[str, bool]]:
+    def _analyze_view(self, query: ast.Query) -> Tuple[Tuple[str, ...], List[bool]]:
+        """The view's output columns and, by position, whether each may
+        be null; set operands are merged by position, as SQL pairs them."""
         body = query.body
         if isinstance(body, ast.SetOp):
-            left_cols, left_null = self._analyze_view(body.left)
-            _right_cols, right_null = self._analyze_view(body.right)
-            merged = {
-                col: left_null[col] or right_null.get(col, True) for col in left_cols
-            }
-            return left_cols, merged
+            columns, left = self._analyze_view(body.left)
+            _right_columns, right = self._analyze_view(body.right)
+            right += [True] * (len(left) - len(right))
+            return columns, [lnull or rnull for lnull, rnull in zip(left, right)]
         assert isinstance(body, ast.Select)
         scope = Scope(body.tables, self)
-        columns: List[str] = []
-        nullable: Dict[str, bool] = {}
-        for col in body.columns:
-            if isinstance(col, ast.Star):
-                for binding, table in scope.bindings.items():
-                    for name in self.columns_of(table):
-                        columns.append(name)
-                        nullable[name] = self.is_nullable(table, name)
-                continue
-            if isinstance(col.expr, ast.ColumnRef):
-                out_name = col.alias or col.expr.name
-                resolved = scope.resolve(col.expr)
-                columns.append(out_name)
-                nullable[out_name] = self.is_nullable(resolved.table, resolved.column)
-            else:
-                out_name = col.alias or f"column{len(columns) + 1}"
-                columns.append(out_name)
-                nullable[out_name] = True
-        return tuple(columns), nullable
+        named = output_columns(body, scope)
+        nullable = [
+            self.nullable_at(scope.resolve(expr))
+            if isinstance(expr, ast.ColumnRef)
+            else True
+            for _name, expr in named
+        ]
+        return tuple(name for name, _expr in named), nullable
+
+    def nullable_at(self, resolved: Resolution) -> bool:
+        """May the base column of a resolved reference hold a null?"""
+        return self.is_nullable(resolved.scope.tables[resolved.binding], resolved.column)
 
 
-class ResolvedColumn:
-    """Where a column reference landed: scope, binding and base table."""
-
-    __slots__ = ("scope", "binding", "table", "column", "depth")
-
-    def __init__(self, scope: "Scope", binding: str, table: str, column: str, depth: int):
-        self.scope = scope
-        self.binding = binding
-        self.table = table
-        self.column = column
-        self.depth = depth
-
-    @property
-    def key(self) -> Tuple[str, str]:
-        return (self.binding, self.column)
-
-
-class Scope:
-    """FROM bindings of one SELECT block, chained to the enclosing block."""
+class Scope(BlockScope):
+    """FROM bindings of one SELECT block, chained to the enclosing block,
+    with the catalog they resolve against and the columns the positive
+    context forces non-null."""
 
     def __init__(
         self,
@@ -139,51 +120,26 @@ class Scope:
         catalog: Catalog,
         parent: Optional["Scope"] = None,
     ):
+        super().__init__(tables, catalog.columns_of, _rewrite_error, parent)
         self.catalog = catalog
-        self.parent = parent
-        self.bindings: Dict[str, str] = {}
         #: (binding, column) pairs proven non-null by the positive context.
         self.forced_nonnull: Set[Tuple[str, str]] = set()
-        for ref in tables:
-            if ref.binding in self.bindings:
-                raise RewriteError(f"duplicate table binding {ref.binding!r}", node=ref)
-            if not catalog.has_table(ref.name):
-                raise RewriteError(f"unknown table {ref.name!r}", node=ref)
-            self.bindings[ref.binding] = ref.name
-
-    def resolve(self, column: ast.ColumnRef, depth: int = 0) -> ResolvedColumn:
-        if column.qualifier is not None:
-            if column.qualifier in self.bindings:
-                table = self.bindings[column.qualifier]
-                if column.name not in self.catalog.columns_of(table):
-                    raise RewriteError(
-                        f"no column {column.name!r} in table {table!r} "
-                        f"(binding {column.qualifier!r})",
-                        node=column,
-                    )
-                return ResolvedColumn(self, column.qualifier, table, column.name, depth)
-        else:
-            owners = [
-                (binding, table)
-                for binding, table in self.bindings.items()
-                if column.name in self.catalog.columns_of(table)
-            ]
-            if len(owners) > 1:
-                raise RewriteError(f"ambiguous column {column.name!r}", node=column)
-            if owners:
-                binding, table = owners[0]
-                return ResolvedColumn(self, binding, table, column.name, depth)
-        if self.parent is not None:
-            return self.parent.resolve(column, depth + 1)
-        raise RewriteError(f"cannot resolve column {column.display!r}", node=column)
 
     # ------------------------------------------------------------------
     def is_possibly_null(self, column: ast.ColumnRef) -> bool:
         """May this reference evaluate to NULL at this point in the query?"""
-        resolved = self.resolve(column)
-        if not resolved.scope.catalog.is_nullable(resolved.table, resolved.column):
+        return self.may_be_null(self.resolve(column))
+
+    def may_be_null(self, resolved: Resolution, raw: bool = False) -> bool:
+        """May a column this scope resolved be NULL here?  *raw* ignores
+        the non-null facts of the positive context."""
+        if not self.catalog.nullable_at(resolved):
             return False
-        return resolved.key not in resolved.scope.forced_nonnull
+        return raw or resolved.key not in cast("Scope", resolved.scope).forced_nonnull
+
+
+def _rewrite_error(message: str, node: object) -> RewriteError:
+    return RewriteError(message, node=node)
 
 
 def columns_in_expr(expr: ast.SqlExpr) -> List[ast.ColumnRef]:

@@ -70,6 +70,7 @@ from repro.sql.nullability import (
     columns_in_expr,
     forced_nonnull,
 )
+from repro.sql.scope import output_columns
 
 __all__ = [
     "rewrite_certain",
@@ -221,9 +222,7 @@ class _ModeRewriter:
             except RewriteError as err:
                 self._exit(err, column)
                 continue
-            if not resolved.scope.catalog.is_nullable(resolved.table, resolved.column):
-                continue
-            if raw or resolved.key not in resolved.scope.forced_nonnull:
+            if scope.may_be_null(resolved, raw):
                 found.append((column, resolved.depth))
         return found
 
@@ -623,7 +622,7 @@ class _ModeRewriter:
     def _requalify(self, expr: ast.SqlExpr, scope: Scope, sub_scope: Scope) -> ast.SqlExpr:
         if isinstance(expr, ast.ColumnRef):
             resolved = scope.resolve(expr)
-            if resolved.binding in sub_scope.bindings:
+            if resolved.binding in sub_scope.tables:
                 raise RewriteError(
                     f"binding {resolved.binding!r} is shadowed inside the IN "
                     "subquery; alias one of the tables",
@@ -677,23 +676,16 @@ class _ModeRewriter:
         except RewriteError:
             return []
         nullable: List[str] = []
-        for col in body.columns:
-            if isinstance(col, ast.Star):
-                for table in scope.bindings.values():
-                    for name in self.catalog.columns_of(table):
-                        if self.catalog.is_nullable(table, name):
-                            nullable.append(name)
-                continue
-            expr = col.expr
+        for name, expr in output_columns(body, scope):
             if isinstance(expr, ast.ColumnRef):
                 try:
                     if scope.is_possibly_null(expr):
-                        nullable.append(col.alias or expr.name)
+                        nullable.append(name)
                 except RewriteError:
                     continue
             elif not isinstance(expr, (ast.Literal, ast.Param)):
                 # Concats, aggregates and scalar subqueries may be NULL.
-                nullable.append(col.alias or f"column{len(nullable) + 1}")
+                nullable.append(name)
         return nullable
 
 

@@ -9,9 +9,11 @@ the subquery's ``FROM`` product and whose condition is the subquery's
 correlation, which covers the paper's queries; a reference two or more
 blocks out raises :class:`AlgebraTranslationError`).
 
-Attributes are qualified as ``binding.column`` throughout and renamed to
-their SQL output names at the top of each block, so translated queries
-evaluate to relations directly comparable with the engine's output.
+Names resolve through :mod:`repro.sql.scope`, as in the engine and the
+rewriter.  Attributes are qualified as ``binding.column`` throughout and
+renamed at the top of each block to the output names of
+:func:`~repro.sql.scope.output_columns`, so translated queries evaluate
+to relations with the engine's column names.
 
 Scalar aggregate subqueries are not first-order; per Section 7 they are
 treated as black-box constants, supplied via ``scalar_resolver``.
@@ -19,7 +21,7 @@ treated as black-box constants, supplied via ``scalar_resolver``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union as TUnion
+from typing import Callable, Dict, List, Optional, Tuple, Union as TUnion
 
 from repro.algebra import conditions as AC
 from repro.algebra.expr import (
@@ -37,6 +39,7 @@ from repro.algebra.expr import (
 )
 from repro.algebra.infer import attribute_lookup
 from repro.sql import ast
+from repro.sql.scope import BlockScope, output_columns
 
 __all__ = ["sql_to_algebra", "AlgebraTranslationError"]
 
@@ -45,55 +48,15 @@ class AlgebraTranslationError(ValueError):
     """The query falls outside the algebra-translatable fragment."""
 
 
-class _Scope:
-    """Name resolution for one SELECT block (with a link to the outer one)."""
+def _translation_error(message: str, node: object) -> AlgebraTranslationError:
+    return AlgebraTranslationError(message)
 
-    def __init__(
-        self,
-        tables: Sequence[ast.TableRef],
-        attrs_of: Callable[[str], Tuple[str, ...]],
-        parent: Optional["_Scope"] = None,
-    ):
-        self.parent = parent
-        self.bindings: Dict[str, Tuple[str, ...]] = {}
-        for ref in tables:
-            if ref.binding in self.bindings:
-                raise AlgebraTranslationError(
-                    f"duplicate table binding {ref.binding!r}"
-                )
-            self.bindings[ref.binding] = attrs_of(ref.name)
 
-    def qualified_attributes(self) -> List[str]:
-        return [
-            f"{binding}.{attr}"
-            for binding, attrs in self.bindings.items()
-            for attr in attrs
-        ]
-
-    def resolve(self, column: ast.ColumnRef, depth: int = 0) -> Tuple[str, int]:
-        """Return the qualified name and scope depth (0 = this block)."""
-        if column.qualifier is not None:
-            if column.qualifier in self.bindings:
-                if column.name not in self.bindings[column.qualifier]:
-                    raise AlgebraTranslationError(
-                        f"no column {column.name!r} in {column.qualifier!r}"
-                    )
-                return f"{column.qualifier}.{column.name}", depth
-        else:
-            owners = [
-                binding
-                for binding, attrs in self.bindings.items()
-                if column.name in attrs
-            ]
-            if len(owners) > 1:
-                raise AlgebraTranslationError(
-                    f"ambiguous column {column.name!r} (tables {sorted(owners)})"
-                )
-            if owners:
-                return f"{owners[0]}.{column.name}", depth
-        if self.parent is not None:
-            return self.parent.resolve(column, depth + 1)
-        raise AlgebraTranslationError(f"cannot resolve column {column.display!r}")
+def _qualified(scope: BlockScope, column: ast.ColumnRef) -> Tuple[str, int]:
+    """The ``binding.column`` attribute *column* names and its scope
+    depth (0 = this block)."""
+    resolved = scope.resolve(column)
+    return f"{resolved.binding}.{resolved.column}", resolved.depth
 
 
 class _Translator:
@@ -112,23 +75,41 @@ class _Translator:
         self.ctes: Dict[str, Tuple[Expr, Tuple[str, ...]]] = {}
 
     # ------------------------------------------------------------------
-    def attrs_of(self, table: str) -> Tuple[str, ...]:
+    def attrs_of(self, table: str) -> Optional[Tuple[str, ...]]:
         if table in self.ctes:
             return self.ctes[table][1]
-        return tuple(self._base_lookup(table))
+        try:
+            return tuple(self._base_lookup(table))
+        except KeyError:
+            return None
 
-    def table_expr(self, ref: ast.TableRef) -> Expr:
-        if ref.name in self.ctes:
-            expr, attrs = self.ctes[ref.name]
-        else:
-            expr, attrs = RelationRef(ref.name), self.attrs_of(ref.name)
-        mapping = {attr: f"{ref.binding}.{attr}" for attr in attrs}
-        return Rename(expr, mapping)
+    def from_clause(
+        self, select: ast.Select, outer: Optional[BlockScope]
+    ) -> Tuple[BlockScope, Expr]:
+        """The block's scope and the product of its ``FROM`` tables, each
+        attribute qualified by its binding."""
+        scope = BlockScope(select.tables, self.attrs_of, _translation_error, outer)
+        expr: Optional[Expr] = None
+        for binding, table_name in scope.tables.items():
+            table = (
+                self.ctes[table_name][0]
+                if table_name in self.ctes
+                else RelationRef(table_name)
+            )
+            table = Rename(
+                table, {attr: f"{binding}.{attr}" for attr in scope.columns[binding]}
+            )
+            expr = table if expr is None else Product(expr, table)
+        if expr is None:
+            raise AlgebraTranslationError("FROM clause is empty")
+        return scope, expr
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def query(self, query: ast.Query, scope: Optional[_Scope] = None) -> Tuple[Expr, Tuple[str, ...]]:
+    def query(
+        self, query: ast.Query, scope: Optional[BlockScope] = None
+    ) -> Tuple[Expr, Tuple[str, ...]]:
         saved = dict(self.ctes)
         try:
             for name, sub in query.ctes:
@@ -138,7 +119,7 @@ class _Translator:
             self.ctes = saved
 
     def body(
-        self, body: TUnion[ast.Select, ast.SetOp], scope: Optional[_Scope]
+        self, body: TUnion[ast.Select, ast.SetOp], scope: Optional[BlockScope]
     ) -> Tuple[Expr, Tuple[str, ...]]:
         if isinstance(body, ast.Select):
             return self.select(body, scope)
@@ -153,15 +134,9 @@ class _Translator:
 
     # ------------------------------------------------------------------
     def select(
-        self, select: ast.Select, outer: Optional[_Scope]
+        self, select: ast.Select, outer: Optional[BlockScope]
     ) -> Tuple[Expr, Tuple[str, ...]]:
-        scope = _Scope(select.tables, self.attrs_of, parent=outer)
-        expr: Expr = None  # type: ignore[assignment]
-        for ref in select.tables:
-            table = self.table_expr(ref)
-            expr = table if expr is None else Product(expr, table)
-        if expr is None:
-            raise AlgebraTranslationError("FROM clause is empty")
+        scope, expr = self.from_clause(select, outer)
 
         if select.where is not None:
             expr = self.apply_condition(expr, select.where, scope)
@@ -169,38 +144,40 @@ class _Translator:
         return self.project(expr, select, scope)
 
     def project(
-        self, expr: Expr, select: ast.Select, scope: _Scope
+        self, expr: Expr, select: ast.Select, scope: BlockScope
     ) -> Tuple[Expr, Tuple[str, ...]]:
-        if len(select.columns) == 1 and isinstance(select.columns[0], ast.Star):
-            attrs = tuple(scope.qualified_attributes())
-            return Projection(expr, attrs), attrs
+        star = any(isinstance(col, ast.Star) for col in select.columns)
+        if star and len(select.columns) > 1:
+            raise AlgebraTranslationError("* mixed with explicit columns")
         qualified: List[str] = []
         output: List[str] = []
-        for col in select.columns:
-            if isinstance(col, ast.Star):
-                raise AlgebraTranslationError("* mixed with explicit columns")
-            if not isinstance(col.expr, ast.ColumnRef):
+        for name, column in output_columns(select, scope):
+            if not isinstance(column, ast.ColumnRef):
                 raise AlgebraTranslationError(
                     "only plain columns are supported in SELECT lists of the "
                     "algebra-translatable fragment"
                 )
-            name, depth = scope.resolve(col.expr)
+            attr, depth = _qualified(scope, column)
             if depth != 0:
                 raise AlgebraTranslationError(
-                    f"SELECT list references outer column {col.expr.display!r}"
+                    f"SELECT list references outer column {column.display!r}"
                 )
-            qualified.append(name)
-            output.append(col.alias or col.expr.name)
-        if len(set(output)) != len(output):
-            raise AlgebraTranslationError(f"duplicate output names: {output}")
-        projected = Projection(expr, tuple(qualified))
-        renamed = Rename(projected, dict(zip(qualified, output)))
-        return renamed, tuple(output)
+            if attr in qualified:
+                raise AlgebraTranslationError(
+                    f"duplicate output column {attr!r}: a projection cannot "
+                    "repeat an attribute"
+                )
+            qualified.append(attr)
+            output.append(name)
+        # A lone * keeps every attribute of the FROM product, which is
+        # already a set: only the names change.
+        projected = expr if star else Projection(expr, tuple(qualified))
+        return Rename(projected, dict(zip(qualified, output))), tuple(output)
 
     # ------------------------------------------------------------------
     # Conditions
     # ------------------------------------------------------------------
-    def apply_condition(self, expr: Expr, cond: ast.SqlCond, scope: _Scope) -> Expr:
+    def apply_condition(self, expr: Expr, cond: ast.SqlCond, scope: BlockScope) -> Expr:
         """Apply *cond* to *expr*: subquery predicates become semi/anti
         joins, everything else one selection."""
         conjuncts = cond.items if isinstance(cond, ast.BoolOp) and cond.op == "and" else (cond,)
@@ -216,12 +193,12 @@ class _Translator:
             expr = Selection(expr, AC.And(*flat) if len(flat) > 1 else flat[0])
         return expr
 
-    def exists_join(self, expr: Expr, pred: ast.Exists, scope: _Scope) -> Expr:
+    def exists_join(self, expr: Expr, pred: ast.Exists, scope: BlockScope) -> Expr:
         sub_expr, sub_cond, _output = self.subquery_base(pred.query, scope)
         node = AntiJoin if pred.negated else SemiJoin
         return node(expr, sub_expr, sub_cond)
 
-    def in_join(self, expr: Expr, pred: ast.InPredicate, scope: _Scope) -> Expr:
+    def in_join(self, expr: Expr, pred: ast.InPredicate, scope: BlockScope) -> Expr:
         assert pred.query is not None
         sub_expr, sub_cond, sub_attrs = self.subquery_base(
             pred.query, scope, keep_output=True
@@ -236,7 +213,7 @@ class _Translator:
         return node(expr, sub_expr, cond)
 
     def subquery_base(
-        self, query: ast.Query, outer: _Scope, keep_output: bool = False
+        self, query: ast.Query, outer: BlockScope, keep_output: bool = False
     ) -> Tuple[Expr, AC.Condition, Tuple[str, ...]]:
         """The subquery as (FROM-product expression, WHERE condition).
 
@@ -250,11 +227,7 @@ class _Translator:
         body = query.body
         if not isinstance(body, ast.Select):
             raise AlgebraTranslationError("set operations under EXISTS/IN are not supported")
-        scope = _Scope(body.tables, self.attrs_of, parent=outer)
-        expr: Expr = None  # type: ignore[assignment]
-        for ref in body.tables:
-            table = self.table_expr(ref)
-            expr = table if expr is None else Product(expr, table)
+        scope, expr = self.from_clause(body, outer)
         flat: List[AC.Condition] = []
         if body.where is not None:
             conjuncts = (
@@ -276,7 +249,7 @@ class _Translator:
                 assert isinstance(col, ast.OutputColumn)
                 if not isinstance(col.expr, ast.ColumnRef):
                     raise AlgebraTranslationError("IN subquery output must be a column")
-                name, depth = scope.resolve(col.expr)
+                name, depth = _qualified(scope, col.expr)
                 if depth != 0:
                     raise AlgebraTranslationError("IN subquery output from outer scope")
                 output = (name,)
@@ -286,7 +259,7 @@ class _Translator:
         return expr, cond, output
 
     # ------------------------------------------------------------------
-    def condition(self, cond: ast.SqlCond, scope: _Scope) -> AC.Condition:
+    def condition(self, cond: ast.SqlCond, scope: BlockScope) -> AC.Condition:
         if isinstance(cond, ast.BoolOp):
             node = AC.And if cond.op == "and" else AC.Or
             return node(*[self.condition(item, scope) for item in cond.items])
@@ -319,12 +292,12 @@ class _Translator:
             )
         raise AlgebraTranslationError(f"cannot translate condition {cond!r}")
 
-    def term(self, expr: ast.SqlExpr, scope: _Scope, max_depth: int = 1) -> AC.Term:
+    def term(self, expr: ast.SqlExpr, scope: BlockScope, max_depth: int = 1) -> AC.Term:
         """*expr* as an algebra term.  A condition sees its own block and
         the one enclosing it (the left side of its semijoin), so a column
         more than *max_depth* blocks out is not bound where it is used."""
         if isinstance(expr, ast.ColumnRef):
-            name, depth = scope.resolve(expr)
+            name, depth = _qualified(scope, expr)
             if depth > max_depth:
                 raise AlgebraTranslationError(
                     f"column {expr.display!r} is not bound where it is used: "

@@ -79,6 +79,14 @@ UNSOUND_WITNESSES = [
         "SELECT * FROM t EXCEPT SELECT * FROM s",
         {"t": [(1, 0)], "s": [(1, Null())]},
     ),
+    # A UNION view pairs its operands' columns by position, not by name:
+    # v.y is t2.a or d, and d can be null.
+    (
+        "WITH v AS (SELECT t.a AS x, t2.a AS y FROM t, t t2 "
+        "UNION SELECT c AS y, d AS x FROM s) "
+        "SELECT x FROM v WHERE NOT EXISTS (SELECT * FROM t t3 WHERE t3.a = v.y)",
+        {"t": [(1, 2)], "s": [(5, Null())]},
+    ),
 ]
 
 

@@ -230,6 +230,14 @@ def test_sa202_distinct_over_nullable(schema):
     assert rules_of(report) == ["SA202"]
 
 
+def test_sa202_names_outputs_by_position(schema):
+    # The computed column is the second output, which the engine names
+    # column2; it is the only one that may be null.
+    report = analyze_sql("SELECT DISTINCT a, b || 'x' FROM t", schema)
+    (finding,) = report.by_rule("SA202")
+    assert dict(finding.context)["columns"] == "column2"
+
+
 def test_distinct_over_nonnullable_is_certified(schema):
     report = analyze_sql("SELECT DISTINCT a FROM t", schema)
     assert report.verdict == CERTIFIED

@@ -9,7 +9,7 @@ import pytest
 
 from repro.data import Database, Relation
 from repro.engine import Executor, execute_sql
-from repro.engine.scope import EngineError
+from repro.engine.limits import EngineError
 from repro.sql import ast
 
 

@@ -6,7 +6,9 @@ import pytest
 
 from repro.data import Database, Null, Relation
 from repro.engine import execute_sql
-from repro.engine.scope import EngineError
+from repro.engine.limits import EngineError
+
+from .sqlite_ref import engine_bag, sqlite_rows
 
 
 @pytest.fixture
@@ -34,6 +36,12 @@ class TestProjection:
         out = execute_sql(db, "SELECT * FROM t, u WHERE t.a = u.a")
         assert len(out.attributes) == 4
         assert len(set(out.attributes)) == 4  # a vs a_1
+
+    def test_repeated_names_skip_taken_ones(self, db):
+        sql = "SELECT t1.a, t2.a, t1.b AS a_1 FROM t t1, t t2"
+        out = execute_sql(db, sql)
+        assert out.attributes == ("a", "a_2", "a_1")
+        assert engine_bag(out.rows) == sqlite_rows(db, sql)
 
     def test_aliases(self, db):
         out = execute_sql(db, "SELECT a AS k, b v FROM t")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.data import Database, Null, Relation, is_null
 from repro.engine import Executor, execute_sql
-from repro.engine.scope import EngineError
+from repro.engine.limits import EngineError
 from repro.sql.parser import parse_sql
 
 from .sqlite_ref import engine_bag, sqlite_rows

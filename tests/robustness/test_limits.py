@@ -13,7 +13,7 @@ from repro.engine import (
     RowBudgetExceeded,
     execute_sql,
 )
-from repro.engine.scope import EngineError
+from repro.engine.limits import EngineError
 from repro.sql.parser import parse_sql
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.analysis import CERTIFIED, UNSOUND, analyze_sql
 from repro.certain import certain_answers_with_nulls
 from repro.data import Database, Null, Relation
 from repro.data.schema import DatabaseSchema, make_schema
@@ -344,6 +345,70 @@ class TestExceptRightOperand:
         db = tsu_db([(1, 0)], [(1, Null())], [])
         assert certain_rows(inlined, db) == set()
         assert execute_sql(db, rewrite_certain(inlined, tsu)).rows == []
+
+
+def certain_by_completion(sql, db):
+    """cert(Q, D) for a database with one null: the rows ``Q`` returns on
+    every completion of it, over the constants plus one fresh value."""
+    (null,) = db.nulls()
+    constants = db.constants()
+    answers = None
+    for value in constants | {max(constants) + 1}:
+        complete = db.map_rows(lambda row: tuple(value if x is null else x for x in row))
+        rows = set(execute_sql(complete, sql).rows)
+        answers = rows if answers is None else answers & rows
+    return answers
+
+
+#: A view column that can be null, which ``Q+`` must escape, with a
+#: database on which naive evaluation returns a non-certain row.
+VIEW_WITNESSES = [
+    # Two columns named x: v.x is the first, s.d, as in the engine.
+    (
+        "WITH v AS (SELECT s.c AS y, s.d AS x, t.a AS x FROM t, s) "
+        "SELECT y FROM v WHERE NOT EXISTS (SELECT * FROM u WHERE u.e = v.x)",
+        ([(1, 2)], [(1, Null())], [(7, 0)]),
+    ),
+    # A UNION view pairs its operands' columns by position: v.y is t2.a
+    # or d.
+    (
+        "WITH v AS (SELECT t.a AS x, t2.a AS y FROM t, t t2 "
+        "UNION SELECT c AS y, d AS x FROM s) "
+        "SELECT x FROM v WHERE NOT EXISTS (SELECT * FROM t t3 WHERE t3.a = v.y)",
+        ([(1, 2)], [(5, Null())], []),
+    ),
+]
+
+
+class TestViewColumns:
+    """A view's columns are the engine's, by position; ``Q+`` escapes
+    exactly those that can be null."""
+
+    @pytest.mark.parametrize("tune", [True, False])
+    @pytest.mark.parametrize("sql,tables", VIEW_WITNESSES)
+    def test_qplus_returns_only_certain_answers(self, tsu, sql, tables, tune):
+        db = tsu_db(*tables)
+        cert = certain_by_completion(sql, db)
+        assert set(execute_sql(db, sql).rows) - cert
+        plus = rewrite_certain(parse_sql(sql), tsu, tune=tune)
+        assert set(execute_sql(db, plus).rows) <= cert
+
+    @pytest.mark.parametrize("sql,tables", VIEW_WITNESSES)
+    def test_verdict_is_unsound(self, tsu, sql, tables):
+        assert analyze_sql(sql, tsu).verdict == UNSOUND
+
+    def test_a_non_null_first_column_gets_no_escape(self, tsu):
+        # The mirror of the first witness: v.x is t.a, a key.
+        sql = (
+            "WITH v AS (SELECT s.c AS y, t.a AS x, s.d AS x FROM t, s) "
+            "SELECT y FROM v WHERE NOT EXISTS (SELECT * FROM u WHERE u.e = v.x)"
+        )
+        for tune in (True, False):
+            assert "IS NULL" not in to_sql(rewrite_sql(sql, tsu, tune=tune))
+        assert analyze_sql(sql, tsu).verdict == CERTIFIED
+        db = tsu_db(*VIEW_WITNESSES[0][1])
+        plus = rewrite_sql(sql, tsu)
+        assert set(execute_sql(db, plus).rows) == certain_by_completion(sql, db) == {(1,)}
 
 
 def test_unknown_column_in_a_positive_in_list_is_rejected(tsu):

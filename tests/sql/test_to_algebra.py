@@ -102,10 +102,17 @@ def test_in_subquery_must_select_single_column(db):
         sql_to_algebra(parse_sql(sql), db)
 
 
-def test_select_star_keeps_qualified_names(db):
+def test_select_star_takes_output_names(db):
     expr = sql_to_algebra(parse_sql("SELECT * FROM dep"), db)
     out = evaluate(expr, db, semantics="sql")
-    assert out.attributes == ("dep.dname", "dep.head")
+    assert out.attributes == ("dname", "head")
+
+
+def test_a_column_selected_twice_is_rejected(db):
+    # The algebra's attributes are sets of names: a projection cannot
+    # repeat one, whatever the aliases.
+    with pytest.raises(AlgebraTranslationError, match="cannot repeat"):
+        sql_to_algebra(parse_sql("SELECT eid AS x, eid AS y FROM emp"), db)
 
 
 def test_duplicate_output_names_rejected(db):
