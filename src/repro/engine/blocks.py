@@ -49,8 +49,8 @@ __all__ = ["CompiledBlock", "ExecContext"]
 Row = Tuple[object, ...]
 Key = Tuple[str, str]  # (binding, column)
 
-#: Cursor slotmap for rows with no local columns (pre-join conditions).
-_EMPTY_SLOTMAP: Dict[Key, int] = {}
+#: Cursor for conditions with no local columns (pre-join conditions).
+_EMPTY_CURSOR: Tuple[Dict[Key, int], Row] = ({}, ())
 
 #: Test-only scan instrumentation installed by :mod:`repro.testing.faults`
 #: (``(table name, relation) -> relation`` wrapper); ``None`` in production,
@@ -304,6 +304,11 @@ def _key_stream(rows, positions: Sequence[int]) -> Iterator[Tuple]:
     return map(itemgetter(*positions), rows)
 
 
+def _keyed(rows, source: "_Source", columns: Sequence[str]) -> Iterator[Tuple]:
+    """``(key at columns, row)`` for *source*'s *rows*."""
+    return zip(_key_stream(rows, [source.columns.index(c) for c in columns]), rows)
+
+
 def _hash_group(ctx, meter, pairs, nulls, check=None, value=None):
     """Every engine hash table's build: the ``(key, item)`` *pairs*
     grouped by key, streamed.  A bucket holds ``value(item)``, or the item
@@ -339,26 +344,34 @@ def _hash_group(ctx, meter, pairs, nulls, check=None, value=None):
 class _CorrelatedSubquery(_Cond):
     """Probe machinery shared by ``[NOT] EXISTS`` and ``[NOT] IN (SELECT …)``.
 
-    An uncorrelated subquery runs once per statement.  Correlated probes
-    are amortised two ways (Section 7's engine story):
+    An uncorrelated subquery runs once per statement.  A correlated one
+    takes one of three strategies (Section 7's engine story):
 
-    * when the correlation is purely equality against plain outer
-      columns, the subquery is *decorrelated*: one pass over the inner
-      block groups its rows by the correlated key and every outer row
-      becomes a hash semi-/anti-join lookup;
-    * otherwise — or when the probe-table build goes over its
-      ``ResourceLimits`` budget — probe results are memoized on the tuple
-      of correlated values, so repeated outer keys re-execute nothing.
+    * **bucket**: an inner block with one source, correlated by
+      ``local = outer.col`` probes on the immediate parent, reads each
+      outer row's bucket from the kept hash index over the source's
+      constant-free-filtered rows and runs the remaining checks on the
+      bucket's rows (:class:`_Buckets`); its residuals and output may
+      read the outer row;
+    * **probe table**: a multi-source inner block whose correlation is
+      purely such probes runs once, grouped by the correlated key, and
+      every outer row becomes a hash semi-/anti-join lookup;
+    * **memo**: everything else — and a bucket index or probe table over
+      its ``ResourceLimits`` budget — runs the inner block per probe,
+      memoized on the tuple of correlated values, so repeated outer
+      keys re-execute nothing.
 
     Subclasses supply :meth:`_run` (the subquery's result for one binding
     of the correlated values), :meth:`_from_bucket` (that result from a
-    probe-table bucket) and ``_out``, the compiled output expression
-    whose values the build collects per key (``None``: keys only).
+    bucket's or a probe table's output values, ``None`` for none) and
+    ``_out``, the compiled output expression whose values ``IN``
+    collects (``None``: ``EXISTS`` only asks for a witness).
     """
 
     __slots__ = (
         "block", "negated", "needed", "local_keys", "has_outer", "_out",
-        "_cache", "decor", "_table", "_memo", "_memo_keys", "_saved_probes",
+        "_out_has_outer", "_cache", "decor", "_buckets", "_table", "_memo",
+        "_memo_keys", "_saved_probes",
     )
 
     def __init__(
@@ -366,7 +379,7 @@ class _CorrelatedSubquery(_Cond):
         block: "CompiledBlock",
         negated: bool,
         parent_scope: BlockScope,
-        decor: Optional[Tuple[Tuple[Key, Key], ...]],
+        out: Optional[_Expr],
     ):
         self.block = block
         self.negated = negated
@@ -376,39 +389,56 @@ class _CorrelatedSubquery(_Cond):
         self.local_keys = frozenset(self.needed)
         self.has_outer = any(res.scope is not parent_scope for res in block.external)
         self._cache: object = None
-        self.decor = decor
+        self.decor = _probe_plan(block, parent_scope, out)
+        self._buckets: Optional[_Buckets] = None
         self._table: Optional[Dict[Tuple, List[object]]] = None
         self._memo: Dict[Tuple, object] = {}
         self._memo_keys = tuple(dict.fromkeys(res.key for res in block.external))
         self._saved_probes = None
+        from repro.engine.compile import compile_expr
+
+        self._out = None if out is None else compile_expr(out)
+        self._out_has_outer = out is not None and out.has_outer
+
+    @property
+    def bucketed(self) -> bool:
+        """Whether probes take the bucket path (until it degrades)."""
+        return self.decor is not None and len(self.block.sources) == 1
 
     def answer(self, cursor, env):
         """The subquery's result for the outer row at *cursor*: a truth
         value for ``EXISTS``, the output values for ``IN`` (this bound
         method is what the closure compiler calls)."""
+        buckets = self._buckets
+        if buckets is not None:
+            return buckets.probe(cursor, env)
+        table = self._table
+        if table is not None:
+            ctx = self.block.ctx
+            ctx.decorrelated_probes += 1
+            slotmap, row = cursor
+            decor = self.decor
+            if len(decor) == 1:
+                value = row[slotmap[decor[0][1]]]
+                if not ctx.marked_nulls and isinstance(value, Null):
+                    return self._from_bucket(None)  # a null key never compares TRUE
+                return self._from_bucket(table.get((value,)))
+            probe = tuple(row[slotmap[key]] for _local, key in decor)
+            if not ctx.marked_nulls and any(isinstance(v, Null) for v in probe):
+                return self._from_bucket(None)
+            return self._from_bucket(table.get(probe))
         block = self.block
         if not block.external:
             if self._cache is None:
                 self._cache = self._run({})
             return self._cache
-        if self.decor is not None:
-            if self._table is None:
+        if self.decor is not None:  # the first probe of a statement
+            if len(block.sources) == 1:
+                self._open_buckets()
+            else:
                 self._build_table()
-            table = self._table
-            if table is not None:
-                ctx = block.ctx
-                ctx.decorrelated_probes += 1
-                slotmap, row = cursor
-                decor = self.decor
-                if len(decor) == 1:
-                    value = row[slotmap[decor[0][1]]]
-                    if not ctx.marked_nulls and isinstance(value, Null):
-                        return self._from_bucket(None)  # a null key never compares TRUE
-                    return self._from_bucket(table.get((value,)))
-                probe = tuple(row[slotmap[key]] for _local, key in decor)
-                if not ctx.marked_nulls and any(isinstance(v, Null) for v in probe):
-                    return self._from_bucket(None)
-                return self._from_bucket(table.get(probe))
+            if self.decor is not None:  # neither degraded
+                return self.answer(cursor, env)
         return self._memo_probe(cursor, env)
 
     def _memo_probe(self, cursor, env):
@@ -430,6 +460,71 @@ class _CorrelatedSubquery(_Cond):
         ctx.probe_cache_misses += 1
         result = self._memo[memo_key] = self._run(env2)
         return result
+
+    def bucket_keys(self) -> List[Key]:
+        """The bucket path's key columns: the local sides of the
+        correlated probes, then of the constant probes."""
+        return [local for local, _key in self.decor] + [
+            local for local, expr in self.block.probes if not expr.has_outer
+        ]
+
+    def _open_buckets(self) -> None:
+        """The bucket path's state, decided once per statement: the
+        uncorrelated pre-join conditions (one that is not TRUE leaves
+        every bucket empty), the compiled checks and slot map, and the
+        kept index, whose row count is held against
+        ``max_probe_build_rows`` and whose bytes against
+        ``max_probe_table_bytes``, on build and on reuse alike; over
+        either, it degrades to memo probing."""
+        block = self.block
+        ctx = block.ctx
+        (source,) = block.sources.values()
+        keys = self.bucket_keys()
+        pre = []
+        index: Optional[Dict[Tuple, List[Row]]] = {}
+        for cond, fn in zip(block._pre, block._pre_fns):
+            if cond.has_outer:
+                pre.append(fn)
+            elif fn(_EMPTY_CURSOR, {}) is not TRUE:
+                break  # no probe finds a witness
+        else:
+            kept = _constant_free(source)
+            rows = block._kept_source(kept).rows
+            cap = None if ctx.limits is None else ctx.limits.max_probe_build_rows
+            if cap is not None and len(rows) > cap:
+                index = None
+            else:
+                columns = tuple(col for _binding, col in keys)
+                index = block._kept_index(kept, rows, columns, block._null_slots(keys))
+        if index is None:
+            self._degrade()
+            return
+        from repro.engine.compile import build_row_filter, compile_cond, compile_expr
+
+        checks = [cond for cond in block.residuals if cond.local_keys]
+        reads_outer = self._out_has_outer or any(
+            cond.has_outer for cond in checks + block._pre
+        )
+        self._buckets = _Buckets(
+            ctx,
+            index,
+            tuple(key for _local, key in self.decor),
+            tuple(
+                compile_expr(expr)(_EMPTY_CURSOR, {})
+                for _local, expr in block.probes
+                if not expr.has_outer
+            ),
+            {(source.binding, col): i for i, col in enumerate(source.columns)},
+            build_row_filter(
+                source, [cond for cond in source.filters if _cond_key(cond) is None]
+            ),
+            [compile_cond(cond) for cond in checks],
+            pre,
+            self.needed if reads_outer else None,
+            self._out,
+            self._from_bucket(None),
+            self._from_bucket(()),
+        )
 
     def _build_table(self) -> None:
         """One-pass hash semi-join build: the inner rows grouped by their
@@ -470,11 +565,11 @@ class _CorrelatedSubquery(_Cond):
             self._table = table
 
     def _degrade(self) -> None:
-        """Abandon decorrelation for good: the probe table would cost
-        more than ``max_probe_build_rows`` (or ``max_probe_table_bytes``).
-        The inner block gets its correlated shape back and the predicate
-        falls back to memoized probing, whose results bit-match by
-        construction."""
+        """Abandon the bucket path or the probe table for good: the kept
+        index or the table would cost more than ``max_probe_build_rows``
+        (or ``max_probe_table_bytes``).  The inner block gets its
+        correlated shape back and the predicate falls back to memoized
+        probing, whose results bit-match by construction."""
         block = self.block
         if self._saved_probes is not None:
             block.probes = self._saved_probes
@@ -485,13 +580,13 @@ class _CorrelatedSubquery(_Cond):
 
 
 class _Exists(_CorrelatedSubquery):
-    """``[NOT] EXISTS`` — two-valued; a probe-table hit is a witness."""
+    """``[NOT] EXISTS`` — two-valued; a bucket or probe-table hit is a
+    witness."""
 
     __slots__ = ()
 
     def __init__(self, block: "CompiledBlock", negated: bool, parent_scope: BlockScope):
-        super().__init__(block, negated, parent_scope, _pure_probe_plan(block, parent_scope))
-        self._out = None
+        super().__init__(block, negated, parent_scope, None)
 
     def _run(self, env) -> ThreeValued:
         found = False
@@ -505,8 +600,8 @@ class _Exists(_CorrelatedSubquery):
 
 
 class _InSubquery(_CorrelatedSubquery):
-    """``x [NOT] IN (SELECT …)`` — a probe-table bucket holds the inner
-    output values for its key; the membership test is the compiled
+    """``x [NOT] IN (SELECT …)`` — a bucket or probe-table hit holds the
+    inner output values for its key; the membership test is the compiled
     closure's."""
 
     __slots__ = ("expr", "marked")
@@ -519,15 +614,11 @@ class _InSubquery(_CorrelatedSubquery):
         negated: bool,
         parent_scope: BlockScope,
     ):
-        decor = None if out.has_outer else _pure_probe_plan(block, parent_scope)
-        super().__init__(block, negated, parent_scope, decor)
+        super().__init__(block, negated, parent_scope, out)
         self.expr = expr
         self.local_keys |= expr.local_keys
         self.has_outer = self.has_outer or expr.has_outer
         self.marked = block.ctx.marked_nulls
-        from repro.engine.compile import compile_expr
-
-        self._out = compile_expr(out)
 
     def _run(self, env) -> List[object]:
         out = self._out
@@ -535,6 +626,100 @@ class _InSubquery(_CorrelatedSubquery):
 
     def _from_bucket(self, bucket) -> Sequence[object]:
         return () if bucket is None else bucket
+
+
+class _Buckets:
+    """The bucket path of one correlated subquery for one statement.
+
+    A probe's key is the outer row's values at ``outer``, then the values
+    of the constant probes (``consts``, computed once); its bucket is
+    read from ``index``, the kept index over the source's rows under its
+    constant-free filters.  A bucket row must pass the source's filters
+    that hold a constant (``keep``, their per-row batch-pass form;
+    uncounted, as pushed filters are), then counts one ``rows_examined``
+    and one governor check before the residuals (``checks``) decide it.
+    ``pre`` are the conditions without local columns that read the outer
+    row, run once per found bucket; ``needed`` the outer keys the checks
+    read from the environment, or ``None`` when they read none; ``out``
+    the output expression of an ``IN``, ``None`` for an ``EXISTS``;
+    ``miss`` and ``hit`` the subquery's answers without a row and, for
+    an ``EXISTS``, with one.
+    """
+
+    __slots__ = (
+        "ctx", "index", "outer", "consts", "slotmap", "keep", "checks",
+        "pre", "needed", "out", "miss", "hit", "_one_key",
+    )
+
+    def __init__(
+        self, ctx, index, outer, consts, slotmap, keep, checks, pre, needed, out, miss, hit
+    ):
+        self.ctx = ctx
+        self.index = index
+        self.outer = outer
+        self.consts = consts
+        self.slotmap = slotmap
+        self.keep = keep
+        self.checks = checks
+        self.pre = pre
+        self.needed = needed
+        self.out = out
+        self.miss = miss
+        self.hit = hit
+        #: the common case: one outer key column and no constant probe
+        self._one_key = outer[0] if len(outer) == 1 and not consts else None
+
+    def probe(self, cursor, env):
+        """The subquery's answer for the outer row at *cursor*: ``hit`` at
+        the first row of its bucket that passes every check (``EXISTS``),
+        the output values of all of them (``IN``), or ``miss``."""
+        ctx = self.ctx
+        ctx.decorrelated_probes += 1
+        slotmap, row = cursor
+        one_key = self._one_key
+        if one_key is not None:
+            value = row[slotmap[one_key]]
+            if isinstance(value, Null) and not ctx.marked_nulls:
+                return self.miss  # a null key never compares TRUE
+            bucket = self.index.get((value,))
+        else:
+            key = tuple([row[slotmap[k]] for k in self.outer]) + self.consts
+            if not ctx.marked_nulls and any(map(isinstance, key, _NULL_TYPES)):
+                return self.miss
+            bucket = self.index.get(key)
+        if bucket is None:
+            return self.miss
+        needed = self.needed
+        if needed is not None:
+            env = dict(env)
+            for k in needed:
+                env[k] = row[slotmap[k]]
+        for fn in self.pre:
+            if fn(_EMPTY_CURSOR, env) is not TRUE:
+                return self.miss
+        keep = self.keep
+        governor = ctx.governor
+        inner = self.slotmap
+        checks = self.checks
+        out = self.out
+        values = None
+        for item in bucket:
+            if keep is not None and not keep(item):
+                continue
+            ctx.rows_examined += 1
+            if governor is not None:
+                ctx.check()
+            inner_cursor = (inner, item)
+            for fn in checks:
+                if fn(inner_cursor, env) is not TRUE:
+                    break
+            else:
+                if out is None:
+                    return self.hit
+                if values is None:
+                    values = []
+                values.append(out(inner_cursor, env))
+        return self.miss if values is None else values
 
 
 class _InValues(_Cond):
@@ -605,9 +790,10 @@ def _membership(x, values, marked: bool = False) -> ThreeValued:
 
 class _Source:
     """One FROM entry with its pushed single-table filters and, once they
-    are compiled, their key in the relation's store (:func:`_source_key`)."""
+    are compiled, their key in the relation's store (:func:`_source_key`)
+    and their batch passes (built at the first filter run)."""
 
-    __slots__ = ("binding", "table", "columns", "filters", "key")
+    __slots__ = ("binding", "table", "columns", "filters", "key", "passes")
 
     def __init__(self, binding: str, table: str, columns: Tuple[str, ...]):
         self.binding = binding
@@ -615,6 +801,7 @@ class _Source:
         self.columns = columns
         self.filters: List[_Cond] = []
         self.key: Optional[frozenset] = None
+        self.passes: Optional[List[object]] = None
 
 
 class CompiledBlock:
@@ -660,9 +847,6 @@ class CompiledBlock:
         self._stats: Optional[Dict[str, SourceStats]] = None
         self._order_estimates: Optional[List[float]] = None
         self._step_actual: Optional[List[int]] = None
-        # Compiled batch filter passes, cached per binding (filter sets
-        # are immutable after compilation, so these survive resets).
-        self._passes: Dict[str, List[object]] = {}
 
     def _reset_runtime(self) -> None:
         """Drop lazily-built plan state so the next iteration re-plans
@@ -881,13 +1065,11 @@ class CompiledBlock:
         return kept
 
     def _batch_passes(self, source: _Source) -> List[object]:
-        passes = self._passes.get(source.binding)
-        if passes is None:
+        if source.passes is None:  # filters are fixed after compilation
             from repro.engine.compile import build_batch_passes
 
-            passes = build_batch_passes(source, source.filters)
-            self._passes[source.binding] = passes
-        return passes
+            source.passes = build_batch_passes(source, source.filters)
+        return source.passes
 
     def _prepare(self, env_available: bool) -> None:
         if self._order is not None:
@@ -1014,11 +1196,6 @@ class CompiledBlock:
         proven = self._proven_nonnull(keys)
         return tuple(i for i, key in enumerate(keys) if key not in proven)
 
-    def _keyed_rows(self, binding: str, columns: Tuple[str, ...]) -> Iterator[Tuple]:
-        """``(key at columns, row)`` for *binding*'s filtered rows."""
-        rows, names = self._get_filtered(binding), self.sources[binding].columns
-        return zip(_key_stream(rows, [names.index(c) for c in columns]), rows)
-
     def _index(
         self, binding: str, columns: Tuple[str, ...]
     ) -> Optional[Dict[Tuple, List[Row]]]:
@@ -1030,22 +1207,33 @@ class CompiledBlock:
         cache_key = (binding, columns)
         index = self._indexes.get(cache_key, _MISSING)
         if index is _MISSING:
-            index = self._indexes[cache_key] = self._build_index(binding, columns)
+            index = self._indexes[cache_key] = self._kept_index(
+                self.sources[binding],
+                self._get_filtered(binding),
+                columns,
+                self._null_slots([(binding, col) for col in columns]),
+            )
+            if index is None:
+                self.ctx.degradations += 1
         return index
 
-    def _build_index(
-        self, binding: str, columns: Tuple[str, ...]
+    def _kept_index(
+        self,
+        source: _Source,
+        rows: Sequence[Row],
+        columns: Tuple[str, ...],
+        nulls: Tuple[int, ...],
     ) -> Optional[Dict[Tuple, List[Row]]]:
-        """:meth:`_index`'s table for this statement.  An index over rows
-        kept under constant-free filters (a whole table has the empty
-        source key) is kept in the relation's ``indexes`` under the source
-        key, its key columns and null slots (the build's only inputs), so
-        every later statement reuses it.  Reuse charges the table's bytes,
-        or degrades if the build would have been abandoned at one of its
-        byte check points."""
+        """A hash index over *source*'s filtered *rows* on *columns*,
+        skipping null keys at *nulls*, for this statement; ``None`` over
+        the byte budget.  An index over rows kept under constant-free
+        filters (a whole table has the empty source key) is kept in the
+        relation's ``indexes`` under the source key, its key columns and
+        null slots (the build's only inputs), so every later statement
+        reuses it.  Reuse charges the table's bytes, or gives ``None`` if
+        the build would have been abandoned at one of its byte check
+        points."""
         ctx = self.ctx
-        source = self.sources[binding]
-        nulls = self._null_slots([(binding, col) for col in columns])
         store = self._store(source)
         key = (source.key, columns, nulls)
         stored = None if store is None else store.get(key)
@@ -1054,21 +1242,18 @@ class CompiledBlock:
             index = _hash_group(
                 ctx,
                 meter,
-                self._keyed_rows(binding, columns),
+                _keyed(rows, source, columns),
                 nulls,
                 None if ctx.governor is None else ctx.check,
             )
             if index is not None and store is not None:
                 store[key] = (index, meter)
-        else:
-            index, meter = stored
-            cap = None if ctx.limits is None else ctx.limits.max_probe_table_bytes
-            if meter.over_budget(ctx.table_bytes, cap):
-                index = None
-            else:
-                ctx.table_bytes += meter.approx_bytes()
-        if index is None:
-            ctx.degradations += 1
+            return index
+        index, meter = stored
+        cap = None if ctx.limits is None else ctx.limits.max_probe_table_bytes
+        if meter.over_budget(ctx.table_bytes, cap):
+            return None
+        ctx.table_bytes += meter.approx_bytes()
         return index
 
     def _linear_matches(
@@ -1080,7 +1265,8 @@ class CompiledBlock:
         the index's; marked nulls compare by label either way."""
         ctx = self.ctx
         matches = []
-        for row_key, row in self._keyed_rows(binding, columns):
+        rows = self._get_filtered(binding)
+        for row_key, row in _keyed(rows, self.sources[binding], columns):
             ctx.check()
             if row_key == key:
                 matches.append(row)
@@ -1094,9 +1280,8 @@ class CompiledBlock:
         # short-circuits the whole block (Q+2's win) before any
         # planning, filtering or statistics work happens.
         if self._pre:
-            cursor0 = (_EMPTY_SLOTMAP, ())
             for fn in self._pre_fns:
-                if fn(cursor0, env) is not TRUE:
+                if fn(_EMPTY_CURSOR, env) is not TRUE:
                     return
 
         self._prepare(env_available=bool(self.external) or bool(env) or bool(self.probes))
@@ -1178,21 +1363,21 @@ class CompiledBlock:
             pipeline = None  # type: ignore[assignment]
 
 
-def _pure_probe_plan(
-    block: "CompiledBlock", parent_scope: BlockScope
+def _probe_plan(
+    block: "CompiledBlock", parent_scope: BlockScope, out: Optional[_Expr]
 ) -> Optional[Tuple[Tuple[Key, Key], ...]]:
-    """``((local key, outer key), …)`` when *block*'s correlation consists
-    purely of equality probes against plain columns of the immediate outer
-    block — the shape ``rewrite_certain`` emits for null checks — else
-    ``None``.
+    """``((local key, outer key), …)`` when *block*'s correlated probes
+    can be answered without running it per outer row, else ``None``.
 
-    Eligibility demands that every outer reference is (a) resolved in the
-    immediate parent scope and (b) consumed only by ``local = outer.col``
-    probes: no outer references in residual conditions, non-column probe
-    expressions, or anywhere else.  Under those conditions the subquery's
-    result, as a function of the outer row, depends only on the probed key
-    tuple, so a single pass over the inner block grouped by the local key
-    columns answers every probe.
+    Every outer reference must resolve in the immediate parent scope, and
+    every probe that mentions one must be ``local = outer.col``.  A
+    single-source block then takes the bucket path, whose residuals and
+    output may read the outer row too.  A multi-source block takes the
+    probe-table path only if nothing else reads the outer row: no
+    residual, no output expression (*out*), and no reference the probes
+    do not cover.  Then the subquery's result, as a function of the outer
+    row, depends only on the probed key tuple, so a single pass over the
+    inner block grouped by the local key columns answers every probe.
     """
     if not block.external:
         return None
@@ -1201,10 +1386,14 @@ def _pure_probe_plan(
     pairs: List[Tuple[Key, Key]] = []
     for local_key, expr in block.probes:
         if expr.has_outer:
-            if not isinstance(expr, _Col) or expr.depth == 0:
+            if not isinstance(expr, _Col):
                 return None
             pairs.append((local_key, expr.key))
     if not pairs:
+        return None
+    if len(block.sources) == 1:
+        return tuple(pairs)
+    if out is not None and out.has_outer:
         return None
     if any(cond.has_outer for cond in block.residuals):
         return None
@@ -1212,6 +1401,18 @@ def _pure_probe_plan(
     if any(res.key not in covered for res in block.external):
         return None
     return tuple(pairs)
+
+
+def _constant_free(source: _Source) -> _Source:
+    """*source* under only its constant-free filters: the rows the bucket
+    path's kept index is built over (the source itself when it has no
+    filter with a constant)."""
+    if source.key is not None:
+        return source
+    kept = _Source(source.binding, source.table, source.columns)
+    kept.filters = [cond for cond in source.filters if _cond_key(cond) is not None]
+    kept.key = _source_key(kept.filters)
+    return kept
 
 
 def _source_key(filters: Sequence[_Cond]) -> Optional[frozenset]:

@@ -42,6 +42,7 @@ __all__ = [
     "compile_expr",
     "compile_cond",
     "build_batch_passes",
+    "build_row_filter",
 ]
 
 Key = Tuple[str, str]
@@ -410,21 +411,20 @@ def _compile_in_values(cond: "B._InValues", nonnull: NonNull) -> Callable:
 # ---------------------------------------------------------------------------
 
 
-def _unary_pred(cond: "B._Cond", source: "B._Source") -> Optional[Tuple[int, Callable]]:
-    """``(column position, value → keep?)`` for single-column filters.
+def _unary_test(cond: "B._Cond", source: "B._Source") -> Optional[Callable]:
+    """``row → keep?`` for single-column filters, reading the one column.
 
     Returns ``None`` when *cond* does not specialize; the boolean
-    predicate answers "does the condition evaluate to TRUE on a row
-    whose column holds this value".
+    predicate answers "does the condition evaluate to TRUE on this row".
     """
     binding = source.binding
     if isinstance(cond, B._IsNull) and isinstance(cond.expr, B._Col):
         if cond.expr.depth != 0 or cond.expr.key[0] != binding:
             return None
-        position = source.columns.index(cond.expr.key[1])
+        p = source.columns.index(cond.expr.key[1])
         if cond.negated:
-            return position, lambda v: not isinstance(v, Null)
-        return position, lambda v: isinstance(v, Null)
+            return lambda row: not isinstance(row[p], Null)
+        return lambda row: isinstance(row[p], Null)
     if isinstance(cond, B._Cmp):
         col, const = cond.left, cond.right
         flipped = False
@@ -434,7 +434,7 @@ def _unary_pred(cond: "B._Cond", source: "B._Source") -> Optional[Tuple[int, Cal
             return None
         if col.depth != 0 or col.key[0] != binding:
             return None
-        position = source.columns.index(col.key[1])
+        p = source.columns.index(col.key[1])
         c = const.value
         op = cond.op
         if flipped:
@@ -444,17 +444,17 @@ def _unary_pred(cond: "B._Cond", source: "B._Source") -> Optional[Tuple[int, Cal
                 return None
         if isinstance(c, Null):
             if cond.marked and op == "=":
-                return position, lambda v: v == c  # same-label marked null
-            return position, lambda v: False  # never TRUE against a null
+                return lambda row: row[p] == c  # same-label marked null
+            return lambda row: False  # never TRUE against a null
         if op == "=":
-            return position, lambda v: v == c
+            return lambda row: row[p] == c
         if op == "<>":
-            return position, lambda v: not isinstance(v, Null) and v != c
+            return lambda row: not isinstance((v := row[p]), Null) and v != c
         if op == "like" or op == "not like":
             regex = _like_regex(c)
             want = op == "like"
-            return position, (
-                lambda v: not isinstance(v, Null)
+            return lambda row: (
+                not isinstance((v := row[p]), Null)
                 and (regex.match(str(v)) is not None) == want
             )
         import operator as _operator
@@ -465,25 +465,25 @@ def _unary_pred(cond: "B._Cond", source: "B._Source") -> Optional[Tuple[int, Cal
             ">": _operator.gt,
             ">=": _operator.ge,
         }[op]
-        return position, lambda v: not isinstance(v, Null) and cmp_fn(v, c)
+        return lambda row: not isinstance((v := row[p]), Null) and cmp_fn(v, c)
     if isinstance(cond, B._InValues) and not cond._residual:
         expr = cond.expr
         if not isinstance(expr, B._Col) or expr.depth != 0 or expr.key[0] != binding:
             return None
-        position = source.columns.index(expr.key[1])
+        p = source.columns.index(expr.key[1])
         const_set = cond._const_set
         has_null = cond._has_null_const
         marked = cond.marked
         if not cond.negated:
             if marked:
-                return position, lambda v: v in const_set
-            return position, lambda v: not isinstance(v, Null) and v in const_set
+                return lambda row: row[p] in const_set
+            return lambda row: not isinstance((v := row[p]), Null) and v in const_set
         # NOT IN is TRUE only when membership is definitely FALSE.
         if not const_set and not has_null:
-            return position, lambda v: True  # empty IN list is FALSE
+            return lambda row: True  # empty IN list is FALSE
         if has_null:
-            return position, lambda v: False  # a null candidate forces UNKNOWN
-        return position, lambda v: not isinstance(v, Null) and v not in const_set
+            return lambda row: False  # a null candidate forces UNKNOWN
+        return lambda row: not isinstance((v := row[p]), Null) and v not in const_set
     return None
 
 
@@ -529,6 +529,24 @@ def _binary_pred(
     return p1, p2, cmp_fn
 
 
+def _filter_shape(cond: "B._Cond", source: "B._Source") -> Tuple:
+    """The specialised form of one pushed filter: ``("unary", keep)``,
+    ``("binary", pos, pos, cmp)``, ``("or", keep, keep)`` for a
+    disjunction of two unary shapes, else ``("generic", fn)`` with *fn*
+    the compiled condition."""
+    unary = _unary_test(cond, source)
+    if unary is not None:
+        return ("unary", unary)
+    binary = _binary_pred(cond, source)
+    if binary is not None:
+        return ("binary", *binary)
+    if isinstance(cond, B._Bool) and cond.op == "or" and len(cond.items) == 2:
+        unaries = [_unary_test(item, source) for item in cond.items]
+        if all(u is not None for u in unaries):
+            return ("or", *unaries)
+    return ("generic", compile_cond(cond))
+
+
 def build_batch_passes(
     source: "B._Source", conds: Sequence["B._Cond"]
 ) -> List[Callable]:
@@ -542,18 +560,16 @@ def build_batch_passes(
     passes: List[Callable] = []
     slotmap = {(source.binding, col): i for i, col in enumerate(source.columns)}
     for cond in conds:
-        unary = _unary_pred(cond, source)
-        if unary is not None:
-            position, keep = unary
+        kind, *args = _filter_shape(cond, source)
+        if kind == "unary":
+            (keep,) = args
 
-            def unary_pass(rows, ids, _p=position, _keep=keep):
-                return [i for i in ids if _keep(rows[i][_p])]
+            def unary_pass(rows, ids, _keep=keep):
+                return [i for i in ids if _keep(rows[i])]
 
             passes.append(unary_pass)
-            continue
-        binary = _binary_pred(cond, source)
-        if binary is not None:
-            p1, p2, cmp_fn = binary
+        elif kind == "binary":
+            p1, p2, cmp_fn = args
 
             def binary_pass(rows, ids, _p1=p1, _p2=p2, _cmp=cmp_fn):
                 return [
@@ -565,25 +581,52 @@ def build_batch_passes(
                 ]
 
             passes.append(binary_pass)
-            continue
-        if isinstance(cond, B._Bool) and cond.op == "or":
-            unaries = [_unary_pred(item, source) for item in cond.items]
-            if all(u is not None for u in unaries) and len(unaries) == 2:
-                (p1, k1), (p2, k2) = unaries  # type: ignore[misc]
+        elif kind == "or":
+            k1, k2 = args
 
-                def or_pass(rows, ids, _p1=p1, _k1=k1, _p2=p2, _k2=k2):
-                    return [
-                        i
-                        for i in ids
-                        if _k1(rows[i][_p1]) or _k2(rows[i][_p2])
-                    ]
+            def or_pass(rows, ids, _k1=k1, _k2=k2):
+                return [i for i in ids if _k1(rows[i]) or _k2(rows[i])]
 
-                passes.append(or_pass)
-                continue
-        fn = compile_cond(cond)
+            passes.append(or_pass)
+        else:
+            (fn,) = args
 
-        def generic_pass(rows, ids, _fn=fn, _slotmap=slotmap):
-            return [i for i in ids if _fn((_slotmap, rows[i]), _EMPTY_ENV) is TRUE]
+            def generic_pass(rows, ids, _fn=fn, _slotmap=slotmap):
+                return [i for i in ids if _fn((_slotmap, rows[i]), _EMPTY_ENV) is TRUE]
 
-        passes.append(generic_pass)
+            passes.append(generic_pass)
     return passes
+
+
+def build_row_filter(
+    source: "B._Source", conds: Sequence["B._Cond"]
+) -> Optional[Callable]:
+    """The per-row form of :func:`build_batch_passes`: ``row → keep?``,
+    true when every one of *conds* is TRUE on the row, for rows read one
+    at a time (a bucket of a kept index); ``None`` without *conds*."""
+    tests: List[Callable] = []
+    slotmap = {(source.binding, col): i for i, col in enumerate(source.columns)}
+    for cond in conds:
+        kind, *args = _filter_shape(cond, source)
+        if kind == "unary":
+            tests.append(args[0])
+        elif kind == "binary":
+            p1, p2, cmp_fn = args
+            tests.append(
+                lambda row, _p1=p1, _p2=p2, _cmp=cmp_fn: not isinstance(
+                    (a := row[_p1]), Null
+                )
+                and not isinstance((b := row[_p2]), Null)
+                and _cmp(a, b)
+            )
+        elif kind == "or":
+            k1, k2 = args
+            tests.append(lambda row, _k1=k1, _k2=k2: _k1(row) or _k2(row))
+        else:
+            (fn,) = args
+            tests.append(
+                lambda row, _fn=fn, _slotmap=slotmap: _fn((_slotmap, row), _EMPTY_ENV) is TRUE
+            )
+    if len(tests) <= 1:
+        return tests[0] if tests else None
+    return lambda row, _tests=tuple(tests): all(test(row) for test in _tests)

@@ -84,9 +84,10 @@ class Executor:
     materialised once, uncorrelated subqueries are cached, and the
     ``rows_examined`` / probe-cache counters on :attr:`ctx` report how
     much work evaluation did (used by tests and the benchmarks).
-    Correlated subqueries always take one path: hash decorrelation,
-    falling back to memoized probing when a probe-table build goes over
-    the ``limits`` budget.  :meth:`prepare` compiles without executing
+    Correlated subqueries take the bucket path over a kept index (one
+    source) or a probe table (several), falling back to memoized
+    probing when either goes over the ``limits`` budget or the
+    correlation has another shape.  :meth:`prepare` compiles without executing
     and returns a re-runnable :class:`PreparedQuery`.
     """
 

@@ -5,10 +5,11 @@ selectivity-driven planner ordered it by
 (:func:`repro.engine.stats.choose_join_order`, reached through
 ``CompiledBlock._join_model``), and a step costs those rows — the unit
 of ``ExecContext.rows_examined``.  Subquery predicates cost what the
-engine does with them: a decorrelated one builds its probe table once
-(the unit of ``probe_build_rows``) and is listed with the per-row plan
-it falls back to over budget, uncounted; a correlated one runs its plan
-once per row of the step it is attached to; an uncorrelated one runs
+engine does with them: a bucket-path one reads one bucket of a kept
+index per row of the step it is attached to; a probe-table one builds
+its table once (the unit of ``probe_build_rows``) and is listed with
+the per-row plan it falls back to over budget, uncounted; a memoized
+one runs its plan once per row of that step; an uncorrelated one runs
 once.  That is enough to *show* the Section 7 optimizer story: without
 disjunction splitting, ``Q+4``'s subquery joins its tables by nested
 loops, and its estimated cost is orders of magnitude above both the
@@ -33,6 +34,7 @@ from repro.engine.blocks import (
     _Exists,
     _Not,
     _ScalarSubquery,
+    _constant_free,
 )
 from repro.engine.executor import Executor
 from repro.sql import ast
@@ -94,7 +96,6 @@ def _planned(
     *probes*."""
     plan = copy.copy(block)
     plan._filtered = {}
-    plan._passes = {}
     if probes is not None:
         plan.probes = list(probes)
         plan._order = None
@@ -152,6 +153,34 @@ def _subquery_node(
     else:
         kind = "EXISTS" if isinstance(sub, _Exists) else "IN"
         label = f"NOT {kind}" if sub.negated else kind
+    if isinstance(sub, _CorrelatedSubquery) and sub.bucketed:
+        # Each probe reads one bucket of the kept index: its rows are the
+        # index's average bucket, and it finds one if its key is among
+        # the index's keys (probe keys taken as distinct and covering
+        # them, the foreign-key case).  The model lets residuals pass,
+        # so an EXISTS examines one row of a found bucket (it stops at
+        # the first witness) and an IN all of them.  Subqueries under
+        # it run per examined row, per probe if they read only the
+        # outer row, and once if they read neither.
+        keys = sub.bucket_keys()
+        rows, distinct = _index_size(block, keys)
+        per_probe = rows / distinct
+        found = min(1.0, distinct / max(invocations, 1.0)) if rows else 0.0
+        examined = found * (1.0 if isinstance(sub, _Exists) else per_probe)
+        nested = []
+        for cond in block.residuals:
+            if cond.local_keys:
+                runs = invocations * examined
+            else:
+                runs = invocations if cond.has_outer else 1.0
+            nested.extend(_subquery_node(inner, runs) for inner in _subqueries_of(cond))
+        return PlanNode(
+            f"{label} (kept index [{', '.join(col for _b, col in keys)}],"
+            f" ×{invocations:.0f} probes)",
+            per_probe,
+            nested,
+            cost=invocations * examined,
+        )
     if isinstance(sub, _CorrelatedSubquery) and sub.decor is not None:
         # Costed as one pass over the block without its correlated
         # probes; listed with the per-row plan the predicate falls back
@@ -172,6 +201,18 @@ def _subquery_node(
         how, repeat = "×1 invocation", 1.0
     node = estimate_block(block, bool(block.external))
     return PlanNode(f"{label} ({how})", node.est_rows, node.children, repeat)
+
+
+def _index_size(block: CompiledBlock, keys: Sequence[Tuple[str, str]]) -> Tuple[int, float]:
+    """The rows of the index a bucket-path predicate reads (its source's
+    constant-free-filtered rows) and its estimated number of keys (the
+    join-order model's NDV product, between 1 and the rows)."""
+    (source,) = block.sources.values()
+    stats = block._kept_source(_constant_free(source))
+    distinct = 1.0
+    for _binding, col in keys:
+        distinct *= stats.ndv(source.columns.index(col))
+    return len(stats), max(1.0, min(float(max(len(stats), 1)), distinct))
 
 
 def _subqueries_of(cond: _Cond) -> List[TUnion[_CorrelatedSubquery, _ScalarSubquery]]:

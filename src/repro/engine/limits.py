@@ -22,9 +22,9 @@ without a deadline; this module supplies the vocabulary:
   hash/probe-build loops.
 
 ``max_probe_build_rows`` is different from the two hard caps: tripping
-it does not raise.  The engine *degrades* instead — it abandons hash
-decorrelation for the offending subquery and falls back to memoized
-probing, which bit-matches the naive path (counted in
+it does not raise.  The engine *degrades* instead — it abandons the
+bucket path or the probe table of the offending subquery and falls
+back to memoized probing, which bit-matches the naive path (counted in
 ``ExecContext.degradations``).  That is the paper-adjacent "anytime"
 stance: when an optimisation's up-front cost is out of budget, a slower
 sound strategy beats an error.
@@ -137,17 +137,21 @@ class ResourceLimits:
         raises :class:`RowBudgetExceeded`.
     ``max_probe_build_rows``
         Soft cap on the rows any *single* decorrelated probe-table build
-        may consume.  Exceeding it abandons decorrelation for that
-        subquery (falling back to memoized probing, results unchanged)
-        and bumps ``ExecContext.degradations`` instead of raising.
+        may consume, and on the rows of the kept index a bucket-path
+        subquery reads (compared with the index's row count before any
+        bucket is read, whether the index is built or reused).
+        Exceeding it abandons decorrelation for that subquery (falling
+        back to memoized probing, results unchanged) and bumps
+        ``ExecContext.degradations`` instead of raising; ``0`` forces
+        memoized probing wherever a table or an index has a row.
     ``max_probe_table_bytes``
         Soft cap on the *cumulative* approximate memory of the probe and
         equi-join hash tables one execution context uses (tracked on
         ``ExecContext.table_bytes`` via
         :class:`~repro.engine.stats.TableBytesMeter`).  A build that
-        would cross the cap degrades gracefully — probe tables fall back
-        to memoized probing, equi-join indexes to linear probing of the
-        filtered rows — with identical results, counted in
+        would cross the cap degrades gracefully — probe tables and
+        bucket indexes fall back to memoized probing, equi-join indexes
+        to linear probing of the filtered rows — with identical results, counted in
         ``ExecContext.degradations``.  Reusing an index kept on a
         relation charges and degrades exactly as its build would.
     ``cancel``

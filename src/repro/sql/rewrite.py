@@ -175,6 +175,16 @@ def _subexpressions(expr: ast.SqlExpr) -> Iterator[ast.SqlExpr]:
         yield from _subexpressions(expr.arg)
 
 
+def _plain_columns(expr: ast.SqlExpr) -> List[ast.ColumnRef]:
+    """The column references of a SELECT-list expression outside
+    aggregates and scalar subqueries."""
+    if isinstance(expr, ast.ColumnRef):
+        return [expr]
+    if isinstance(expr, ast.Concat):
+        return [column for part in expr.parts for column in _plain_columns(part)]
+    return []
+
+
 class _ModeRewriter:
     """The one polarity walk (Figure 3's modes), in one of two modes.
 
@@ -393,6 +403,7 @@ class _ModeRewriter:
             return select
         if mode == CERTAIN:
             forced_nonnull(select.where, scope)
+        self._resolve_outputs(select, scope)
         if self.findings is not None:
             self._check_outputs(select, scope)
         return ast.Select(
@@ -401,6 +412,19 @@ class _ModeRewriter:
             where=None if select.where is None else self.condition(select.where, scope, mode),
             distinct=select.distinct,
         )
+
+    def _resolve_outputs(self, select: ast.Select, scope: Scope) -> None:
+        """Every plain column of the SELECT list resolves in *scope*, or
+        it is a fragment exit.  Columns under aggregates and scalar
+        subqueries are resolved where report mode walks them."""
+        for col in select.columns:
+            if isinstance(col, ast.Star):
+                continue
+            for column in _plain_columns(col.expr):
+                try:
+                    scope.resolve(column)
+                except RewriteError as err:
+                    self._exit(err, column)
 
     def subquery(self, query: ast.Query, outer: Scope, mode: str) -> ast.Query:
         if query.ctes:

@@ -321,6 +321,16 @@ def test_sa301_unknown_table(schema):
     assert rules_of(report) == ["SA301"]
 
 
+@pytest.mark.parametrize("sql", ["SELECT zz FROM t", "SELECT a, b || zz FROM t"])
+def test_sa301_unknown_column_in_the_select_list(schema, sql):
+    report = analyze_sql(sql, schema)
+    assert report.verdict == SUSPECT
+    (diag,) = report.diagnostics
+    assert diag.rule == "SA301"
+    start, end = diag.span
+    assert sql[start:end] == "zz"
+
+
 def test_sa301_does_not_stop_the_walk(schema):
     # The unresolvable column degrades to SA301 but the unsound shape
     # elsewhere in the query is still found.

@@ -1,18 +1,22 @@
-"""Correlated-subquery decorrelation and probe memoization.
+"""Correlated-subquery strategies: bucket path, probe tables, memoization.
 
-Regression tests for the engine's two probe-amortisation mechanisms:
+Regression tests for the engine's three probe-amortisation strategies:
 
-* hash semi-/anti-join decorrelation for pure equi-correlated blocks
-  (the shape ``rewrite_certain`` emits for null checks);
+* the bucket path for single-source inner blocks correlated by
+  ``local = outer.col`` probes: each outer row reads its bucket of the
+  kept index and runs the residuals on it;
+* hash semi-/anti-join probe tables for pure equi-correlated
+  multi-source blocks;
 * memoized probing keyed on the correlated values for everything else
   (e.g. the ``x = outer.y OR x IS NULL`` residual shape).
 
 Results are checked against two references that share no probe code
-path with the hash tables: stdlib ``sqlite3`` for standard SQL nulls,
-and the engine's own memoized fallback, forced everywhere by a zero
-probe-build budget (``ResourceLimits(max_probe_build_rows=0)``).  The
-fallback is compared row for row, order included, which also covers
-marked nulls with repeated labels that sqlite cannot express.
+path with the bucket path or the hash tables: stdlib ``sqlite3`` for
+standard SQL nulls, and the engine's own memoized fallback, forced
+everywhere by a zero probe-build budget
+(``ResourceLimits(max_probe_build_rows=0)``).  The fallback is compared
+row for row, order included, which also covers marked nulls with
+repeated labels that sqlite cannot express.
 """
 
 import random
@@ -25,7 +29,8 @@ from repro.sql.parser import parse_sql
 
 from .sqlite_ref import engine_bag, sqlite_rows
 
-#: Every probe-table build degrades to memoized probing at its first row.
+#: Every probe-table build degrades to memoized probing at its first row,
+#: and so does every bucket path whose index has a row.
 FORCE_FALLBACK = ResourceLimits(max_probe_build_rows=0)
 
 
@@ -65,17 +70,23 @@ NOT_EXISTS_RESIDUAL = (
 
 
 class TestDecorrelation:
-    def test_pure_probe_not_exists_examines_fewer_rows(self, skewed_db):
+    def test_pure_probe_not_exists_reads_one_bucket_row_per_probe(self, skewed_db):
+        """A single-source block takes the bucket path: no probe table,
+        no memo lookup, and each NOT EXISTS stops at the first row of its
+        bucket.  The memoized fallback pays once per distinct key (5),
+        the bucket path once per outer row (200)."""
         fast, fast_ctx = run_counted(skewed_db, NOT_EXISTS_PROBE)
         slow, slow_ctx = run_counted(skewed_db, NOT_EXISTS_PROBE, limits=FORCE_FALLBACK)
         assert slow_ctx.degradations == 1
         assert fast.attributes == slow.attributes
         assert fast.rows == slow.rows
         assert engine_bag(fast.rows) == sqlite_rows(skewed_db, NOT_EXISTS_PROBE)
-        assert fast_ctx.rows_examined < slow_ctx.rows_examined
-        assert fast_ctx.probe_tables_built == 1
+        assert fast_ctx.probe_tables_built == 0
+        assert fast_ctx.probe_build_rows == 0
+        assert fast_ctx.probe_cache_hits + fast_ctx.probe_cache_misses == 0
         assert fast_ctx.decorrelated_probes == 200
-        assert fast_ctx.probe_build_rows > 0
+        assert fast_ctx.rows_examined == 200 + 200
+        assert slow_ctx.rows_examined == 200 + 5
 
     def test_multi_table_inner_block_decorrelates(self):
         """A join inside the subquery used to re-run once per outer row."""
@@ -112,8 +123,9 @@ class TestDecorrelation:
         fast, fast_ctx = run_counted(skewed_db, sql)
         assert engine_bag(fast.rows) == sqlite_rows(skewed_db, sql)
         assert_matches_fallback(skewed_db, sql)
-        assert fast_ctx.probe_tables_built == 1
+        assert fast_ctx.probe_tables_built == 0  # one source: the bucket path
         assert fast_ctx.decorrelated_probes == 200
+        assert fast_ctx.probe_cache_hits + fast_ctx.probe_cache_misses == 0
 
     def test_not_in_subquery_memoizes(self, skewed_db):
         sql = (
@@ -126,7 +138,10 @@ class TestDecorrelation:
 
     def test_deeper_correlation_not_decorrelated_but_correct(self):
         """Two-level correlation (grandparent reference) must take the
-        memo path, never the hash-table path."""
+        memo path, never the bucket or hash-table path.  The outer EXISTS
+        reads r only, so it takes the bucket path (one probe per r row);
+        the nested EXISTS reads no column of s, so each probe that finds
+        a bucket runs it once, memoized on r.a."""
         db = Database(
             {
                 "r": Relation(("a",), [(1,), (2,), (3,)]),
@@ -141,7 +156,9 @@ class TestDecorrelation:
         fast, fast_ctx = run_counted(db, sql)
         assert fast.rows == [(3,)]
         assert fast_ctx.probe_tables_built == 0
-        assert fast_ctx.decorrelated_probes == 0
+        assert fast_ctx.decorrelated_probes == 3  # the outer EXISTS only
+        assert fast_ctx.probe_cache_misses == 2  # r.a = 2 and 3 find a bucket
+        assert fast.rows == execute_sql(db, sql, limits=FORCE_FALLBACK).rows
 
 
 class TestNullKeys:

@@ -108,6 +108,22 @@ class TestOnePlanModel:
         assert "block over orders" in text and "block over lineitem" in text
         assert "-- total estimated cost:" in text
 
+    def test_bucket_path_names_the_kept_index(self, db):
+        """A single-source subquery reads one bucket per probe: the line
+        names the index and the probes, its rows are the average bucket
+        (rows per distinct l_orderkey), and nothing is built."""
+        params = sample_parameters("Q3", db, rng=random.Random(5))
+        text = explain_sql(db, QUERIES["Q3"][1], params)
+        probes = len(db["orders"])
+        per_bucket = len(db["lineitem"]) / len(set(r[0] for r in db["lineitem"].rows))
+        match = re.search(
+            rf"  NOT EXISTS \(kept index \[l_orderkey\], ×{probes} probes\)  \(rows≈(\d+), ",
+            text,
+        )
+        assert match, text
+        assert abs(int(match.group(1)) - per_bucket) <= 1
+        assert "probe table" not in text and "invocations" not in text
+
     def test_decorrelated_predicate_costs_one_build(self, db, params):
         text = explain_sql(db, Q4_SQL, params)
         assert "NOT EXISTS (probe table, one build)" in text

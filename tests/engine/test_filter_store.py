@@ -82,9 +82,9 @@ def pass_runs(monkeypatch):
 
 
 #: constant-free filters on s in every block shape: a join (s kept and
-#: indexed), a single-table scan, an uncorrelated EXISTS, a memoized
-#: correlated EXISTS (probe index over the kept rows) and a decorrelated
-#: NOT EXISTS whose filter is an OR
+#: indexed), a single-table scan, an uncorrelated EXISTS, and two
+#: bucket-path subqueries over an index on the kept rows: an EXISTS whose
+#: residual reads the outer row and a NOT EXISTS whose filter is an OR
 KEPT_QUERIES = [
     "SELECT r.x, s.y FROM r, s WHERE r.a = s.c AND s.y > s.d",
     "SELECT s.y FROM s WHERE s.c <> s.d",
@@ -160,7 +160,12 @@ def test_two_aliases_share_one_entry(pass_runs):
         ("SELECT s.y FROM s WHERE s.y > $p", {"p": 40}),
         # one conjunct with a literal keeps the whole source out
         ("SELECT r.x, s.y FROM r, s WHERE r.a = s.c AND s.y > s.d AND s.d < 1", {}),
-        ("SELECT r.x FROM r WHERE EXISTS (SELECT * FROM s WHERE s.c = r.a AND s.c IN (1, 2))", {}),
+        # a probe table's build runs the filter
+        (
+            "SELECT r.x FROM r WHERE EXISTS (SELECT * FROM s, r r2 "
+            "WHERE s.c = r.a AND r2.a = s.d AND s.c IN (1, 2))",
+            {},
+        ),
     ],
 )
 def test_filters_with_a_literal_or_a_parameter_are_never_kept(sql, params, pass_runs):
@@ -174,6 +179,32 @@ def test_filters_with_a_literal_or_a_parameter_are_never_kept(sql, params, pass_
         assert filter_entries(db["s"]) == [] and filtered_indexes(db["s"]) == []
     if not params:
         assert engine_bag(result.rows) == sqlite_rows(db, sql)
+
+
+@pytest.mark.parametrize(
+    "sql, params",
+    [
+        ("SELECT r.x FROM r WHERE EXISTS (SELECT * FROM s WHERE s.c = r.a AND s.c IN (1, 2))", {}),
+        ("SELECT r.x FROM r WHERE NOT EXISTS "
+         "(SELECT * FROM s WHERE s.c = r.a AND s.y > s.d AND s.y < $p)", {"p": 40}),
+    ],
+)
+def test_bucket_path_checks_a_constant_filter_per_bucket_row(sql, params, pass_runs):
+    """The bucket path keeps the index over the source's constant-free
+    rows (the whole table, or s.y > s.d) and runs a filter with a
+    constant on the rows of each bucket it reads: no pass runs for it,
+    and nothing under it is kept."""
+    db = make_db()
+    for _ in range(2):
+        pass_runs.clear()
+        result, ctx = run(db, sql, params)
+        assert ctx.decorrelated_probes == 20 and ctx.probe_tables_built == 0
+        # s.y > s.d alone, if any; one index over its rows or the table
+        assert all(len(key) == 1 for key in filter_entries(db["s"]))
+        assert len([key for key in db["s"].indexes if isinstance(key, tuple)]) == 1
+    assert pass_runs == []  # the second statement reuses the kept rows
+    expected = sqlite_rows(db, sql.replace("$p", "40"))
+    assert engine_bag(result.rows) == expected
 
 
 # ---------------------------------------------------------------------------

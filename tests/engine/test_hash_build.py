@@ -1,7 +1,7 @@
 """Hash builds: byte-budget check points and null keys.
 
-Every engine hash table (equi-join and probe indexes, decorrelated probe
-tables) is built by one loop.  These tests pin what that loop must keep:
+Every engine hash table (equi-join and probe indexes, the bucket path's
+kept indexes, decorrelated probe tables) is built by one loop.  These tests pin what that loop must keep:
 
 * the byte meter is consulted on the first new key and then every 256th,
   so a ``max_probe_table_bytes`` cap degrades exactly the tables whose
@@ -75,8 +75,9 @@ EXISTS = "SELECT r.x FROM r WHERE EXISTS (SELECT * FROM s WHERE s.c = r.a)"
     "sql, degradations",
     [
         (JOIN, 1),  # the equi index falls back to linear probing
-        # the probe table falls back to memoized probing, whose probe
-        # index crosses the same cap and falls back to linear probing
+        # the bucket path's index falls back to memoized probing, whose
+        # probe index (the same kept entry) crosses the same cap and
+        # falls back to linear probing
         (EXISTS, 2),
     ],
 )
@@ -113,8 +114,9 @@ def test_cap_crossed_after_last_check_point_does_not_degrade(budget_db, sql):
         # the index is abandoned at its first key; each of r's rows then
         # scans s linearly
         (JOIN, 1, 1 + 40 + 40 * KEYS + 40),
-        # probe-table build rows (the inner block's scan), r's scan
-        (EXISTS, None, KEYS + 40),
+        # the bucket path's index build rows, r's scan, the one row of
+        # each probe's bucket
+        (EXISTS, None, KEYS + 40 + 40),
     ],
 )
 def test_governor_checks_once_per_row(sql, cap, checks, monkeypatch):
@@ -140,12 +142,13 @@ QUERIES = {
     # equi index, one and two key columns (multi-table block: statistics)
     "join1": "SELECT r.x, s.y FROM r, s WHERE r.a = s.c",
     "join2": "SELECT r.x, s.y FROM r, s WHERE r.a = s.c AND r.b = s.d",
-    # probe index of a memoized correlated subquery (single-table block)
+    # kept index of the bucket path, whose residual reads the outer row
+    # (single-table block)
     "probe1": "SELECT r.x FROM r WHERE NOT EXISTS "
     "(SELECT * FROM s WHERE s.c = r.a AND s.y > r.x)",
     "probe2": "SELECT r.x FROM r WHERE EXISTS "
     "(SELECT * FROM s WHERE s.c = r.a AND s.d = r.b AND s.y <> r.x)",
-    # decorrelated probe tables, single-table inner block
+    # kept index of the bucket path, single-table inner block
     "exists1": "SELECT r.x FROM r WHERE EXISTS (SELECT * FROM s WHERE s.c = r.a)",
     "exists2": "SELECT r.x FROM r WHERE NOT EXISTS "
     "(SELECT * FROM s WHERE s.c = r.a AND s.d = r.b)",
@@ -219,8 +222,7 @@ def test_null_keys_match_linear_path(name, marked, key_nulls):
 )
 @pytest.mark.parametrize("c_nulls", [True, False], ids=["c-nullable", "c-null-free"])
 def test_table_holds_exactly_the_indexable_keys(sql, width, marked, c_nulls):
-    """The one table each query builds (an index on s, or a probe table
-    over s) holds every distinct key of s under marked nulls, and only
+    """The one table each query builds (an index on s) holds every distinct key of s under marked nulls, and only
     the null-free ones under SQL nulls: ``table_bytes`` counts them.
     s.d holds nulls, s.c per *c_nulls*, s.y none."""
     n1, n2, n3 = Null("n1"), Null("n2"), Null("n3")

@@ -1,5 +1,5 @@
-"""Graceful degradation: abandoned probe-table builds bit-match the
-undegraded run and agree with stdlib sqlite3."""
+"""Graceful degradation: abandoned probe-table builds and bucket paths
+bit-match the undegraded run and agree with stdlib sqlite3."""
 
 import pytest
 
@@ -13,20 +13,39 @@ from ..engine.sqlite_ref import engine_bag, sqlite_rows
 
 @pytest.fixture
 def probe_db():
-    """Outer r probes inner s; s is big enough to trip small budgets."""
+    return make_probe_db()
+
+
+def make_probe_db():
+    """Outer r probes inner s (joined to t in the multi-source blocks);
+    s is big enough to trip small budgets."""
     n = Null()
     return Database(
         {
             "r": Relation(("a", "b"), [(i, i % 7) for i in range(40)] + [(99, n)]),
             "s": Relation(("c", "d"), [(i % 7, i) for i in range(300)] + [(n, 0)]),
+            "t": Relation(("e",), [(i,) for i in range(0, 300, 2)]),
         }
     )
 
 
-EXISTS_SQL = "SELECT a FROM r WHERE EXISTS (SELECT c FROM s WHERE s.c = r.b)"
-NOT_EXISTS_SQL = "SELECT a FROM r WHERE NOT EXISTS (SELECT c FROM s WHERE s.c = r.b)"
+# Multi-source inner blocks: a probe table, built once.
+EXISTS_SQL = "SELECT a FROM r WHERE EXISTS (SELECT c FROM s, t WHERE s.c = r.b AND s.d = t.e)"
+NOT_EXISTS_SQL = (
+    "SELECT a FROM r WHERE NOT EXISTS (SELECT c FROM s, t WHERE s.c = r.b AND s.d = t.e)"
+)
+CORRELATED_IN_SQL = "SELECT a FROM r WHERE a IN (SELECT d FROM s, t WHERE s.c = r.b AND s.d = t.e)"
+# Single-source inner blocks: the bucket path over the kept index on s.c.
+BUCKET_EXISTS_SQL = "SELECT a FROM r WHERE EXISTS (SELECT c FROM s WHERE s.c = r.b)"
+BUCKET_NOT_EXISTS_SQL = (
+    "SELECT a FROM r WHERE NOT EXISTS (SELECT c FROM s WHERE s.c = r.b AND s.d <> r.a)"
+)
+BUCKET_IN_SQL = "SELECT a FROM r WHERE a IN (SELECT d FROM s WHERE s.c = r.b)"
 IN_SQL = "SELECT a FROM r WHERE b IN (SELECT c FROM s WHERE s.d < 100)"
-CORRELATED_IN_SQL = "SELECT a FROM r WHERE a IN (SELECT d FROM s WHERE s.c = r.b)"
+
+TABLE_CASES = [EXISTS_SQL, NOT_EXISTS_SQL, CORRELATED_IN_SQL]
+BUCKET_CASES = [BUCKET_EXISTS_SQL, BUCKET_NOT_EXISTS_SQL, BUCKET_IN_SQL]
+CASE_IDS = ["exists", "not-exists", "in"]
 
 
 def run(db, sql, **executor_kwargs):
@@ -36,7 +55,9 @@ def run(db, sql, **executor_kwargs):
 
 
 @pytest.mark.parametrize(
-    "sql", [EXISTS_SQL, NOT_EXISTS_SQL, CORRELATED_IN_SQL], ids=["exists", "not-exists", "in"]
+    "sql",
+    TABLE_CASES + BUCKET_CASES,
+    ids=CASE_IDS + [f"bucket-{case}" for case in CASE_IDS],
 )
 class TestDegradationEquivalence:
     def test_degraded_matches_full(self, probe_db, sql):
@@ -46,15 +67,43 @@ class TestDegradationEquivalence:
         )
         assert ctx.degradations == 1
         assert ctx.probe_tables_built == 0
+        assert ctx.decorrelated_probes == 0
         assert degraded.attributes == full.attributes
         assert degraded.rows == full.rows  # bit-match, order included
         assert engine_bag(degraded.rows) == sqlite_rows(probe_db, sql)
 
-    def test_undegraded_run_builds_the_table(self, probe_db, sql):
-        full, ctx = run(probe_db, sql, limits=ResourceLimits(max_probe_build_rows=10**6))
-        assert ctx.degradations == 0
-        assert ctx.probe_tables_built == 1
-        assert engine_bag(full.rows) == sqlite_rows(probe_db, sql)
+
+@pytest.mark.parametrize("sql", TABLE_CASES, ids=CASE_IDS)
+def test_undegraded_run_builds_the_table(probe_db, sql):
+    full, ctx = run(probe_db, sql, limits=ResourceLimits(max_probe_build_rows=10**6))
+    assert ctx.degradations == 0
+    assert ctx.probe_tables_built == 1
+    assert engine_bag(full.rows) == sqlite_rows(probe_db, sql)
+
+
+@pytest.mark.parametrize("sql", BUCKET_CASES, ids=CASE_IDS)
+def test_undegraded_run_reads_buckets(probe_db, sql):
+    """s's 301 rows are within the cap: every r row reads its bucket."""
+    full, ctx = run(probe_db, sql, limits=ResourceLimits(max_probe_build_rows=301))
+    assert ctx.degradations == 0
+    assert ctx.probe_tables_built == ctx.probe_build_rows == 0
+    assert ctx.decorrelated_probes == 41
+    assert ctx.probe_cache_hits + ctx.probe_cache_misses == 0
+    assert engine_bag(full.rows) == sqlite_rows(probe_db, sql)
+
+
+@pytest.mark.parametrize("sql", BUCKET_CASES, ids=CASE_IDS)
+def test_bucket_path_degrades_on_reuse_where_it_would_on_build(probe_db, sql):
+    """The cap is held against the kept index's row count: a statement
+    that reuses the index degrades exactly as one that would build it."""
+    run(probe_db, sql)  # keeps s's index
+    assert (frozenset(), ("c",), (0,)) in probe_db["s"].indexes
+    limits = ResourceLimits(max_probe_build_rows=300)
+    reused, ctx_r = run(probe_db, sql, limits=limits)
+    built, ctx_b = run(make_probe_db(), sql, limits=limits)
+    assert ctx_r.degradations == ctx_b.degradations == 1
+    assert reused.rows == built.rows
+    assert engine_bag(reused.rows) == sqlite_rows(probe_db, sql)
 
 
 class TestDegradationAccounting:
@@ -65,6 +114,29 @@ class TestDegradationAccounting:
         # Fallback probing (memoized) actually ran.
         assert ctx.probe_cache_hits + ctx.probe_cache_misses > 0
         assert ctx.decorrelated_probes == 0
+
+    def test_bucket_path_degrades_before_reading_a_row(self, probe_db):
+        # The index's row count is known before any bucket is read.
+        _, ctx = run(
+            probe_db, BUCKET_EXISTS_SQL, limits=ResourceLimits(max_probe_build_rows=5)
+        )
+        assert ctx.degradations == 1
+        assert ctx.probe_build_rows == 0
+        assert ctx.probe_cache_hits + ctx.probe_cache_misses == 41
+        assert ctx.decorrelated_probes == 0
+
+    def test_bucket_path_over_the_byte_cap_degrades_to_memo(self, probe_db):
+        # The kept index on s.c is over the cap, and so is the memoized
+        # fallback's probe index, the same kept entry: two degradations.
+        full, _ = run(probe_db, BUCKET_NOT_EXISTS_SQL)
+        capped, ctx = run(
+            probe_db, BUCKET_NOT_EXISTS_SQL, limits=ResourceLimits(max_probe_table_bytes=1)
+        )
+        assert ctx.degradations == 2
+        assert ctx.table_bytes == 0
+        assert ctx.decorrelated_probes == 0
+        assert capped.rows == full.rows
+        assert engine_bag(capped.rows) == sqlite_rows(probe_db, BUCKET_NOT_EXISTS_SQL)
 
     def test_degradation_does_not_disable_other_subqueries(self, probe_db):
         # A second, cheap subquery still decorrelates.

@@ -109,16 +109,36 @@ class TestRowBudget:
             )
 
     def test_budget_counts_probe_build_rows(self):
-        # The decorrelated probe-table build charges the same budget.
+        # The decorrelated probe-table build of a multi-source inner
+        # block charges the same budget.
         db = Database(
             {
                 "r": Relation(("a",), [(i,) for i in range(5)]),
                 "s": Relation(("c",), [(i,) for i in range(500)]),
+                "t": Relation(("c",), [(i,) for i in range(500)]),
             }
         )
-        sql = "SELECT a FROM r WHERE EXISTS (SELECT c FROM s WHERE s.c = r.a)"
+        sql = "SELECT a FROM r WHERE EXISTS (SELECT s.c FROM s, t WHERE s.c = r.a AND s.c = t.c)"
         with pytest.raises(RowBudgetExceeded):
             execute_sql(db, sql, limits=ResourceLimits(max_rows_examined=100))
+
+    def test_budget_counts_bucket_rows(self):
+        # A single-source inner block reads buckets of the kept index on
+        # s.c: its build is not counted, each bucket row it examines is.
+        db = Database(
+            {
+                "r": Relation(("a",), [(i,) for i in range(5)]),
+                "s": Relation(("c", "d"), [(i % 5, i) for i in range(500)]),
+            }
+        )
+        # s.d < r.a fails on every row of r.a's bucket of 100
+        sql = "SELECT a FROM r WHERE EXISTS (SELECT c FROM s WHERE s.c = r.a AND s.d < r.a)"
+        with pytest.raises(RowBudgetExceeded):
+            execute_sql(db, sql, limits=ResourceLimits(max_rows_examined=100))
+        executor = Executor(db, limits=ResourceLimits(max_rows_examined=505))
+        assert executor.execute(parse_sql(sql)).rows == []
+        assert executor.ctx.rows_examined == 5 + 5 * 100
+        assert executor.ctx.probe_build_rows == 0
 
     def test_unlimited_limits_object_costs_nothing(self, cross_db):
         executor = Executor(cross_db, limits=ResourceLimits())

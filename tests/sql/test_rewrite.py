@@ -417,6 +417,26 @@ def test_unknown_column_in_a_positive_in_list_is_rejected(tsu):
     assert [d.rule for d in info.value.diagnostics] == ["SA301"]
 
 
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT zz FROM t",
+        "SELECT a, b || zz FROM t",
+        "SELECT a FROM t WHERE NOT EXISTS (SELECT zz FROM s WHERE s.c = t.a)",
+    ],
+)
+def test_unknown_column_in_a_select_list_is_rejected(tsu, sql):
+    # The engine cannot resolve it either; it used to print back unchanged.
+    with pytest.raises(RewriteError, match="cannot resolve column 'zz'") as info:
+        rewrite_certain(parse_sql(sql), tsu)
+    assert [d.rule for d in info.value.diagnostics] == ["SA301"]
+
+
+def test_select_star_and_outer_columns_in_a_select_list_resolve(tsu):
+    sql = "SELECT * FROM t WHERE t.a IN (SELECT t.a FROM s WHERE s.c = t.b)"
+    assert to_sql(rewrite_certain(parse_sql(sql), tsu))
+
+
 class TestNegateSql:
     @pytest.mark.parametrize(
         "text, expected",
