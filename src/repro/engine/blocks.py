@@ -19,15 +19,15 @@ is how an ``OR … IS NULL`` join condition degrades to nested loops, the
 Section 7 Q4 effect), builds hash indexes once, and streams result rows
 so ``EXISTS`` probes stop at the first match.
 
-Every source is read one way: its pushed filters run as columnar batch
-passes over the whole table, once per statement, and the block iterates
-the filtered rows (or an index over them).  What depends only on a
-relation's rows is built once per relation and kept in
-``Relation.indexes`` for later statements: a source's rows under
-*constant-free* pushed filters (no constant, parameter, subquery or
-outer column; :func:`_source_key`), their statistics, and the equi-join
-and probe indexes over them, all keyed by the source key (``frozenset()``
-for a whole table).
+Every source is read one way: its pushed filters run as passes over the
+whole table's rows, one ``row → keep?`` test per conjunct, once per
+statement, and the block iterates the filtered rows (or an index over
+them).  What depends only on a relation's rows is built once per
+relation and kept in ``Relation.indexes`` for later statements: a
+source's rows under *constant-free* pushed filters (no constant,
+parameter, subquery or outer column; :func:`_source_key`), their
+statistics, and the equi-join and probe indexes over them, all keyed by
+the source key (``frozenset()`` for a whole table).
 """
 
 from __future__ import annotations
@@ -499,8 +499,13 @@ class _CorrelatedSubquery(_Cond):
         if index is None:
             self._degrade()
             return
-        from repro.engine.compile import build_row_filter, compile_cond, compile_expr
+        from repro.engine.compile import compile_cond, compile_expr, row_tests
 
+        tests = row_tests(source, [cond for cond in source.filters if _cond_key(cond) is None])
+        if len(tests) > 1:
+            keep = lambda row: all(test(row) for test in tests)
+        else:
+            keep = tests[0] if tests else None
         checks = [cond for cond in block.residuals if cond.local_keys]
         reads_outer = self._out_has_outer or any(
             cond.has_outer for cond in checks + block._pre
@@ -515,9 +520,7 @@ class _CorrelatedSubquery(_Cond):
                 if not expr.has_outer
             ),
             {(source.binding, col): i for i, col in enumerate(source.columns)},
-            build_row_filter(
-                source, [cond for cond in source.filters if _cond_key(cond) is None]
-            ),
+            keep,
             [compile_cond(cond) for cond in checks],
             pre,
             self.needed if reads_outer else None,
@@ -635,8 +638,9 @@ class _Buckets:
     of the constant probes (``consts``, computed once); its bucket is
     read from ``index``, the kept index over the source's rows under its
     constant-free filters.  A bucket row must pass the source's filters
-    that hold a constant (``keep``, their per-row batch-pass form;
-    uncounted, as pushed filters are), then counts one ``rows_examined``
+    that hold a constant (``keep``, their row tests, the ones the
+    block's filter passes run; uncounted, as pushed filters are;
+    ``None`` without such a filter), then counts one ``rows_examined``
     and one governor check before the residuals (``checks``) decide it.
     ``pre`` are the conditions without local columns that read the outer
     row, run once per found bucket; ``needed`` the outer keys the checks
@@ -791,9 +795,9 @@ def _membership(x, values, marked: bool = False) -> ThreeValued:
 class _Source:
     """One FROM entry with its pushed single-table filters and, once they
     are compiled, their key in the relation's store (:func:`_source_key`)
-    and their batch passes (built at the first filter run)."""
+    and their row tests (built at the first filter run)."""
 
-    __slots__ = ("binding", "table", "columns", "filters", "key", "passes")
+    __slots__ = ("binding", "table", "columns", "filters", "key", "tests")
 
     def __init__(self, binding: str, table: str, columns: Tuple[str, ...]):
         self.binding = binding
@@ -801,7 +805,7 @@ class _Source:
         self.columns = columns
         self.filters: List[_Cond] = []
         self.key: Optional[frozenset] = None
-        self.passes: Optional[List[object]] = None
+        self.tests: Optional[List[object]] = None
 
 
 class CompiledBlock:
@@ -938,7 +942,14 @@ class CompiledBlock:
                 raise EngineError(f"unbound parameter ${expr.name}")
             return _Const(self.ctx.params[expr.name])
         if isinstance(expr, ast.Concat):
-            return _Concat([self._expr(p) for p in expr.parts])
+            parts = [self._expr(p) for p in expr.parts]
+            if all(isinstance(part, _Const) for part in parts):
+                # Folded at compile time to what the compiled concat
+                # returns: the first null part, else the joined strings.
+                values = [part.value for part in parts]
+                nulls = [value for value in values if isinstance(value, Null)]
+                return _Const(nulls[0] if nulls else "".join(map(str, values)))
+            return _Concat(parts)
         if isinstance(expr, ast.ScalarSubquery):
             return self._scalar_subquery(expr.query)
         if isinstance(expr, ast.Aggregate):
@@ -1026,20 +1037,20 @@ class CompiledBlock:
     # ------------------------------------------------------------------
     def _filtered_rows(self, source: _Source) -> List[Row]:
         ctx = self.ctx
-        relation = ctx.relation(source.table)
-        rows = relation.rows
-        if not source.filters:
-            return rows
-        # Columnar: each pushed conjunct is one batch pass over the
-        # surviving row ids, so later conjuncts only touch rows the
-        # earlier ones kept.  Filter scans stay outside the row counters.
-        ids: Sequence[int] = range(len(rows))
-        for batch_pass in self._batch_passes(source):
+        rows = ctx.relation(source.table).rows
+        if source.tests is None:  # filters are fixed after compilation
+            from repro.engine.compile import row_tests
+
+            source.tests = row_tests(source, source.filters)
+        # One pass per pushed conjunct over the surviving rows, so later
+        # conjuncts only test rows the earlier ones kept.  Filter passes
+        # stay outside the row counters.
+        for test in source.tests:
             ctx.check()
-            ids = batch_pass(rows, ids)
-            if not ids:
+            rows = [row for row in rows if test(row)]
+            if not rows:
                 break
-        return [rows[i] for i in ids]
+        return rows
 
     def _store(self, source: _Source) -> Optional[Dict[object, object]]:
         """The store of *source*'s relation if *source*'s filtered rows
@@ -1063,13 +1074,6 @@ class CompiledBlock:
             if store is not None:
                 store[source.key] = kept
         return kept
-
-    def _batch_passes(self, source: _Source) -> List[object]:
-        if source.passes is None:  # filters are fixed after compilation
-            from repro.engine.compile import build_batch_passes
-
-            source.passes = build_batch_passes(source, source.filters)
-        return source.passes
 
     def _prepare(self, env_available: bool) -> None:
         if self._order is not None:

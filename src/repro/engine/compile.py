@@ -15,9 +15,11 @@ those trees, at prepare time, into plain Python closures
   (data-driven: the filtered column vector contains no nulls, see
   :class:`repro.engine.stats.SourceStats`), the per-row ``is_null``
   test disappears from the closure;
-* **columnar batch filters** — pushed single-table filters become
-  batch passes over row-id lists (one tight comprehension per
-  conjunct) instead of per-row calls.
+* **row tests for pushed filters** — each pushed single-table filter
+  becomes one ``row → keep?`` test (:func:`row_tests`) that reads its
+  cells directly where the shape allows; the block runs one pass over
+  its row list per conjunct, and the bucket path runs the same tests
+  on a bucket's rows.
 
 Subquery nodes keep their state (decorrelated probe tables, memo
 caches, cached uncorrelated results) on the IR node, so recompiling a
@@ -41,8 +43,7 @@ from repro.engine.limits import EngineError
 __all__ = [
     "compile_expr",
     "compile_cond",
-    "build_batch_passes",
-    "build_row_filter",
+    "row_tests",
 ]
 
 Key = Tuple[str, str]
@@ -407,7 +408,7 @@ def _compile_in_values(cond: "B._InValues", nonnull: NonNull) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# Columnar batch filters
+# Row tests for pushed filters
 # ---------------------------------------------------------------------------
 
 
@@ -487,17 +488,15 @@ def _unary_test(cond: "B._Cond", source: "B._Source") -> Optional[Callable]:
     return None
 
 
-def _binary_pred(
-    cond: "B._Cond", source: "B._Source"
-) -> Optional[Tuple[int, int, Callable]]:
-    """``(pos, pos, raw comparator)`` for local column-column filters.
+def _binary_test(cond: "B._Cond", source: "B._Source") -> Optional[Callable]:
+    """``row → keep?`` for local column-column filters.
 
     Covers comparisons between two columns of the *same* source (e.g.
-    ``l_receiptdate > l_commitdate``): the batch pass reads both cells
-    and applies the C-level operator directly, with the 3VL null guards
-    inlined at the call site.  Marked-null equality stays on the generic
-    path (same-label nulls compare TRUE there, which the plain operator
-    plus null guard would get wrong).
+    ``l_receiptdate > l_commitdate``): the test reads both cells and
+    applies the C-level operator directly, behind the 3VL null guards.
+    Marked-null equality stays on the generic path (same-label nulls
+    compare TRUE there, which the plain operator plus null guard would
+    get wrong).
     """
     if not isinstance(cond, B._Cmp):
         return None
@@ -526,107 +525,42 @@ def _binary_pred(
     }[op]
     p1 = source.columns.index(left.key[1])
     p2 = source.columns.index(right.key[1])
-    return p1, p2, cmp_fn
+    return lambda row: (
+        not isinstance((a := row[p1]), Null)
+        and not isinstance((b := row[p2]), Null)
+        and cmp_fn(a, b)
+    )
 
 
-def _filter_shape(cond: "B._Cond", source: "B._Source") -> Tuple:
-    """The specialised form of one pushed filter: ``("unary", keep)``,
-    ``("binary", pos, pos, cmp)``, ``("or", keep, keep)`` for a
-    disjunction of two unary shapes, else ``("generic", fn)`` with *fn*
-    the compiled condition."""
-    unary = _unary_test(cond, source)
-    if unary is not None:
-        return ("unary", unary)
-    binary = _binary_pred(cond, source)
-    if binary is not None:
-        return ("binary", *binary)
-    if isinstance(cond, B._Bool) and cond.op == "or" and len(cond.items) == 2:
-        unaries = [_unary_test(item, source) for item in cond.items]
-        if all(u is not None for u in unaries):
-            return ("or", *unaries)
-    return ("generic", compile_cond(cond))
+def _or_test(cond: "B._Cond", source: "B._Source") -> Optional[Callable]:
+    """``row → keep?`` for a two-arm ``OR`` of single-column filters."""
+    if not (isinstance(cond, B._Bool) and cond.op == "or" and len(cond.items) == 2):
+        return None
+    k1, k2 = (_unary_test(item, source) for item in cond.items)
+    if k1 is None or k2 is None:
+        return None
+    return lambda row: k1(row) or k2(row)
 
 
-def build_batch_passes(
-    source: "B._Source", conds: Sequence["B._Cond"]
-) -> List[Callable]:
-    """Compile pushed filters into ``(rows, ids) → ids`` batch passes.
+def row_tests(source: "B._Source", conds: Sequence["B._Cond"]) -> List[Callable]:
+    """Compile pushed filters of *source* into ``row → keep?`` tests, one
+    per conjunct, each true when its conjunct is TRUE on the row.
 
-    Each pass scans one column (or, for the generic fallback, builds a
-    cursor per surviving row) and returns the surviving row ids, so a
-    chain of passes touches only rows that survived every earlier
-    conjunct.
+    Single-column filters, same-source column-column comparisons and
+    two-arm ``OR``s of single-column filters read their cells directly;
+    anything else calls the compiled condition with the source's slot
+    map.  The block's filter passes and the bucket path both run them.
     """
-    passes: List[Callable] = []
     slotmap = {(source.binding, col): i for i, col in enumerate(source.columns)}
-    for cond in conds:
-        kind, *args = _filter_shape(cond, source)
-        if kind == "unary":
-            (keep,) = args
-
-            def unary_pass(rows, ids, _keep=keep):
-                return [i for i in ids if _keep(rows[i])]
-
-            passes.append(unary_pass)
-        elif kind == "binary":
-            p1, p2, cmp_fn = args
-
-            def binary_pass(rows, ids, _p1=p1, _p2=p2, _cmp=cmp_fn):
-                return [
-                    i
-                    for i in ids
-                    if not isinstance((a := rows[i][_p1]), Null)
-                    and not isinstance((b := rows[i][_p2]), Null)
-                    and _cmp(a, b)
-                ]
-
-            passes.append(binary_pass)
-        elif kind == "or":
-            k1, k2 = args
-
-            def or_pass(rows, ids, _k1=k1, _k2=k2):
-                return [i for i in ids if _k1(rows[i]) or _k2(rows[i])]
-
-            passes.append(or_pass)
-        else:
-            (fn,) = args
-
-            def generic_pass(rows, ids, _fn=fn, _slotmap=slotmap):
-                return [i for i in ids if _fn((_slotmap, rows[i]), _EMPTY_ENV) is TRUE]
-
-            passes.append(generic_pass)
-    return passes
-
-
-def build_row_filter(
-    source: "B._Source", conds: Sequence["B._Cond"]
-) -> Optional[Callable]:
-    """The per-row form of :func:`build_batch_passes`: ``row → keep?``,
-    true when every one of *conds* is TRUE on the row, for rows read one
-    at a time (a bucket of a kept index); ``None`` without *conds*."""
     tests: List[Callable] = []
-    slotmap = {(source.binding, col): i for i, col in enumerate(source.columns)}
     for cond in conds:
-        kind, *args = _filter_shape(cond, source)
-        if kind == "unary":
-            tests.append(args[0])
-        elif kind == "binary":
-            p1, p2, cmp_fn = args
-            tests.append(
-                lambda row, _p1=p1, _p2=p2, _cmp=cmp_fn: not isinstance(
-                    (a := row[_p1]), Null
-                )
-                and not isinstance((b := row[_p2]), Null)
-                and _cmp(a, b)
-            )
-        elif kind == "or":
-            k1, k2 = args
-            tests.append(lambda row, _k1=k1, _k2=k2: _k1(row) or _k2(row))
-        else:
-            (fn,) = args
-            tests.append(
-                lambda row, _fn=fn, _slotmap=slotmap: _fn((_slotmap, row), _EMPTY_ENV) is TRUE
-            )
-    if len(tests) <= 1:
-        return tests[0] if tests else None
-    return lambda row, _tests=tuple(tests): all(test(row) for test in _tests)
+        test = (
+            _unary_test(cond, source)
+            or _binary_test(cond, source)
+            or _or_test(cond, source)
+        )
+        if test is None:
+            fn = compile_cond(cond)
+            test = lambda row, _fn=fn: _fn((slotmap, row), _EMPTY_ENV) is TRUE
+        tests.append(test)
+    return tests

@@ -4,7 +4,7 @@ The block engine plans greedily: it repeatedly appends the table whose
 join step is estimated to produce the fewest rows.  Before this module
 the only signal was raw base-table size; now each candidate is scored
 from its *filtered* cardinality (pushed single-table filters have
-already run as columnar batch passes by the time ordering happens) and
+already run as passes over the row lists by the time ordering happens) and
 the number-of-distinct-values (NDV) of its equality keys, using the
 textbook independent-uniform estimate
 

@@ -82,19 +82,13 @@ class Fault:
 
 
 class _FaultyRows(list):
-    """A row list that fires a fault when a scan reaches row ``nth``:
-    when iteration gets there, and on each read of it by position (the
-    engine's filter passes read rows by position)."""
+    """A row list that fires a fault when an iteration reaches row
+    ``nth`` (every scan iterates: a filter pass as well as a join step)."""
 
     def __init__(self, rows, nth: int, fault: Fault):
         super().__init__(rows)
         self._nth = nth
         self._fault = fault
-
-    def __getitem__(self, i):
-        if i == self._nth:
-            self._fault.fire()
-        return super().__getitem__(i)
 
     def __iter__(self):
         for i, row in enumerate(super().__iter__()):
@@ -108,8 +102,8 @@ class _FaultyRelation:
     exposing the attributes the engine reads.  It has no store
     (``indexes`` is ``None``), so the engine neither reuses nor keeps
     the real relation's filtered rows, statistics or indexes: every
-    statement reads the faulty rows, and a scan fires the fault on each,
-    whether it iterates the table or runs a filter pass over it."""
+    statement reads the faulty rows, and every scan of them, a filter
+    pass over the table included, fires the fault."""
 
     __slots__ = ("attributes", "rows")
     indexes = None

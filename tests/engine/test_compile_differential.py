@@ -1,14 +1,16 @@
 """Closure-compiled engine: answers, degradation and planning pinned
 against independent references.
 
-The compiled closures are the engine's only evaluator, so nothing here
-compares two evaluators of this package.  Each test checks the engine
-against a reference that does not share its mechanism: SQLite's
-interpreter (stdlib ``sqlite3``) running the same statement on the same
-data, a capped run against the uncapped run of the same query (graceful
-degradation must not change the answer), or a fixed expectation worked
-out by hand.  Query semantics at large is also checked against the
-algebra evaluator in ``test_vs_algebra_property.py``.
+The compiled closures are the engine's only evaluator.  Each test
+checks the engine against a reference that does not share its
+mechanism: SQLite's interpreter (stdlib ``sqlite3``) running the same
+statement on the same data, a capped run against the uncapped run of
+the same query (graceful degradation must not change the answer), or a
+fixed expectation worked out by hand.  Query semantics at large is also
+checked against the algebra evaluator in ``test_vs_algebra_property.py``.
+The one comparison inside the package is of the pushed filters' row
+tests: each shape that reads its cells directly must keep exactly the
+rows on which the generic compiled condition is TRUE.
 """
 
 import random
@@ -16,8 +18,12 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.algebra.threevl import TRUE, UNKNOWN
 from repro.data import Database, Null, Relation
 from repro.engine import ResourceLimits
+from repro.engine import blocks as B
+from repro.engine.blocks import CompiledBlock, ExecContext
+from repro.engine.compile import _binary_test, _or_test, _unary_test, compile_cond, row_tests
 from repro.engine.executor import Executor
 from repro.sql.parser import parse_sql
 
@@ -271,3 +277,117 @@ class TestJoinOrderAndExplain:
         db = Database({"r": Relation(("a", "b"), [(3, 1), (1, 2), (2, 3)])})
         result, _ = run(db, "SELECT a FROM r WHERE a >= 1")
         assert result.rows == [(3,), (1,), (2,)]  # source order preserved
+
+
+# ---------------------------------------------------------------------------
+# Row tests of pushed filters against the generic compiled condition
+# ---------------------------------------------------------------------------
+
+_ORDER_OPS = ["=", "<>", "<", "<=", ">", ">="]
+
+#: (WHERE condition on u, the builder expected to take it: "unary",
+#: "binary", "or", or "generic"; marked ``=``/``<>`` between columns
+#: fall back under marked nulls only); ``$n`` is a null parameter
+ROW_TEST_CASES = (
+    [(f"a {op} 2", "unary") for op in _ORDER_OPS]
+    + [(f"2 {op} a", "unary") for op in _ORDER_OPS]
+    + [(f"a {op} $n", "unary") for op in _ORDER_OPS]
+    + [
+        ("s LIKE 'x%'", "unary"),
+        ("s NOT LIKE '%y'", "unary"),
+        ("s LIKE '%' || $c || '%'", "unary"),
+        ("s LIKE $n", "unary"),
+        ("s NOT LIKE $n", "unary"),
+        ("'xy' LIKE s", "generic"),
+        ("a IS NULL", "unary"),
+        ("a IS NOT NULL", "unary"),
+        ("a IN (1, 2)", "unary"),
+        ("a NOT IN (1, 2)", "unary"),
+        ("a IN (1, $n)", "unary"),
+        ("a NOT IN (1, $n)", "unary"),
+        ("a IN ($n)", "unary"),
+        ("a NOT IN ($n)", "unary"),
+    ]
+    + [(f"a {op} b", "binary") for op in _ORDER_OPS]
+    + [
+        ("s LIKE t", "generic"),
+        ("a = 1 OR b IS NULL", "or"),
+        ("s NOT LIKE 'y%' OR a >= $n", "or"),
+        ("a < 2 OR a > 2 OR b IS NULL", "generic"),
+        ("a = 1 OR b = a", "generic"),
+    ]
+)
+
+_LABELS = ("n0", "n1")
+
+
+def _nullable_rows(rng: random.Random, count: int):
+    """u(a, b, s, t): int and string columns whose nulls reuse the labels
+    of the null parameter, so marked-null equality has matches."""
+
+    def cell(values):
+        return Null(rng.choice(_LABELS)) if rng.random() < 0.3 else rng.choice(values)
+
+    ints, strings = (1, 2, 3), ("x", "xy", "yx", "y", "z")
+    return [(cell(ints), cell(ints), cell(strings), cell(strings)) for _ in range(count)]
+
+
+def _compiled_filter(where: str, rows, marked: bool):
+    """The IR of condition *where* over u, and u's source.  It is
+    compiled directly, so ``a = 2``, which a WHERE clause would turn into
+    a probe, is tested too (it is pushed as an arm of an ``OR``)."""
+    db = Database({"u": Relation(("a", "b", "s", "t"), rows)})
+    ctx = ExecContext(db, {"n": Null("n0"), "c": "y"}, marked_nulls=marked)
+    select = parse_sql(f"SELECT * FROM u WHERE {where}").body
+    block = CompiledBlock(parse_sql("SELECT * FROM u").body, ctx, None)
+    return block.sources["u"], block._cond(select.where)
+
+
+def _shape(cond, source) -> str:
+    for name, builder in (("unary", _unary_test), ("binary", _binary_test), ("or", _or_test)):
+        if builder(cond, source) is not None:
+            return name
+    return "generic"
+
+
+@pytest.mark.parametrize("marked", [False, True], ids=["sql-nulls", "marked-nulls"])
+@pytest.mark.parametrize("where, shape", ROW_TEST_CASES, ids=[c for c, _ in ROW_TEST_CASES])
+def test_row_test_matches_the_generic_closure(where, shape, marked):
+    """The condition takes the expected builder, and its row test keeps a
+    random nullable row exactly when the generic closure is TRUE on it."""
+    rows = _nullable_rows(random.Random(where), 300)
+    source, cond = _compiled_filter(where, rows, marked)
+    marked_cmp = marked and shape == "binary" and cond.op in ("=", "<>")
+    assert _shape(cond, source) == ("generic" if marked_cmp else shape)
+    (test,) = row_tests(source, [cond])
+    generic = compile_cond(cond)
+    slotmap = {("u", col): i for i, col in enumerate(source.columns)}
+    for row in rows:
+        assert bool(test(row)) == (generic((slotmap, row), {}) is TRUE), (where, row)
+
+
+@pytest.mark.parametrize("marked", [False, True], ids=["sql-nulls", "marked-nulls"])
+@pytest.mark.parametrize("where", ["s LIKE '%' || $c || '%'", "s = 'x' || $c"])
+def test_concat_over_constants_is_folded(where, marked):
+    """``||`` over constants compiles to one constant, the value the
+    per-row concatenation would give: with a null parameter, the first
+    null part, so the filter is UNKNOWN on every row under both null
+    semantics (the rows' nulls carry other labels), as in sqlite."""
+    rows = [("x",), ("xy",), ("yx",), (Null("r0"),), ("y",)]
+    db = Database({"u": Relation(("s",), rows)})
+    null = Null("p0")
+    for value, sqlite_value in ((null, "NULL"), ("y", "'y'")):
+        ctx = ExecContext(db, {"c": value}, marked_nulls=marked)
+        sql = f"SELECT s FROM u WHERE {where}"
+        block = CompiledBlock(parse_sql("SELECT s FROM u").body, ctx, None)
+        cond = block._cond(parse_sql(sql).body.where)
+        assert isinstance(cond.right, B._Const)
+        assert B._cond_key(cond) is None  # a folded constant is never kept
+        if value is null:
+            assert cond.right.value is null
+            fn = compile_cond(cond)
+            assert all(fn(({("u", "s"): 0}, row), {}) is UNKNOWN for row in rows)
+        for query in (sql, f"SELECT s FROM u WHERE NOT ({where})"):
+            result = Executor(db, {"c": value}, marked_nulls=marked).execute(parse_sql(query))
+            expected = sqlite_rows(db, query.replace("$c", sqlite_value))
+            assert engine_bag(result.rows) == expected, query

@@ -6,7 +6,7 @@ column selects rows that depend on nothing but the relation's rows, so
 the first statement that filters a source keeps the filtered rows in
 ``Relation.indexes`` under the source key (the set of its filters'
 binding-free shapes), and every later statement reuses them, with their
-statistics and the indexes built over them, without running a batch
+statistics and the indexes built over them, without running a filter
 pass.  These tests pin that reuse changes no answer and no counter but
 the passes' own checks, what is shared and what is never kept, the
 invalidation by ``Relation.add``, and that cut-short passes keep nothing.
@@ -20,7 +20,7 @@ import pytest
 
 from repro.data import Database, Null, Relation
 from repro.engine import QueryTimeout, ResourceLimits
-from repro.engine import compile as engine_compile
+from repro.engine.blocks import CompiledBlock
 from repro.engine.executor import Executor
 from repro.engine.limits import LimitGovernor
 from repro.sql.parser import parse_sql
@@ -67,17 +67,15 @@ def filtered_indexes(relation):
 
 @pytest.fixture
 def pass_runs(monkeypatch):
-    """Counts batch-pass runs: one per pushed conjunct per filter run."""
+    """Counts filter passes: one per pushed conjunct per filter run."""
     runs = []
-    build = engine_compile.build_batch_passes
+    filtered_rows = CompiledBlock._filtered_rows
 
-    def counting(source, conds):
-        def wrap(batch_pass):
-            return lambda rows, ids: runs.append(source.table) or batch_pass(rows, ids)
+    def counting(self, source):
+        runs.extend([source.table] * len(source.filters))
+        return filtered_rows(self, source)
 
-        return [wrap(p) for p in build(source, conds)]
-
-    monkeypatch.setattr(engine_compile, "build_batch_passes", counting)
+    monkeypatch.setattr(CompiledBlock, "_filtered_rows", counting)
     return runs
 
 

@@ -86,8 +86,8 @@ class TestScanFaults:
 
     @pytest.mark.parametrize("where", ["a > b", "a > 5"])
     def test_fires_inside_a_filter_pass(self, where):
-        # A filter pass reads rows by position, not by iterating the
-        # table: a constant-free filter and one with a literal both fire.
+        # A filter pass iterates the table's rows: a constant-free
+        # filter and one with a literal both fire.
         db = Database({"t": Relation(("a", "b"), [(i % 9, i % 4) for i in range(30)])})
         sql = f"SELECT a FROM t WHERE {where}"
         with faults.scan_fault("t", nth=5) as fault:
