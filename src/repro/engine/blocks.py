@@ -944,11 +944,9 @@ class CompiledBlock:
         if isinstance(expr, ast.Concat):
             parts = [self._expr(p) for p in expr.parts]
             if all(isinstance(part, _Const) for part in parts):
-                # Folded at compile time to what the compiled concat
-                # returns: the first null part, else the joined strings.
-                values = [part.value for part in parts]
-                nulls = [value for value in values if isinstance(value, Null)]
-                return _Const(nulls[0] if nulls else "".join(map(str, values)))
+                from repro.engine.compile import compile_expr
+
+                return _Const(compile_expr(_Concat(parts))(_EMPTY_CURSOR, {}))
             return _Concat(parts)
         if isinstance(expr, ast.ScalarSubquery):
             return self._scalar_subquery(expr.query)
