@@ -28,6 +28,15 @@ source's rows under *constant-free* pushed filters (no constant,
 parameter, subquery or outer column; :func:`_source_key`), their
 statistics, and the equi-join and probe indexes over them, all keyed by
 the source key (``frozenset()`` for a whole table).
+
+A block with no correlated reference (a statement block, a ``WITH``
+view, an uncorrelated subquery) runs the residuals attached to its first
+join step as passes over that step's row list, in conjunct order, as
+the filter passes do: a decorrelated ``[NOT] EXISTS``/``[NOT] IN`` as
+one loop over the rows into its kept index or probe table
+(:meth:`_CorrelatedSubquery.keep_rows`), any other residual as its
+closure per row.  Later steps, correlated blocks and an ``EXISTS`` that
+stops at its first witness keep the per-row loop.
 """
 
 from __future__ import annotations
@@ -363,9 +372,11 @@ class _CorrelatedSubquery(_Cond):
 
     Subclasses supply :meth:`_run` (the subquery's result for one binding
     of the correlated values), :meth:`_from_bucket` (that result from a
-    bucket's or a probe table's output values, ``None`` for none) and
-    ``_out``, the compiled output expression whose values ``IN``
-    collects (``None``: ``EXISTS`` only asks for a witness).
+    bucket's or a probe table's output values, ``None`` for none),
+    ``_truth`` (the predicate's value at an outer row given that result;
+    ``None`` for ``EXISTS``, whose result is its value) and ``_out``,
+    the compiled output expression whose values ``IN`` collects
+    (``None``: ``EXISTS`` only asks for a witness).
     """
 
     __slots__ = (
@@ -433,13 +444,49 @@ class _CorrelatedSubquery(_Cond):
                 self._cache = self._run({})
             return self._cache
         if self.decor is not None:  # the first probe of a statement
-            if len(block.sources) == 1:
-                self._open_buckets()
-            else:
-                self._build_table()
-            if self.decor is not None:  # neither degraded
+            self._open()
+            if self.decor is not None:  # not degraded
                 return self.answer(cursor, env)
         return self._memo_probe(cursor, env)
+
+    def keep_rows(self, rows: List[Row], slotmap: Dict[Key, int], fn, env) -> List[Row]:
+        """One pass of this decorrelated predicate over the outer *rows*
+        (the first join step's rows, laid out by *slotmap*): the rows on
+        which it is TRUE, in order.  The pass counts one
+        ``decorrelated_probes`` per row, as per-row probing does; *fn* is
+        the predicate's compiled closure, called per row once the
+        predicate has degraded to memo probing."""
+        if self._buckets is None and self._table is None and self.decor is not None:
+            self._open()
+        buckets = self._buckets
+        if buckets is not None:
+            return buckets.keep_rows(rows, slotmap, env, self._truth)
+        table = self._table
+        if table is None:  # degraded
+            return [row for row in rows if fn((slotmap, row), env) is TRUE]
+        self.block.ctx.decorrelated_probes += len(rows)
+        # A probe table holds no null key under SQL nulls, so a null
+        # outer key misses; under marked nulls keys match by label.
+        keys = _key_stream(rows, [slotmap[key] for _local, key in self.decor])
+        truth = self._truth
+        if truth is not None:
+            return [
+                row
+                for row, key in zip(rows, keys)
+                if truth((slotmap, row), env, table.get(key, ())) is TRUE
+            ]
+        if self.negated:
+            return [row for row, key in zip(rows, keys) if key not in table]
+        return [row for row, key in zip(rows, keys) if key in table]
+
+    def _open(self) -> None:
+        """Decide the statement's strategy at its first probe: the bucket
+        path for one source, the probe table for several (either may
+        degrade to memo probing)."""
+        if len(self.block.sources) == 1:
+            self._open_buckets()
+        else:
+            self._build_table()
 
     def _memo_probe(self, cursor, env):
         """Correlated probing: :meth:`_run` with the outer row's
@@ -593,7 +640,7 @@ class _Exists(_CorrelatedSubquery):
 
     def _run(self, env) -> ThreeValued:
         found = False
-        for _ in self.block.iterate(env):
+        for _ in self.block.iterate(env, witness=True):
             found = True
             break
         return from_bool(found != self.negated)
@@ -601,13 +648,16 @@ class _Exists(_CorrelatedSubquery):
     def _from_bucket(self, bucket) -> ThreeValued:
         return TRUE if (bucket is not None) != self.negated else FALSE
 
+    #: a bucket answer is the predicate's truth value
+    _truth = None
+
 
 class _InSubquery(_CorrelatedSubquery):
     """``x [NOT] IN (SELECT …)`` — a bucket or probe-table hit holds the
     inner output values for its key; the membership test is the compiled
     closure's."""
 
-    __slots__ = ("expr", "marked")
+    __slots__ = ("expr", "marked", "_expr_fn")
 
     def __init__(
         self,
@@ -622,6 +672,9 @@ class _InSubquery(_CorrelatedSubquery):
         self.local_keys |= expr.local_keys
         self.has_outer = self.has_outer or expr.has_outer
         self.marked = block.ctx.marked_nulls
+        from repro.engine.compile import compile_expr
+
+        self._expr_fn = compile_expr(expr)
 
     def _run(self, env) -> List[object]:
         out = self._out
@@ -630,9 +683,18 @@ class _InSubquery(_CorrelatedSubquery):
     def _from_bucket(self, bucket) -> Sequence[object]:
         return () if bucket is None else bucket
 
+    def _truth(self, cursor, env, values) -> ThreeValued:
+        """The predicate's truth value at the outer row at *cursor*,
+        given its bucket answer *values*."""
+        found = _membership(self._expr_fn(cursor, env), values, self.marked)
+        return ~found if self.negated else found
+
 
 class _Buckets:
-    """The bucket path of one correlated subquery for one statement.
+    """The bucket path of one correlated subquery for one statement:
+    per outer row (:meth:`probe`) or as one pass over a statement block's
+    rows (:meth:`keep_rows`), both scanning a found bucket with
+    :meth:`_scan`.
 
     A probe's key is the outer row's values at ``outer``, then the values
     of the constant probes (``consts``, computed once); its bucket is
@@ -674,9 +736,8 @@ class _Buckets:
         self._one_key = outer[0] if len(outer) == 1 and not consts else None
 
     def probe(self, cursor, env):
-        """The subquery's answer for the outer row at *cursor*: ``hit`` at
-        the first row of its bucket that passes every check (``EXISTS``),
-        the output values of all of them (``IN``), or ``miss``."""
+        """The subquery's answer for the outer row at *cursor* (what
+        :meth:`_CorrelatedSubquery.answer` returns)."""
         ctx = self.ctx
         ctx.decorrelated_probes += 1
         slotmap, row = cursor
@@ -698,9 +759,53 @@ class _Buckets:
             env = dict(env)
             for k in needed:
                 env[k] = row[slotmap[k]]
+        return self._scan(bucket, env)
+
+    def keep_rows(self, rows: List[Row], slotmap: Dict[Key, int], env, truth) -> List[Row]:
+        """One pass over the outer *rows*: those whose answer makes the
+        predicate TRUE, where *truth* ``(cursor, env, answer)`` gives the
+        predicate's value, or is ``None`` when the answer is that value
+        (``EXISTS``).  One environment serves the whole pass, updated in
+        place with each row's outer values."""
+        self.ctx.decorrelated_probes += len(rows)
+        # The index holds no null key under SQL nulls, so a null outer
+        # key misses; under marked nulls keys match by label.
+        keys = _key_stream(rows, [slotmap[k] for k in self.outer])
+        consts = self.consts
+        if consts:
+            keys = (key + consts for key in keys)
+        get = self.index.get
+        scan = self._scan
+        miss = self.miss
+        needed = self.needed
+        if needed is not None:
+            env = dict(env)
+            fill = [(k, slotmap[k]) for k in needed]
+        kept = []
+        for row, key in zip(rows, keys):
+            bucket = get(key)
+            if bucket is None:
+                answer = miss
+            else:
+                if needed is not None:
+                    for k, p in fill:
+                        env[k] = row[p]
+                answer = scan(bucket, env)
+            if truth is None:
+                if answer is TRUE:
+                    kept.append(row)
+            elif truth((slotmap, row), env, answer) is TRUE:
+                kept.append(row)
+        return kept
+
+    def _scan(self, bucket: List[Row], env):
+        """The answer from one found *bucket*: ``hit`` at the first row
+        that passes every check (``EXISTS``), the output values of all of
+        them (``IN``), or ``miss``."""
         for fn in self.pre:
             if fn(_EMPTY_CURSOR, env) is not TRUE:
                 return self.miss
+        ctx = self.ctx
         keep = self.keep
         governor = ctx.governor
         inner = self.slotmap
@@ -1274,8 +1379,16 @@ class CompiledBlock:
                 matches.append(row)
         return matches
 
-    def iterate(self, env: Dict[Key, object]) -> Iterator[Tuple[Dict[Key, int], Row]]:
-        """Stream result rows as ``(slotmap, flat_tuple)`` cursors."""
+    def iterate(
+        self, env: Dict[Key, object], witness: bool = False
+    ) -> Iterator[Tuple[Dict[Key, int], Row]]:
+        """Stream result rows as ``(slotmap, flat_tuple)`` cursors.
+
+        A block without correlated references runs the residuals
+        attached to its first step as passes (:meth:`_first_step`),
+        unless the caller stops at the first row (*witness*: an
+        ``EXISTS``), which the per-row loop reaches without examining
+        the rest."""
         ctx = self.ctx
 
         # Uncorrelated/outer-only conditions first: a non-TRUE result
@@ -1294,7 +1407,7 @@ class CompiledBlock:
         attached_fns = self._attached_fns
         step_actual = self._step_actual
 
-        def rows_for(step_index: int, partial: Row) -> Iterator[Row]:
+        def rows_for(step_index: int, partial: Row) -> Sequence[Row]:
             binding, keys = self._order[step_index]
             if keys:
                 columns = tuple(col for col, _src in keys)
@@ -1307,16 +1420,21 @@ class CompiledBlock:
                     else:
                         probe.append(partial[slotmap[payload]])
                 if not ctx.marked_nulls and any(is_null(v) for v in probe):
-                    return iter(())
+                    return ()
                 key = tuple(probe)
                 if index is None:  # over the byte budget: linear probe
-                    return iter(self._linear_matches(binding, columns, key))
-                return iter(index.get(key, ()))
-            return iter(self._get_filtered(binding))
+                    return self._linear_matches(binding, columns, key)
+                return index.get(key, ())
+            return self._get_filtered(binding)
 
+        passes = bool(attached_fns[0]) and not self.external and not witness
         if len(self._order) == 1:
             # One step: a flat loop saves the pipeline's generator level
             # on every (memoized) probe of the block.
+            if passes:
+                for row in self._first_step(rows_for(0, ()), env):
+                    yield (slotmap, row)
+                return
             checks = attached_fns[0]
             for row in rows_for(0, ()):
                 ctx.rows_examined += 1
@@ -1357,12 +1475,41 @@ class CompiledBlock:
                     yield from pipeline(step_index + 1, combined)
 
         try:
-            yield from pipeline(0, ())
+            if passes:
+                for row in self._first_step(rows_for(0, ()), env):
+                    yield from pipeline(1, row)
+            else:
+                yield from pipeline(0, ())
         finally:
             # pipeline refers to itself through its closure cell: clear
             # the cell, or the cycle keeps this block alive until the
             # cyclic GC runs
             pipeline = None  # type: ignore[assignment]
+
+    def _first_step(self, rows: Sequence[Row], env) -> Sequence[Row]:
+        """The first join step as passes over its row list *rows*: the
+        step counts them all at once (as the per-row loop does when it
+        runs to the end), then each residual attached to the step runs
+        as one pass over the rows the earlier ones kept, in conjunct
+        order, after one ``ctx.check()``.  At step 0 a residual reads
+        only the step's binding, which the slot map lays out first, so
+        the rows themselves are its cursors.  A decorrelated subquery
+        predicate runs its own pass (:meth:`_CorrelatedSubquery.keep_rows`);
+        any other residual calls its compiled closure per row."""
+        ctx = self.ctx
+        assert self._attached is not None and self._attached_fns is not None
+        ctx.rows_examined += len(rows)
+        self._step_actual[0] += len(rows)
+        slotmap = self._slotmap
+        for cond, fn in zip(self._attached[0], self._attached_fns[0]):
+            if not rows:
+                break
+            ctx.check()
+            if isinstance(cond, _CorrelatedSubquery) and cond.decor is not None:
+                rows = cond.keep_rows(rows, slotmap, fn, env)
+            else:
+                rows = [row for row in rows if fn((slotmap, row), env) is TRUE]
+        return rows
 
 
 def _probe_plan(

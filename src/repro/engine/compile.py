@@ -36,7 +36,7 @@ from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.algebra.conditions import _like_regex, like_match
 from repro.algebra.threevl import FALSE, TRUE, UNKNOWN
-from repro.data.nulls import Null
+from repro.data.nulls import Null, fresh_null
 from repro.engine import blocks as B
 from repro.engine.limits import EngineError
 
@@ -95,7 +95,9 @@ def compile_expr(expr: "B._Expr", nonnull: NonNull = _EMPTY_NONNULL) -> Callable
             for part in parts:
                 value = part(cursor, env)
                 if isinstance(value, Null):
-                    return value
+                    # a value of its own, unknown against any other,
+                    # even the null it was built from
+                    return fresh_null()
                 pieces.append(str(value))
             return "".join(pieces)
 

@@ -8,16 +8,23 @@ Two amortisation layers live here (see ``docs/engine.md``):
   indexes once and re-streams results on every :meth:`PreparedQuery.run`;
 * a module-level LRU plan cache keyed on SQL text lets
   :func:`execute_sql` skip re-parsing repeated statements.
+
+A SELECT list of plain columns (every paper query and every ``Q+``)
+projects each result row with one ``itemgetter`` over the slots of the
+block's slot map; any other expression goes through its compiled
+closure.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple, Union as TUnion
 
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.engine.blocks import CompiledBlock, ExecContext
+from repro.engine.blocks import CompiledBlock, ExecContext, _Col, _key_stream
 from repro.engine.compile import compile_expr
 from repro.engine.limits import EngineError, ResourceLimits
 from repro.sql import ast
@@ -165,40 +172,42 @@ class Executor:
     def _plan_select(self, select: ast.Select) -> Callable[[], Relation]:
         block = CompiledBlock(select, self.ctx, parent=None)
         self.blocks.append(block)
-        outputs = self._output_plan(select, block)
-        names = tuple(name for name, _getter in outputs)
-        getters = tuple(getter for _name, getter in outputs)
+        if len(select.columns) > 1 and any(
+            isinstance(col, ast.Star) for col in select.columns
+        ):
+            raise EngineError("* mixed with explicit output columns")
+        outputs = [
+            (name, block._expr(expr)) for name, expr in output_columns(select, block.scope)
+        ]
+        names = tuple(name for name, _expr in outputs)
+        exprs = [expr for _name, expr in outputs]
         distinct = select.distinct
+        if exprs and all(isinstance(expr, _Col) and expr.depth == 0 for expr in exprs):
+            # Plain columns: one itemgetter over slots the first cursor's
+            # slot map fixes for the whole run.
+            keys = [expr.key for expr in exprs]
+
+            def project(cursors):
+                first = next(cursors, None)
+                if first is None:
+                    return []
+                slotmap = first[0]
+                rows = map(itemgetter(1), chain((first,), cursors))
+                return list(_key_stream(rows, [slotmap[key] for key in keys]))
+
+        else:
+            fns = [compile_expr(expr) for expr in exprs]
+
+            def project(cursors):
+                return [tuple(fn(cursor, _EMPTY_ENV) for fn in fns) for cursor in cursors]
 
         def run_select() -> Relation:
-            rows = []
-            for cursor in block.iterate({}):
-                rows.append(tuple(getter(cursor) for getter in getters))
+            rows = project(block.iterate({}))
             if distinct:
                 rows = list(dict.fromkeys(rows))
             return Relation(names, rows)
 
         return run_select
-
-    def _output_plan(self, select: ast.Select, block: CompiledBlock):
-        """Compile the SELECT list into (name, getter) pairs."""
-        if len(select.columns) > 1 and any(
-            isinstance(col, ast.Star) for col in select.columns
-        ):
-            raise EngineError("* mixed with explicit output columns")
-        return [
-            (name, _expr_getter(block._expr(expr)))
-            for name, expr in output_columns(select, block.scope)
-        ]
-
-
-def _expr_getter(expr):
-    fn = compile_expr(expr)
-
-    def getter(cursor):
-        return fn(cursor, _EMPTY_ENV)
-
-    return getter
 
 
 # ---------------------------------------------------------------------------

@@ -125,19 +125,21 @@ def bucket_db():
 
 
 def test_cancel_inside_a_bucket_loop_raises(monkeypatch):
+    """A statement's probes run as one pass over its rows, which scans
+    each found bucket with the same loop a per-row probe uses."""
     token = CancelToken()
-    probe = blocks._Buckets.probe
+    scan = blocks._Buckets._scan
 
-    def cancelling_probe(self, cursor, env):
+    def cancelling_scan(self, bucket, env):
         token.cancel("bucket loop")
-        return probe(self, cursor, env)
+        return scan(self, bucket, env)
 
-    monkeypatch.setattr(blocks._Buckets, "probe", cancelling_probe)
+    monkeypatch.setattr(blocks._Buckets, "_scan", cancelling_scan)
     sql = "SELECT r.a FROM r WHERE EXISTS (SELECT * FROM s WHERE s.c = r.a AND s.y < r.x)"
     with pytest.raises(QueryCancelled, match="bucket loop") as info:
         run(bucket_db(), sql, limits=ResourceLimits(cancel=token))
     # raised by the governor's check of a bucket row
-    assert [entry.name for entry in info.traceback[-3:]] == ["probe", "check", "check"]
+    assert [entry.name for entry in info.traceback[-3:]] == ["_scan", "check", "check"]
 
 
 @pytest.mark.parametrize(

@@ -370,9 +370,9 @@ def test_row_test_matches_the_generic_closure(where, shape, marked):
 @pytest.mark.parametrize("where", ["s LIKE '%' || $c || '%'", "s = 'x' || $c"])
 def test_concat_over_constants_is_folded(where, marked):
     """``||`` over constants compiles to one constant, the value the
-    per-row concatenation would give: with a null parameter, the first
-    null part, so the filter is UNKNOWN on every row under both null
-    semantics (the rows' nulls carry other labels), as in sqlite."""
+    per-row concatenation would give: with a null parameter, a fresh
+    null, so the filter is UNKNOWN on every row under both null
+    semantics, as in sqlite."""
     rows = [("x",), ("xy",), ("yx",), (Null("r0"),), ("y",)]
     db = Database({"u": Relation(("s",), rows)})
     null = Null("p0")
@@ -384,10 +384,42 @@ def test_concat_over_constants_is_folded(where, marked):
         assert isinstance(cond.right, B._Const)
         assert B._cond_key(cond) is None  # a folded constant is never kept
         if value is null:
-            assert cond.right.value is null
+            assert isinstance(cond.right.value, Null) and cond.right.value != null
             fn = compile_cond(cond)
             assert all(fn(({("u", "s"): 0}, row), {}) is UNKNOWN for row in rows)
         for query in (sql, f"SELECT s FROM u WHERE NOT ({where})"):
             result = Executor(db, {"c": value}, marked_nulls=marked).execute(parse_sql(query))
             expected = sqlite_rows(db, query.replace("$c", sqlite_value))
             assert engine_bag(result.rows) == expected, query
+
+
+@pytest.mark.parametrize("where", ["s = 'x' || $c", "s IN ('x' || $c)"])
+def test_concat_with_a_null_part_is_a_fresh_null(where):
+    """``'x' || ⊥p0`` is a null of its own: under marked nulls it does
+    not equal ``⊥p0``, since ``'x' || v = v`` is false in every
+    valuation.  The constant fold calls the per-row closure, so both
+    statements take the same rule."""
+    db = Database({"u": Relation(("s",), [(Null("p0"),), ("x",)])})
+    sql = f"SELECT s FROM u WHERE {where}"
+    for marked in (False, True):
+        result = Executor(db, {"c": Null("p0")}, marked_nulls=marked).execute(parse_sql(sql))
+        assert result.rows == [], (sql, marked)
+    expected = sqlite_rows(db, sql.replace("$c", "NULL"))
+    assert engine_bag(Executor(db, {"c": Null("p0")}).execute(parse_sql(sql)).rows) == expected
+
+
+def test_per_row_concat_over_a_null_column_is_a_fresh_null():
+    """``t || 'x'`` over a null cell gives a fresh null per row: under
+    marked nulls it equals neither the cell's null nor another row's."""
+    rows = [(Null("p0"), Null("p0")), (Null("p0"), "x"), ("a", "ax")]
+    db = Database({"u": Relation(("t", "s"), rows)})
+    for where in ("s = t || 'x'", "t || 'x' = t || 'x'", "t || 'x' IS NULL"):
+        sql = f"SELECT t, s FROM u WHERE {where}"
+        marked = Executor(db, marked_nulls=True).execute(parse_sql(sql))
+        plain = Executor(db).execute(parse_sql(sql))
+        assert marked.rows == plain.rows, sql
+        assert engine_bag(plain.rows) == sqlite_rows(db, sql), sql
+    projected = Executor(db, marked_nulls=True).execute(parse_sql("SELECT t || 'x' FROM u"))
+    first, second, third = (value for (value,) in projected.rows)
+    assert isinstance(first, Null) and isinstance(second, Null) and third == "ax"
+    assert len({first, second, Null("p0")}) == 3
