@@ -77,7 +77,13 @@ def cases():
     for predicate in PREDICATES:
         yield f"SELECT r.a, r.x FROM r WHERE {predicate}", True
         yield f"SELECT r.a, r.x FROM r WHERE {SCALAR} AND {predicate}", False
-    # a second probe after the first, and a join step after the passes
+    # the row list of a constant probe's bucket, a second probe after
+    # the first, and a join step after the passes
+    yield (
+        "SELECT r.a, r.x FROM r WHERE r.a = $p AND NOT EXISTS "
+        "(SELECT * FROM s WHERE s.c = r.x AND s.y <> r.a)",
+        False,
+    )
     yield (
         "SELECT r.a, r.x FROM r WHERE NOT EXISTS (SELECT * FROM s WHERE s.c = r.a "
         "AND s.y <> r.x) AND r.x IN (SELECT t.f FROM s, t WHERE s.c = r.a AND s.z = t.e)",
