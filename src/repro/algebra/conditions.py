@@ -13,14 +13,29 @@ Two evaluation functions are provided:
   so ``⊥ = ⊥`` is true for the *same* null and false otherwise;
 * :func:`eval_3vl`  — SQL's three-valued logic; any comparison with a
   null operand is *unknown*.
+
+Both read a row by attribute name.  Their one implementation is the
+position-bound form, :func:`bind_naive` / :func:`bind_3vl`: a condition
+bound once to a row layout, then called per row tuple, which is how the
+algebra evaluator runs selections and joins.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import FrozenSet, Mapping, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.data.nulls import is_null
 from repro.algebra.threevl import FALSE, TRUE, UNKNOWN, ThreeValued, from_bool
@@ -43,6 +58,8 @@ __all__ = [
     "attrs_in",
     "eval_naive",
     "eval_3vl",
+    "bind_naive",
+    "bind_3vl",
     "like_match",
     "COMPARISON_OPS",
     "NEGATED_OP",
@@ -74,17 +91,6 @@ class Const:
 
 
 Term = Union[Attr, Const]
-
-
-def _resolve(term: Term, row: Mapping[str, object]) -> object:
-    if isinstance(term, Attr):
-        try:
-            return row[term.name]
-        except KeyError:
-            raise KeyError(
-                f"attribute {term.name!r} not bound; have {sorted(row)}"
-            ) from None
-    return term.value
 
 
 # ---------------------------------------------------------------------------
@@ -300,25 +306,157 @@ def like_match(value: object, pattern: object) -> bool:
 # Evaluation
 # ---------------------------------------------------------------------------
 
+Row = Tuple[object, ...]
 
-def _compare_constants(op: str, a: object, b: object) -> bool:
-    if op == "=":
-        return a == b
-    if op == "<>":
-        return a != b
-    if op == "like":
-        return like_match(a, b)
-    if op == "not like":
-        return not like_match(a, b)
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    raise ValueError(f"unknown operator {op!r}")  # pragma: no cover
+#: How two constants compare under each operator.
+_CONSTANT_OPS: Dict[str, Callable[[object, object], object]] = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "like": like_match,
+    "not like": lambda a, b: not like_match(a, b),
+}
+
+
+def _naive_comparison(op: str) -> Callable[[object, object], bool]:
+    if op in ("=", "<>"):
+        return _CONSTANT_OPS[op]  # type: ignore[return-value]  # label equality
+    compare = _CONSTANT_OPS[op]
+
+    def test(a: object, b: object) -> bool:
+        if is_null(a) or is_null(b):
+            return False
+        return bool(compare(a, b))
+
+    return test
+
+
+def _3vl_comparison(op: str) -> Callable[[object, object], ThreeValued]:
+    compare = _CONSTANT_OPS[op]
+
+    def test(a: object, b: object) -> ThreeValued:
+        if is_null(a) or is_null(b):
+            return UNKNOWN
+        return TRUE if compare(a, b) else FALSE
+
+    return test
+
+
+class _Binder:
+    """Compiles a condition into a closure over rows of fixed layout.
+
+    Each attribute is looked up once, at bind time; the closure reads
+    row positions.  ``naive`` selects the Boolean semantics, else SQL's
+    three-valued one.
+    """
+
+    def __init__(self, attributes: Sequence[str], naive: bool):
+        self.attributes = attributes
+        self.positions = {name: i for i, name in enumerate(attributes)}
+        self.naive = naive
+
+    def slot(self, term: Term) -> Tuple[Optional[int], object]:
+        """``(position, None)`` for an attribute, ``(None, value)`` for a
+        constant."""
+        if isinstance(term, Attr):
+            try:
+                return self.positions[term.name], None
+            except KeyError:
+                raise KeyError(
+                    f"attribute {term.name!r} not bound; have {sorted(self.attributes)}"
+                ) from None
+        return None, term.value
+
+    def constant(self, truth: bool) -> Callable[[Row], object]:
+        value = truth if self.naive else from_bool(truth)
+        return lambda row: value
+
+    def bind(self, cond: Condition) -> Callable[[Row], object]:
+        naive = self.naive
+        if isinstance(cond, (TrueCond, FalseCond)):
+            return self.constant(isinstance(cond, TrueCond))
+        if isinstance(cond, (And, Or)):
+            return self.connective(cond)
+        if isinstance(cond, Not):
+            inner = self.bind(cond.item)
+            if naive:
+                return lambda row: not inner(row)
+            return lambda row: ~inner(row)  # type: ignore[operator]
+        if isinstance(cond, NullTest):
+            i, const = self.slot(cond.term)
+            want = cond.is_null
+            if i is None:
+                return self.constant(is_null(const) == want)
+            if naive:
+                return lambda row: is_null(row[i]) == want
+            return lambda row: TRUE if is_null(row[i]) == want else FALSE
+        if isinstance(cond, Comparison):
+            test = (_naive_comparison if naive else _3vl_comparison)(cond.op)
+            i, a = self.slot(cond.left)
+            j, b = self.slot(cond.right)
+            if i is not None and j is not None:
+                return lambda row: test(row[i], row[j])
+            if i is not None:
+                return lambda row: test(row[i], b)
+            if j is not None:
+                return lambda row: test(a, row[j])
+            return lambda row: test(a, b)
+        raise TypeError(f"cannot evaluate {cond!r}")
+
+    def connective(self, cond: Union[And, Or]) -> Callable[[Row], object]:
+        items = [self.bind(item) for item in cond.items]
+        conjunction = isinstance(cond, And)
+        if self.naive:
+            if conjunction:
+
+                def all_hold(row: Row) -> bool:
+                    for item in items:
+                        if not item(row):
+                            return False
+                    return True
+
+                return all_hold
+
+            def any_holds(row: Row) -> bool:
+                for item in items:
+                    if item(row):
+                        return True
+                return False
+
+            return any_holds
+        # Three-valued: the absorbing value stops the walk; UNKNOWN
+        # beats the neutral one.
+        stop, neutral = (FALSE, TRUE) if conjunction else (TRUE, FALSE)
+
+        def combine(row: Row) -> ThreeValued:
+            result = neutral
+            for item in items:
+                v = item(row)
+                if v is stop:
+                    return stop
+                if v is UNKNOWN:
+                    result = UNKNOWN
+            return result
+
+        return combine
+
+
+def bind_naive(cond: Condition, attributes: Sequence[str]) -> Callable[[Row], bool]:
+    """:func:`eval_naive` of *cond* as a closure over rows whose
+    positions carry *attributes*.  An attribute missing from
+    *attributes* raises ``KeyError`` here, not per row."""
+    return _Binder(attributes, naive=True).bind(cond)  # type: ignore[return-value]
+
+
+def bind_3vl(
+    cond: Condition, attributes: Sequence[str]
+) -> Callable[[Row], ThreeValued]:
+    """:func:`eval_3vl` of *cond* as a closure over rows whose positions
+    carry *attributes*."""
+    return _Binder(attributes, naive=False).bind(cond)  # type: ignore[return-value]
 
 
 def eval_naive(cond: Condition, row: Mapping[str, object]) -> bool:
@@ -329,66 +467,13 @@ def eval_naive(cond: Condition, row: Mapping[str, object]) -> bool:
     Order comparisons and ``LIKE`` involving a null are false — the
     theoretical development only uses (dis)equalities on nulls, and this
     choice keeps naive evaluation monotone for the positive fragment.
+    An order comparison between constants Python cannot order (a fresh
+    constant, say) raises ``TypeError``.
     """
-    if isinstance(cond, TrueCond):
-        return True
-    if isinstance(cond, FalseCond):
-        return False
-    if isinstance(cond, And):
-        return all(eval_naive(c, row) for c in cond.items)
-    if isinstance(cond, Or):
-        return any(eval_naive(c, row) for c in cond.items)
-    if isinstance(cond, Not):
-        return not eval_naive(cond.item, row)
-    if isinstance(cond, NullTest):
-        value = _resolve(cond.term, row)
-        return is_null(value) == cond.is_null
-    if isinstance(cond, Comparison):
-        a = _resolve(cond.left, row)
-        b = _resolve(cond.right, row)
-        if cond.op == "=":
-            return a == b  # marked-null label equality
-        if cond.op == "<>":
-            return a != b
-        if is_null(a) or is_null(b):
-            return False
-        return _compare_constants(cond.op, a, b)
-    raise TypeError(f"cannot evaluate {cond!r}")
+    return bind_naive(cond, tuple(row))(tuple(row.values()))
 
 
 def eval_3vl(cond: Condition, row: Mapping[str, object]) -> ThreeValued:
-    """SQL three-valued evaluation (``EvalSQL`` semantics)."""
-    if isinstance(cond, TrueCond):
-        return TRUE
-    if isinstance(cond, FalseCond):
-        return FALSE
-    if isinstance(cond, And):
-        result = TRUE
-        for c in cond.items:
-            v = eval_3vl(c, row)
-            if v is FALSE:
-                return FALSE
-            if v is UNKNOWN:
-                result = UNKNOWN
-        return result
-    if isinstance(cond, Or):
-        result = FALSE
-        for c in cond.items:
-            v = eval_3vl(c, row)
-            if v is TRUE:
-                return TRUE
-            if v is UNKNOWN:
-                result = UNKNOWN
-        return result
-    if isinstance(cond, Not):
-        return ~eval_3vl(cond.item, row)
-    if isinstance(cond, NullTest):
-        value = _resolve(cond.term, row)
-        return from_bool(is_null(value) == cond.is_null)
-    if isinstance(cond, Comparison):
-        a = _resolve(cond.left, row)
-        b = _resolve(cond.right, row)
-        if is_null(a) or is_null(b):
-            return UNKNOWN
-        return from_bool(_compare_constants(cond.op, a, b))
-    raise TypeError(f"cannot evaluate {cond!r}")
+    """SQL three-valued evaluation (``EvalSQL`` semantics): any
+    comparison with a null operand is ``UNKNOWN``."""
+    return bind_3vl(cond, tuple(row))(tuple(row.values()))

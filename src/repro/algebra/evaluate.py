@@ -13,6 +13,18 @@ Two semantics are supported (Section 2):
 * ``sql`` — three-valued ``EvalSQL`` (Fact 2: correctness guarantees
   for the positive fragment only).
 
+Evaluation resolves an expression once, then runs it.  Resolving
+(:meth:`Evaluator.resolve`) fixes what depends only on the expression
+and the attribute names: each node's output attributes, its projection
+and key positions, the equi-key split of its semijoin condition and its
+conditions bound to row positions; it raises the structural errors
+(attribute clashes, arities, unknown attributes).  The resulting
+:class:`Plan` is a tree of closures over plain row lists, and
+:meth:`Plan.run` evaluates it on any database with the same relation
+names and attributes.  The certain-answer oracle resolves a query once
+and runs it on every possible world; a subplan that reads only
+relations the worlds share runs once.
+
 An optional row budget turns the Section 5 blow-up of the Figure 2
 translation into a catchable :class:`EvaluationBudgetExceeded` instead
 of an out-of-memory condition.
@@ -21,7 +33,17 @@ of an out-of-memory condition.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.algebra import conditions as C
 from repro.algebra.expr import (
@@ -43,14 +65,20 @@ from repro.algebra.expr import (
     UnifAntiJoin,
     UnifSemiJoin,
 )
+from repro.algebra.threevl import TRUE
 from repro.algebra.unify import positionwise_unifiable, unifiable
 from repro.data.database import Database
 from repro.data.nulls import is_null
-from repro.data.relation import Relation
+from repro.data.relation import Relation, checked_attributes, position_of
 
-__all__ = ["evaluate", "EvaluationBudgetExceeded", "Evaluator"]
+__all__ = ["evaluate", "EvaluationBudgetExceeded", "Evaluator", "Plan"]
 
 SEMANTICS = ("naive", "sql")
+
+Row = Tuple[object, ...]
+Rows = List[Row]
+#: A resolved node's work: the rows it produces on a database.
+Run = Callable[[Database], Rows]
 
 
 class EvaluationBudgetExceeded(RuntimeError):
@@ -62,6 +90,65 @@ class EvaluationBudgetExceeded(RuntimeError):
         )
         self.budget = budget
         self.at = at
+
+
+class _Node(NamedTuple):
+    """A resolved subplan: output attributes, its run, and whether its
+    result is the same on every database the plan runs on."""
+
+    attributes: Tuple[str, ...]
+    run: Run
+    shared: bool
+
+
+class Plan:
+    """An expression resolved by :meth:`Evaluator.resolve`."""
+
+    __slots__ = ("attributes", "_run")
+
+    def __init__(self, attributes: Tuple[str, ...], run: Run):
+        self.attributes = attributes
+        self._run = run
+
+    def run(self, db: Database) -> Relation:
+        """The expression's rows on *db*, as a set (no duplicates)."""
+        return Relation._unchecked(self.attributes, list(self._run(db)))
+
+
+def _once(run: Run) -> Run:
+    """*run*, evaluated on its first call and answered from then on."""
+    memo: List[Rows] = []
+
+    def shared(db: Database) -> Rows:
+        if not memo:
+            memo.append(run(db))
+        return memo[0]
+
+    return shared
+
+
+def _key(positions: Sequence[int]) -> Callable[[Row], Row]:
+    """Row → the tuple of its values at *positions*."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda row: (row[i],)
+    if positions:
+        return itemgetter(*positions)
+    return lambda row: ()
+
+
+def _disjoint(left: Tuple[str, ...], right: Tuple[str, ...], op: str) -> None:
+    overlap = set(left) & set(right)
+    if overlap:
+        raise ValueError(f"{op} requires disjoint attributes; shared: {sorted(overlap)}")
+
+
+def _same_arity(left: _Node, right: _Node, op: str) -> None:
+    if len(left.attributes) != len(right.attributes):
+        raise ValueError(
+            f"{op} requires equal arity, got {len(left.attributes)} "
+            f"and {len(right.attributes)}"
+        )
 
 
 class Evaluator:
@@ -78,7 +165,8 @@ class Evaluator:
         self.db = db
         self.semantics = semantics
         self.max_rows = max_rows
-        self._adom_cache: Optional[List[object]] = None
+        self._adom: Tuple[Optional[Database], List[object]] = (None, [])
+        self._shared_names: AbstractSet[str] = frozenset()
         # Running count of rows materialised, for the Section 5 budget.
         self.rows_produced = 0
         # Semijoins/antijoins whose condition admitted a hash equi-key
@@ -86,253 +174,311 @@ class Evaluator:
         self.hash_semijoins = 0
 
     # ------------------------------------------------------------------
-    def adom(self) -> List[object]:
-        if self._adom_cache is None:
-            values = self.db.active_domain()
-            self._adom_cache = sorted(values, key=repr)
-        return self._adom_cache
-
-    def _charge(self, n: int, at: str) -> None:
-        self.rows_produced += n
-        if self.max_rows is not None and self.rows_produced > self.max_rows:
-            raise EvaluationBudgetExceeded(self.max_rows, at)
+    def adom(self, db: Optional[Database] = None) -> List[object]:
+        """``adom(db)`` sorted by ``repr`` (``db`` defaults to this
+        evaluator's database), kept while the same database runs."""
+        db = self.db if db is None else db
+        owner, values = self._adom
+        if owner is not db:
+            values = sorted(db.active_domain(), key=repr)
+            self._adom = (db, values)
+        return values
 
     def _selected(self, cond: C.Condition, row_ctx: Dict[str, object]) -> bool:
+        """Whether one row, given by attribute name, is selected."""
+        return self._bind(cond, tuple(row_ctx))(tuple(row_ctx.values()))
+
+    def _bind(self, cond: C.Condition, attributes: Sequence[str]) -> Callable[[Row], bool]:
+        """*cond* over rows carrying *attributes*, as a selection test."""
         if self.semantics == "naive":
-            return C.eval_naive(cond, row_ctx)
-        return bool(C.eval_3vl(cond, row_ctx))
+            return C.bind_naive(cond, attributes)
+        test = C.bind_3vl(cond, attributes)
+        return lambda row: test(row) is TRUE
 
     # ------------------------------------------------------------------
     def evaluate(self, expr: Expr) -> Relation:
-        result = self._eval(expr)
-        return result.distinct()
+        return self.resolve(expr).run(self.db)
 
-    def _eval(self, expr: Expr) -> Relation:
-        method = getattr(self, f"_eval_{type(expr).__name__}", None)
-        if method is None:
+    def resolve(self, expr: Expr, shared: AbstractSet[str] = frozenset()) -> Plan:
+        """Resolve *expr* against this evaluator's database.
+
+        *shared* names relations that are the same object on every
+        database the plan will run on.  A subplan that reads only those
+        (and ``Literal`` s, and no ``AdomPower``) runs on the plan's
+        first run and is answered from then on.  Counters accumulate on
+        this evaluator over every run.
+        """
+        self._shared_names = shared
+        node = self._resolve(expr)
+        run = _once(node.run) if node.shared else node.run
+        return Plan(node.attributes, run)
+
+    def _resolve(self, expr: Expr) -> _Node:
+        rule = _RULES.get(type(expr))
+        if rule is None:
             raise TypeError(f"no evaluation rule for {type(expr).__name__}")
-        result = method(expr)
-        self._charge(len(result), type(expr).__name__)
-        return result
+        children = [self._resolve(child) for child in expr.children()]
+        if children:
+            shared = all(child.shared for child in children)
+            if not shared:
+                # Keep each shared operand's rows across runs.
+                children = [
+                    child._replace(run=_once(child.run)) if child.shared else child
+                    for child in children
+                ]
+        else:
+            shared = isinstance(expr, Literal) or (
+                isinstance(expr, RelationRef) and expr.name in self._shared_names
+            )
+        attributes, compute = rule(self, expr, *children)
+        return _Node(attributes, self._charged(compute, type(expr).__name__), shared)
+
+    def _charged(self, compute: Run, at: str) -> Run:
+        """*compute*, adding its row count to the budget."""
+        budget = self.max_rows
+
+        def run(db: Database) -> Rows:
+            rows = compute(db)
+            self.rows_produced += len(rows)
+            if budget is not None and self.rows_produced > budget:
+                raise EvaluationBudgetExceeded(budget, at)
+            return rows
+
+        return run
 
     # ------------------------------------------------------------------
     # Leaves
     # ------------------------------------------------------------------
-    def _eval_RelationRef(self, expr: RelationRef) -> Relation:
-        return self.db[expr.name].distinct()
+    def _relation_ref(self, expr: RelationRef):
+        name = expr.name
+        return self.db[name].attributes, lambda db: list(dict.fromkeys(db[name].rows))
 
-    def _eval_Literal(self, expr: Literal) -> Relation:
-        return expr.relation.distinct()
+    def _literal(self, expr: Literal):
+        relation = expr.relation
+        return relation.attributes, lambda db: list(dict.fromkeys(relation.rows))
 
-    def _eval_AdomPower(self, expr: AdomPower) -> Relation:
-        domain = self.adom()
+    def _adom_power(self, expr: AdomPower):
         k = len(expr.attributes)
-        if self.max_rows is not None and len(domain) ** k > self.max_rows:
-            raise EvaluationBudgetExceeded(self.max_rows, f"adom^{k}")
-        rows = itertools.product(domain, repeat=k)
-        return Relation(expr.attributes, rows)
+        budget = self.max_rows
+
+        def compute(db: Database) -> Rows:
+            domain = self.adom(db)
+            if budget is not None and len(domain) ** k > budget:
+                raise EvaluationBudgetExceeded(budget, f"adom^{k}")
+            return list(itertools.product(domain, repeat=k))
+
+        return checked_attributes(expr.attributes), compute
 
     # ------------------------------------------------------------------
     # Unary operators
     # ------------------------------------------------------------------
-    def _eval_Selection(self, expr: Selection) -> Relation:
-        child = self._eval(expr.child)
-        attrs = child.attributes
-        kept = [
-            row
-            for row in child.rows
-            if self._selected(expr.condition, dict(zip(attrs, row)))
-        ]
-        return Relation(attrs, kept)
+    def _selection(self, expr: Selection, child: _Node):
+        test = self._bind(expr.condition, child.attributes)
+        run = child.run
+        return child.attributes, lambda db: list(filter(test, run(db)))
 
-    def _eval_Projection(self, expr: Projection) -> Relation:
-        child = self._eval(expr.child)
-        idx = [child.index_of(a) for a in expr.attributes]
-        rows = (tuple(row[i] for i in idx) for row in child.rows)
-        return Relation(expr.attributes, dict.fromkeys(rows))
+    def _projection(self, expr: Projection, child: _Node):
+        attributes = checked_attributes(expr.attributes)
+        key = _key([position_of(child.attributes, a) for a in attributes])
+        run = child.run
+        return attributes, lambda db: list(dict.fromkeys(map(key, run(db))))
 
-    def _eval_Rename(self, expr: Rename) -> Relation:
-        child = self._eval(expr.child)
-        return child.rename(expr.mapping_dict())
+    def _rename(self, expr: Rename, child: _Node):
+        mapping = expr.mapping_dict()
+        attributes = checked_attributes(mapping.get(a, a) for a in child.attributes)
+        return attributes, child.run
 
     # ------------------------------------------------------------------
     # Binary operators
     # ------------------------------------------------------------------
-    def _eval_Product(self, expr: Product) -> Relation:
-        left = self._eval(expr.left)
-        right = self._eval(expr.right)
-        overlap = set(left.attributes) & set(right.attributes)
-        if overlap:
-            raise ValueError(
-                f"product requires disjoint attributes; shared: {sorted(overlap)}"
-            )
-        if self.max_rows is not None and len(left) * len(right) > self.max_rows:
-            raise EvaluationBudgetExceeded(self.max_rows, "Product")
-        rows = (l + r for l in left.rows for r in right.rows)
-        return Relation(left.attributes + right.attributes, rows)
+    def _product(self, expr: Product, left: _Node, right: _Node):
+        _disjoint(left.attributes, right.attributes, "product")
+        budget = self.max_rows
+        run_left, run_right = left.run, right.run
 
-    def _eval_Join(self, expr: Join) -> Relation:
-        left = self._eval(expr.left)
-        right = self._eval(expr.right)
-        overlap = set(left.attributes) & set(right.attributes)
-        if overlap:
-            raise ValueError(
-                f"join requires disjoint attributes; shared: {sorted(overlap)}"
-            )
-        attrs = left.attributes + right.attributes
-        kept = []
-        for l in left.rows:
-            for r in right.rows:
-                row = l + r
-                if self._selected(expr.condition, dict(zip(attrs, row))):
-                    kept.append(row)
-        return Relation(attrs, kept)
+        def compute(db: Database) -> Rows:
+            lrows = run_left(db)
+            rrows = run_right(db)
+            if budget is not None and len(lrows) * len(rrows) > budget:
+                raise EvaluationBudgetExceeded(budget, "Product")
+            return [l + r for l in lrows for r in rrows]
 
-    @staticmethod
-    def _check_arity(left: Relation, right: Relation, op: str) -> None:
-        if left.arity != right.arity:
-            raise ValueError(
-                f"{op} requires equal arity, got {left.arity} and {right.arity}"
-            )
+        return left.attributes + right.attributes, compute
 
-    def _eval_Union(self, expr: Union) -> Relation:
-        left = self._eval(expr.left)
-        right = self._eval(expr.right)
-        self._check_arity(left, right, "union")
-        return Relation(left.attributes, dict.fromkeys(left.rows + right.rows))
+    def _join(self, expr: Join, left: _Node, right: _Node):
+        _disjoint(left.attributes, right.attributes, "join")
+        attributes = left.attributes + right.attributes
+        test = self._bind(expr.condition, attributes)
+        run_left, run_right = left.run, right.run
 
-    def _eval_Intersection(self, expr: Intersection) -> Relation:
-        left = self._eval(expr.left)
-        right = self._eval(expr.right)
-        self._check_arity(left, right, "intersection")
-        right_set = set(right.rows)
-        return Relation(left.attributes, (r for r in left.rows if r in right_set))
+        def compute(db: Database) -> Rows:
+            lrows = run_left(db)
+            rrows = run_right(db)
+            return list(filter(test, (l + r for l in lrows for r in rrows)))
 
-    def _eval_Difference(self, expr: Difference) -> Relation:
-        left = self._eval(expr.left)
-        right = self._eval(expr.right)
-        self._check_arity(left, right, "difference")
-        right_set = set(right.rows)
-        return Relation(left.attributes, (r for r in left.rows if r not in right_set))
+        return attributes, compute
+
+    def _union(self, expr: Union, left: _Node, right: _Node):
+        _same_arity(left, right, "union")
+        run_left, run_right = left.run, right.run
+        return left.attributes, lambda db: list(
+            dict.fromkeys(run_left(db) + run_right(db))
+        )
+
+    def _set_filter(self, expr, left: _Node, right: _Node):
+        """``Intersection`` and ``Difference``: the left rows in (not
+        in) the right rows, matched by position."""
+        keep = isinstance(expr, Intersection)
+        _same_arity(left, right, "intersection" if keep else "difference")
+        run_left, run_right = left.run, right.run
+
+        def compute(db: Database) -> Rows:
+            lrows = run_left(db)
+            right_set = set(run_right(db))
+            return [r for r in lrows if (r in right_set) == keep]
+
+        return left.attributes, compute
 
     # ------------------------------------------------------------------
     # Semijoins
     # ------------------------------------------------------------------
-    def _eval_SemiJoin(self, expr: SemiJoin) -> Relation:
-        left, right, matcher = self._condition_matcher(expr)
-        return Relation(left.attributes, (l for l in left.rows if matcher(l)))
+    def _semijoin(self, expr, left: _Node, right: _Node):
+        """``SemiJoin`` and ``AntiJoin``: the left rows with (without) a
+        right row satisfying the condition."""
+        _disjoint(left.attributes, right.attributes, "semijoin")
+        matcher = self._condition_matcher(expr.condition, left.attributes, right.attributes)
+        keep = isinstance(expr, SemiJoin)
+        run_left, run_right = left.run, right.run
 
-    def _eval_AntiJoin(self, expr: AntiJoin) -> Relation:
-        left, right, matcher = self._condition_matcher(expr)
-        return Relation(left.attributes, (l for l in left.rows if not matcher(l)))
+        def compute(db: Database) -> Rows:
+            lrows = run_left(db)
+            matches = matcher(run_right(db))
+            return [l for l in lrows if matches(l) == keep]
 
-    def _condition_matcher(self, expr):
-        left = self._eval(expr.left)
-        right = self._eval(expr.right)
-        overlap = set(left.attributes) & set(right.attributes)
-        if overlap:
-            raise ValueError(
-                f"semijoin requires disjoint attributes; shared: {sorted(overlap)}"
-            )
-        attrs = left.attributes + right.attributes
+        return left.attributes, compute
 
-        decomposed = _equi_decompose(expr.condition, left.attributes, right.attributes)
-        if decomposed is not None:
-            hashed = self._hash_matcher(left, right, attrs, expr.condition, decomposed)
-            if hashed is not None:
-                return left, right, hashed
+    def _condition_matcher(
+        self,
+        condition: C.Condition,
+        left_attrs: Tuple[str, ...],
+        right_attrs: Tuple[str, ...],
+    ) -> Callable[[Rows], Callable[[Row], bool]]:
+        """Right rows → a test of whether a left row has a match.
 
-        def matcher(l_row: Tuple[object, ...]) -> bool:
-            for r_row in right.rows:
-                if self._selected(expr.condition, dict(zip(attrs, l_row + r_row))):
-                    return True
-            return False
-
-        return left, right, matcher
-
-    def _hash_matcher(self, left, right, attrs, condition, decomposed):
-        """Hash-partition the right side on the equi-key, or ``None``.
-
-        Sound under both semantics: with ``sql`` 3VL, a null on either
-        side of an ``=`` makes that conjunct UNKNOWN, so null-keyed rows
-        can never satisfy the top-level conjunction and are skipped
-        outright; with ``naive`` semantics marked nulls compare (and
-        hash) by label, so they participate in the table like ordinary
-        values.  Residual conjuncts are re-checked per bucket candidate.
+        With a cross-side ``attr = attr`` conjunct the right side is
+        hash-partitioned on the equi-key per run.  Sound under both
+        semantics: with ``sql`` 3VL, a null on either side of an ``=``
+        makes that conjunct UNKNOWN, so null-keyed rows can never
+        satisfy the top-level conjunction and are skipped outright;
+        with ``naive`` semantics marked nulls compare (and hash) by
+        label, so they participate in the table like ordinary values.
+        Residual conjuncts are re-checked per bucket candidate.  An
+        unhashable value falls back to scanning with the whole
+        condition: for the whole right side when building, for one left
+        row when probing.
         """
-        pairs, residual = decomposed
-        l_idx = [left.index_of(a) for a, _ in pairs]
-        r_idx = [right.index_of(b) for _, b in pairs]
-        skip_nulls = self.semantics == "sql"
-        table: Dict[Tuple[object, ...], List[Tuple[object, ...]]] = {}
-        try:
-            for r_row in right.rows:
-                key = tuple(r_row[i] for i in r_idx)
-                if skip_nulls and any(is_null(v) for v in key):
-                    continue
-                table.setdefault(key, []).append(r_row)
-        except TypeError:  # unhashable domain value: keep the nested loop
-            return None
-        self.hash_semijoins += 1
+        test = self._bind(condition, left_attrs + right_attrs)
 
-        def matcher(l_row: Tuple[object, ...]) -> bool:
-            key = tuple(l_row[i] for i in l_idx)
-            if skip_nulls and any(is_null(v) for v in key):
-                return False
+        def scan(rrows: Rows) -> Callable[[Row], bool]:
+            return lambda l_row: any(test(l_row + r_row) for r_row in rrows)
+
+        decomposed = _equi_decompose(condition, left_attrs, right_attrs)
+        if decomposed is None:
+            return scan
+        pairs, residual = decomposed
+        left_key = _key([position_of(left_attrs, a) for a, _ in pairs])
+        right_key = _key([position_of(right_attrs, b) for _, b in pairs])
+        skip_nulls = self.semantics == "sql"
+        check = None if residual is None else self._bind(residual, left_attrs + right_attrs)
+
+        def matcher(rrows: Rows) -> Callable[[Row], bool]:
+            table: Dict[Row, Rows] = {}
             try:
-                bucket = table.get(key, ())
-            except TypeError:
-                # Unhashable probe value: degrade to scanning the right
-                # side with the full original condition.
-                for r_row in right.rows:
-                    if self._selected(condition, dict(zip(attrs, l_row + r_row))):
-                        return True
-                return False
-            if residual is None:
-                return bool(bucket)
-            for r_row in bucket:
-                if self._selected(residual, dict(zip(attrs, l_row + r_row))):
-                    return True
-            return False
+                for r_row in rrows:
+                    key = right_key(r_row)
+                    if skip_nulls and any(is_null(v) for v in key):
+                        continue
+                    table.setdefault(key, []).append(r_row)
+            except TypeError:  # unhashable domain value: keep the nested loop
+                return scan(rrows)
+            self.hash_semijoins += 1
+            fallback = scan(rrows)
+
+            def matches(l_row: Row) -> bool:
+                key = left_key(l_row)
+                if skip_nulls and any(is_null(v) for v in key):
+                    return False
+                try:
+                    bucket = table.get(key, ())
+                except TypeError:
+                    return fallback(l_row)
+                if check is None:
+                    return bool(bucket)
+                return any(check(l_row + r_row) for r_row in bucket)
+
+            return matches
 
         return matcher
 
-    def _eval_UnifSemiJoin(self, expr: UnifSemiJoin) -> Relation:
-        left = self._eval(expr.left)
-        right = self._eval(expr.right)
-        self._check_arity(left, right, "unification semijoin")
+    def _unif_semijoin(self, expr, left: _Node, right: _Node):
+        """``UnifSemiJoin`` and ``UnifAntiJoin`` (Definition 4)."""
+        keep = isinstance(expr, UnifSemiJoin)
+        _same_arity(
+            left, right, "unification semijoin" if keep else "unification anti-semijoin"
+        )
         test = positionwise_unifiable if expr.codd else unifiable
-        kept = [l for l in left.rows if any(test(l, r) for r in right.rows)]
-        return Relation(left.attributes, kept)
+        run_left, run_right = left.run, right.run
 
-    def _eval_UnifAntiJoin(self, expr: UnifAntiJoin) -> Relation:
-        left = self._eval(expr.left)
-        right = self._eval(expr.right)
-        self._check_arity(left, right, "unification anti-semijoin")
-        test = positionwise_unifiable if expr.codd else unifiable
-        kept = [l for l in left.rows if not any(test(l, r) for r in right.rows)]
-        return Relation(left.attributes, kept)
+        def compute(db: Database) -> Rows:
+            lrows = run_left(db)
+            rrows = run_right(db)
+            return [l for l in lrows if any(test(l, r) for r in rrows) == keep]
+
+        return left.attributes, compute
 
     # ------------------------------------------------------------------
     # Division (derived, Fact 1)
     # ------------------------------------------------------------------
-    def _eval_Division(self, expr: Division) -> Relation:
-        left = self._eval(expr.left)
-        right = self._eval(expr.right)
+    def _division(self, expr: Division, left: _Node, right: _Node):
         missing = [a for a in right.attributes if a not in left.attributes]
         if missing:
             raise ValueError(f"division: attributes {missing} not in dividend")
         keep = tuple(a for a in left.attributes if a not in right.attributes)
-        keep_idx = [left.index_of(a) for a in keep]
-        div_idx = [left.index_of(a) for a in right.attributes]
-        groups: Dict[Tuple[object, ...], set] = {}
-        for row in left.rows:
-            x = tuple(row[i] for i in keep_idx)
-            y = tuple(row[i] for i in div_idx)
-            groups.setdefault(x, set()).add(y)
-        required = set(right.rows)
-        rows = [x for x, ys in groups.items() if required <= ys]
-        return Relation(keep, rows)
+        key_x = _key([position_of(left.attributes, a) for a in keep])
+        key_y = _key([position_of(left.attributes, a) for a in right.attributes])
+        run_left, run_right = left.run, right.run
+
+        def compute(db: Database) -> Rows:
+            lrows = run_left(db)
+            groups: Dict[Row, set] = {}
+            for row in lrows:
+                groups.setdefault(key_x(row), set()).add(key_y(row))
+            required = set(run_right(db))
+            return [x for x, ys in groups.items() if required <= ys]
+
+        return keep, compute
+
+
+#: Each node type's resolve rule: ``(evaluator, expr, *resolved children)
+#: → (output attributes, compute)``.
+_RULES: Dict[type, Callable[..., Tuple[Tuple[str, ...], Run]]] = {
+    RelationRef: Evaluator._relation_ref,
+    Literal: Evaluator._literal,
+    AdomPower: Evaluator._adom_power,
+    Selection: Evaluator._selection,
+    Projection: Evaluator._projection,
+    Rename: Evaluator._rename,
+    Product: Evaluator._product,
+    Join: Evaluator._join,
+    Union: Evaluator._union,
+    Intersection: Evaluator._set_filter,
+    Difference: Evaluator._set_filter,
+    SemiJoin: Evaluator._semijoin,
+    AntiJoin: Evaluator._semijoin,
+    UnifSemiJoin: Evaluator._unif_semijoin,
+    UnifAntiJoin: Evaluator._unif_semijoin,
+    Division: Evaluator._division,
+}
 
 
 def _equi_decompose(

@@ -66,7 +66,7 @@ from typing import (
 )
 
 from repro.algebra.conditions import And, Comparison, Not, Or
-from repro.algebra.evaluate import evaluate
+from repro.algebra.evaluate import Evaluator
 from repro.algebra.expr import Expr, walk
 from repro.data.database import Database
 from repro.data.nulls import is_null
@@ -143,8 +143,9 @@ class SearchStats:
     World counters: ``worlds`` is how many valuations the world phase
     checked — one per renaming class of the fresh constants, or every
     valuation for a query with ``LIKE`` — and ``world_evals`` how many
-    times the query was evaluated for them (identical worlds share one
-    evaluation, so ``world_evals <= worlds``).
+    times the query's resolved plan ran for them (identical worlds share
+    one run, so ``world_evals <= worlds``).  A pre-fired ``cancel=`` or
+    a ``deadline=`` of zero or less evaluates no world.
     """
 
     arity: int = 0
@@ -277,13 +278,16 @@ def _apply_world(db: Database, layout: _Layout, key: _WorldKey) -> Database:
     """The world a :func:`_world_key` stands for.
 
     Relations without nulls are shared with ``db``; row order is
-    immaterial, since evaluation is set-semantic.
+    immaterial, since evaluation is set-semantic.  The rows are ``db``'s
+    own or their images, so they need no width check.
     """
     added = iter(key)
     relations: Dict[str, Relation] = {}
     for name, attrs, complete, incomplete in layout:
         if incomplete:
-            relations[name] = Relation(attrs, itertools.chain(complete, next(added)))
+            relations[name] = Relation._unchecked(
+                attrs, list(itertools.chain(complete, next(added)))
+            )
         else:
             relations[name] = db.relations[name]
     return Database(relations, schema=db.schema)
@@ -296,16 +300,21 @@ class _WorldAnswers:
     relation's row set.  The :func:`_world_key` fixes those row sets,
     and with them ``adom(W)`` (so ``AdomPower`` is covered too);
     valuations with equal keys share one evaluation and one answer set.
-    ``evals`` counts the evaluations that actually ran; ``attributes``
-    are the answer attributes, known after the first call.
+
+    The query is resolved once, against ``D``, and the plan runs in
+    every world; a subplan that reads only relations without nulls
+    (which every world shares with ``D``) runs once.  ``evals`` counts
+    the runs of the plan; ``attributes`` are the answer attributes.
     """
 
     def __init__(self, query: Expr, db: Database):
-        self.query = query
         self.db = db
         self.layout = _world_layout(db)
+        complete = {name for name, _attrs, _rows, incomplete in self.layout if not incomplete}
+        self.evaluator = Evaluator(db, semantics="naive")
+        self.plan = self.evaluator.resolve(query, shared=complete)
+        self.attributes: Tuple[str, ...] = self.plan.attributes
         self.evals = 0
-        self.attributes: Tuple[str, ...] = ()
         self._answers: Dict[_WorldKey, Set[Row]] = {}
 
     def __call__(self, v: Valuation) -> Set[Row]:
@@ -314,9 +323,7 @@ class _WorldAnswers:
         rows = self._answers.get(key)
         if rows is None:
             world = _apply_world(self.db, self.layout, key)
-            result = evaluate(self.query, world, semantics="naive")
-            self.attributes = result.attributes
-            rows = self._answers[key] = set(result.rows)
+            rows = self._answers[key] = set(self.plan.run(world).rows)
             self.evals += 1
         return rows
 
@@ -511,28 +518,22 @@ def certain_answers_with_nulls(
     # worlds share one evaluation.
     world_answers = _WorldAnswers(query, db)
     worlds: List[Tuple[Valuation, Set[Row]]] = []
-    result_attrs: Optional[Tuple[str, ...]] = attributes
+    result_attrs = world_answers.attributes if attributes is None else attributes
     cancelled = False
     timed_out = False
     for v in _orbit_valuations(query, db, extra_constants):
         if cancel is not None and cancel.cancelled:
             cancelled = True
-            if worlds:
-                break
-        if cutoff is not None and worlds and time.monotonic() > cutoff:
-            # Without every world no candidate can be *confirmed*
-            # certain; the sound subset at this point is empty.  (The
-            # first world is always evaluated so the result relation
-            # keeps its attributes.)
+            break
+        # Without every world no candidate can be *confirmed* certain;
+        # the sound subset at a cut is empty.  A budget of zero seconds
+        # or less is spent at entry.
+        if cutoff is not None and (
+            time.monotonic() > cutoff if worlds else deadline <= 0
+        ):
             timed_out = True
             break
         worlds.append((v, world_answers(v)))
-        if result_attrs is None:
-            result_attrs = world_answers.attributes
-        if cancelled:
-            break
-    if result_attrs is None:  # pragma: no cover - no valuations is impossible
-        raise RuntimeError("no valuations produced")
     world_elapsed = time.monotonic() - start
     arity = len(result_attrs)
     stats = SearchStats(

@@ -18,15 +18,31 @@ __all__ = ["Relation"]
 Row = Tuple[object, ...]
 
 
+def position_of(attributes: Sequence[str], attribute: str) -> int:
+    """The position of *attribute* among *attributes*, or ``KeyError``."""
+    try:
+        return list(attributes).index(attribute)
+    except ValueError:
+        raise KeyError(
+            f"no attribute {attribute!r} in relation with {tuple(attributes)}"
+        ) from None
+
+
+def checked_attributes(attributes: Iterable[str]) -> Tuple[str, ...]:
+    """*attributes* as a tuple, or ``ValueError`` if a name repeats."""
+    names = tuple(attributes)
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate attribute names: {names}")
+    return names
+
+
 class Relation:
     """An ordered collection of equal-width tuples with named columns."""
 
     __slots__ = ("attributes", "rows", "indexes")
 
     def __init__(self, attributes: Sequence[str], rows: Iterable[Sequence[object]] = ()):
-        self.attributes: Tuple[str, ...] = tuple(attributes)
-        if len(set(self.attributes)) != len(self.attributes):
-            raise ValueError(f"duplicate attribute names: {self.attributes}")
+        self.attributes: Tuple[str, ...] = checked_attributes(attributes)
         self.rows: List[Row] = []
         #: What is derived from ``rows`` alone, kept until :meth:`add` or
         #: :meth:`extend` changes them (rows change no other way): the
@@ -44,6 +60,17 @@ class Relation:
                     f"row width {len(row)} does not match arity {width}: {row!r}"
                 )
             self.rows.append(row)
+
+    @classmethod
+    def _unchecked(cls, attributes: Tuple[str, ...], rows: List[Row]) -> "Relation":
+        """Wrap *rows* as is.  For rows that are already tuples of the
+        width of *attributes*, under names that are already distinct;
+        the checks in ``__init__`` dominate building small relations."""
+        relation = cls.__new__(cls)
+        relation.attributes = attributes
+        relation.rows = rows
+        relation.indexes = {}
+        return relation
 
     # ------------------------------------------------------------------
     # Basic protocol
@@ -75,12 +102,7 @@ class Relation:
     # Access helpers
     # ------------------------------------------------------------------
     def index_of(self, attribute: str) -> int:
-        try:
-            return self.attributes.index(attribute)
-        except ValueError:
-            raise KeyError(
-                f"no attribute {attribute!r} in relation with {self.attributes}"
-            ) from None
+        return position_of(self.attributes, attribute)
 
     def column(self, attribute: str) -> List[object]:
         i = self.index_of(attribute)
@@ -109,7 +131,7 @@ class Relation:
     # ------------------------------------------------------------------
     def distinct(self) -> "Relation":
         """Set-semantics copy (stable order, duplicates removed)."""
-        return Relation(self.attributes, dict.fromkeys(self.rows))
+        return Relation._unchecked(self.attributes, list(dict.fromkeys(self.rows)))
 
     def rename(self, mapping: Dict[str, str]) -> "Relation":
         attrs = tuple(mapping.get(a, a) for a in self.attributes)

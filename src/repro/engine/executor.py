@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple, Union as TUnion
 
 from repro.data.database import Database
-from repro.data.relation import Relation
+from repro.data.relation import Relation, checked_attributes
 from repro.engine.blocks import CompiledBlock, ExecContext, _Col, _key_stream
 from repro.engine.compile import compile_expr
 from repro.engine.limits import EngineError, ResourceLimits
@@ -154,18 +154,18 @@ class Executor:
                 raise EngineError(
                     f"{op.upper()} operands have arity {left.arity} and {right.arity}"
                 )
+            # Both operands' rows are tuples of the common arity.
             if op == "union":
-                rows = list(left.rows) + list(right.rows)
+                rows = left.rows + right.rows
                 if not keep_all:
                     rows = list(dict.fromkeys(rows))
-                return Relation(left.attributes, rows)
-            if op == "intersect":
-                right_set = set(right.rows)
-                rows = [r for r in dict.fromkeys(left.rows) if r in right_set]
-                return Relation(left.attributes, rows)
+                return Relation._unchecked(left.attributes, rows)
             right_set = set(right.rows)
-            rows = [r for r in dict.fromkeys(left.rows) if r not in right_set]
-            return Relation(left.attributes, rows)
+            if op == "intersect":
+                rows = [r for r in dict.fromkeys(left.rows) if r in right_set]
+            else:
+                rows = [r for r in dict.fromkeys(left.rows) if r not in right_set]
+            return Relation._unchecked(left.attributes, rows)
 
         return run_setop
 
@@ -179,7 +179,7 @@ class Executor:
         outputs = [
             (name, block._expr(expr)) for name, expr in output_columns(select, block.scope)
         ]
-        names = tuple(name for name, _expr in outputs)
+        names = checked_attributes(name for name, _expr in outputs)
         exprs = [expr for _name, expr in outputs]
         distinct = select.distinct
         if exprs and all(isinstance(expr, _Col) and expr.depth == 0 for expr in exprs):
@@ -202,10 +202,11 @@ class Executor:
                 return [tuple(fn(cursor, _EMPTY_ENV) for fn in fns) for cursor in cursors]
 
         def run_select() -> Relation:
+            # ``project`` builds tuples of the output width.
             rows = project(block.iterate({}))
             if distinct:
                 rows = list(dict.fromkeys(rows))
-            return Relation(names, rows)
+            return Relation._unchecked(names, rows)
 
         return run_select
 

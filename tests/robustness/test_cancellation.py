@@ -83,8 +83,18 @@ class TestSearcherCancellation:
         )
         stats = bruteforce.LAST_SEARCH
         assert result.rows == []
+        assert result.attributes == intro_db["R"].attributes
         assert stats.cancelled and not stats.complete
-        # At most the first world was evaluated before the token check.
+        assert stats.worlds == stats.world_evals == 0
+        assert stats.world_checks == 0
+
+    def test_spent_deadline_skips_world_evaluation(self, intro_db):
+        result = certain_answers_with_nulls(RelationRef("R"), intro_db, deadline=0.0)
+        stats = bruteforce.LAST_SEARCH
+        assert result.rows == []
+        assert result.attributes == intro_db["R"].attributes
+        assert not stats.complete and not stats.cancelled
+        assert stats.worlds == stats.world_evals == 0
         assert stats.world_checks == 0
 
     def test_cancelled_search_does_not_corrupt_other_threads_stats(self):
