@@ -47,22 +47,28 @@ def unifiable(r: Sequence[object], s: Sequence[object]) -> bool:
     """Return ``True`` iff ``r ⇑ s`` (some valuation makes them equal)."""
     if len(r) != len(s):
         return False
-    uf = _UnionFind()
+    uf: Optional[_UnionFind] = None
+    mixed = []  # constants unioned with a null
     for a, b in zip(r, s):
-        if not is_null(a) and not is_null(b):
+        a_null, b_null = isinstance(a, Null), isinstance(b, Null)
+        if not a_null and not b_null:
             if a != b:
                 return False
             continue
+        if uf is None:  # the first null: null-free pairs never get here
+            uf = _UnionFind()
         uf.union(_key(a), _key(b))
-    # A class with two distinct constants is contradictory.
+        if a_null != b_null:
+            mixed.append(b if a_null else a)
+    if uf is None:  # null-free: equal at every position
+        return True
+    # A class with two distinct constants is contradictory.  A constant
+    # joins another's class only through a null, so the constants
+    # unioned with a null are the only ones to check.
     constant_of: Dict[object, object] = {}
-    for a, b in zip(r, s):
-        for v in (a, b):
-            if not is_null(v):
-                root = uf.find(_key(v))
-                if root in constant_of and constant_of[root] != v:
-                    return False
-                constant_of[root] = v
+    for v in mixed:
+        if constant_of.setdefault(uf.find(_key(v)), v) != v:
+            return False
     return True
 
 

@@ -16,34 +16,32 @@ A :class:`CompiledBlock` is the engine's unit of execution.  Compiling a
 At run time the block lazily picks a greedy left-deep join order (hash
 joins on available equality keys, Cartesian products otherwise — which
 is how an ``OR … IS NULL`` join condition degrades to nested loops, the
-Section 7 Q4 effect), builds hash indexes once, and streams result rows
-so ``EXISTS`` probes stop at the first match.
+Section 7 Q4 effect) and builds hash indexes once.
 
 Every source is read one way: its pushed filters run as passes over the
 whole table's rows, one ``row → keep?`` test per conjunct, once per
-statement, and the block iterates the filtered rows (or an index over
-them).  What depends only on a relation's rows is built once per
+statement.  What depends only on a relation's rows is built once per
 relation and kept in ``Relation.indexes`` for later statements: a
 source's rows under *constant-free* pushed filters (no constant,
 parameter, subquery or outer column; :func:`_source_key`), their
 statistics, and the equi-join and probe indexes over them, all keyed by
 the source key (``frozenset()`` for a whole table).
 
-A block with no correlated reference (a statement block, a ``WITH``
-view, an uncorrelated subquery) runs the residuals attached to its first
-join step as passes over that step's row list, in conjunct order, as
-the filter passes do: a decorrelated ``[NOT] EXISTS``/``[NOT] IN`` as
-one loop over the rows into its kept index or probe table
+Every block runs step by step (:meth:`CompiledBlock.run`): step 0 lists
+its filtered rows (or an index bucket), each later step is one loop
+over the previous step's list into its index, and the residuals
+attached to a step run as passes over its list, in conjunct order, as
+the filter passes do: a ``[NOT] EXISTS``/``[NOT] IN`` as one loop over
+the rows into its kept index or probe table
 (:meth:`_CorrelatedSubquery.keep_rows`), any other residual as its
-closure per row.  Later steps, correlated blocks and an ``EXISTS`` that
-stops at its first witness keep the per-row loop.
+closure per row.  The block hands its caller the last list.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat, tee
-from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import compress, repeat
+from operator import add, itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.conditions import like_match
 from repro.algebra.threevl import FALSE, TRUE, UNKNOWN, ThreeValued, from_bool
@@ -60,6 +58,10 @@ Key = Tuple[str, str]  # (binding, column)
 
 #: Cursor for conditions with no local columns (pre-join conditions).
 _EMPTY_CURSOR: Tuple[Dict[Key, int], Row] = ({}, ())
+
+#: What a block whose pre-join conditions fail returns: no row, so no
+#: caller reads its slot map.
+_NO_ROWS: Tuple[Dict[Key, int], Sequence[Row]] = ({}, ())
 
 #: Test-only scan instrumentation installed by :mod:`repro.testing.faults`
 #: (``(table name, relation) -> relation`` wrapper); ``None`` in production,
@@ -116,7 +118,9 @@ class ExecContext:
             self.governor.arm()
 
     def check(self) -> None:
-        """Enforce resource limits; called once per row consumed.
+        """Enforce resource limits; called once per row a join step
+        lists (under a governor), a hash build reads or a bucket scan
+        examines, and once before each filter or residual pass.
 
         Amortised: with no limits this is a single attribute test, and
         the governor only reads the clock every
@@ -318,22 +322,22 @@ def _keyed(rows, source: "_Source", columns: Sequence[str]) -> Iterator[Tuple]:
     return zip(_key_stream(rows, [source.columns.index(c) for c in columns]), rows)
 
 
-def _hash_group(ctx, meter, pairs, nulls, check=None, value=None):
+def _hash_group(ctx, meter, pairs, nulls, check=None):
     """Every engine hash table's build: the ``(key, item)`` *pairs*
-    grouped by key, streamed.  A bucket holds ``value(item)``, or the item
-    if *value* is ``None``; a ``None`` item only creates its bucket.
-    Keys with a null at a position in *nulls* never compare TRUE and are
-    skipped.  Returns ``None`` (abandoned) when *check*, run per item,
-    returns true or the byte *meter* (first new key, then every 256th)
-    finds the table over ``max_probe_table_bytes``; the meter keeps the
-    estimate at its last check point."""
+    grouped by key, streamed.  A bucket holds the items; a ``None`` item
+    only creates its bucket.  Keys with a null at a position in *nulls*
+    never compare TRUE and are skipped.  *check* (the governor's) runs
+    per item.  Returns ``None`` (abandoned) when the byte *meter* (first
+    new key, then every 256th) finds the table over
+    ``max_probe_table_bytes``; the meter keeps the estimate at its last
+    check point."""
     byte_cap = None if ctx.limits is None else ctx.limits.max_probe_table_bytes
     table: Dict[Tuple, List[object]] = {}
     get = table.get
     null_at = nulls[0] if len(nulls) == 1 else None  # the common case
     for key, item in pairs:
-        if check is not None and check():
-            return None
+        if check is not None:
+            check()
         if null_at is not None:
             if isinstance(key[null_at], Null):
                 continue
@@ -345,7 +349,7 @@ def _hash_group(ctx, meter, pairs, nulls, check=None, value=None):
             if meter.add(key) and meter.over_budget(ctx.table_bytes, byte_cap):
                 return None
         if item is not None:
-            bucket.append(item if value is None else value(item))
+            bucket.append(item)
     ctx.table_bytes += meter.approx_bytes()
     return table
 
@@ -370,13 +374,20 @@ class _CorrelatedSubquery(_Cond):
       memoized on the tuple of correlated values, so repeated outer
       keys re-execute nothing.
 
+    The outer block runs the predicate as a pass over a step's rows
+    (:meth:`keep_rows`); the bucket path and the probe table answer the
+    pass in one loop (:meth:`_answers`).  The compiled closure's per-row
+    :meth:`answer` is reached only by memo probing, an uncorrelated
+    subquery, or a predicate nested under ``AND``/``OR``/``NOT``, and
+    runs the same loop over a one-row list.
+
     Subclasses supply :meth:`_run` (the subquery's result for one binding
     of the correlated values), :meth:`_from_bucket` (that result from a
     bucket's or a probe table's output values, ``None`` for none),
     ``_truth`` (the predicate's value at an outer row given that result;
     ``None`` for ``EXISTS``, whose result is its value) and ``_out``,
     the compiled output expression whose values ``IN`` collects
-    (``None``: ``EXISTS`` only asks for a witness).
+    (``None``: ``EXISTS`` only asks whether a row exists).
     """
 
     __slots__ = (
@@ -402,7 +413,8 @@ class _CorrelatedSubquery(_Cond):
         self._cache: object = None
         self.decor = _probe_plan(block, parent_scope, out)
         self._buckets: Optional[_Buckets] = None
-        self._table: Optional[Dict[Tuple, List[object]]] = None
+        #: the probe table: correlated key → the subquery's answer
+        self._table: Optional[Dict[Tuple, object]] = None
         self._memo: Dict[Tuple, object] = {}
         self._memo_keys = tuple(dict.fromkeys(res.key for res in block.external))
         self._saved_probes = None
@@ -416,68 +428,58 @@ class _CorrelatedSubquery(_Cond):
         """Whether probes take the bucket path (until it degrades)."""
         return self.decor is not None and len(self.block.sources) == 1
 
+    def _decorrelated(self) -> bool:
+        """Whether probes take the bucket path or the probe table,
+        opening the statement's strategy at its first probe (which may
+        degrade it to memo probing)."""
+        if self._buckets is None and self._table is None:
+            if self.decor is None:
+                return False
+            self._open()
+        return self.decor is not None
+
     def answer(self, cursor, env):
         """The subquery's result for the outer row at *cursor*: a truth
         value for ``EXISTS``, the output values for ``IN`` (this bound
         method is what the closure compiler calls)."""
-        buckets = self._buckets
-        if buckets is not None:
-            return buckets.probe(cursor, env)
-        table = self._table
-        if table is not None:
-            ctx = self.block.ctx
-            ctx.decorrelated_probes += 1
+        if self._decorrelated():
             slotmap, row = cursor
-            decor = self.decor
-            if len(decor) == 1:
-                value = row[slotmap[decor[0][1]]]
-                if not ctx.marked_nulls and isinstance(value, Null):
-                    return self._from_bucket(None)  # a null key never compares TRUE
-                return self._from_bucket(table.get((value,)))
-            probe = tuple(row[slotmap[key]] for _local, key in decor)
-            if not ctx.marked_nulls and any(isinstance(v, Null) for v in probe):
-                return self._from_bucket(None)
-            return self._from_bucket(table.get(probe))
-        block = self.block
-        if not block.external:
+            return next(self._answers([row], slotmap, env))
+        if not self.block.external:
             if self._cache is None:
                 self._cache = self._run({})
             return self._cache
-        if self.decor is not None:  # the first probe of a statement
-            self._open()
-            if self.decor is not None:  # not degraded
-                return self.answer(cursor, env)
         return self._memo_probe(cursor, env)
 
-    def keep_rows(self, rows: List[Row], slotmap: Dict[Key, int], fn, env) -> List[Row]:
-        """One pass of this decorrelated predicate over the outer *rows*
-        (the first join step's rows, laid out by *slotmap*): the rows on
-        which it is TRUE, in order.  The pass counts one
-        ``decorrelated_probes`` per row, as per-row probing does; *fn* is
-        the predicate's compiled closure, called per row once the
-        predicate has degraded to memo probing."""
-        if self._buckets is None and self._table is None and self.decor is not None:
-            self._open()
+    def keep_rows(self, rows: Sequence[Row], slotmap: Dict[Key, int], fn, env) -> List[bool]:
+        """One pass of this predicate over the outer *rows* (a join
+        step's list, laid out by *slotmap*): for each row, whether the
+        predicate is TRUE on it, so the row is kept.  *fn* is the
+        predicate's compiled closure, called per row under memo probing
+        or when the subquery is uncorrelated."""
+        if not self._decorrelated():
+            return [fn((slotmap, row), env) is TRUE for row in rows]
+        answers = self._answers(rows, slotmap, env)
+        truth = self._truth
+        if truth is None:
+            return [answer is TRUE for answer in answers]
+        return [
+            truth((slotmap, row), env, answer) is TRUE
+            for row, answer in zip(rows, answers)
+        ]
+
+    def _answers(self, rows: Sequence[Row], slotmap: Dict[Key, int], env) -> Iterator:
+        """The subquery's answer for each of the outer *rows*, from the
+        bucket path or the probe table: one loop, counting one
+        ``decorrelated_probes`` per row.  Neither a kept index nor a
+        probe table holds a null key under SQL nulls, so a null outer key
+        misses; under marked nulls keys match by label."""
+        self.block.ctx.decorrelated_probes += len(rows)
         buckets = self._buckets
         if buckets is not None:
-            return buckets.keep_rows(rows, slotmap, env, self._truth)
-        table = self._table
-        if table is None:  # degraded
-            return [row for row in rows if fn((slotmap, row), env) is TRUE]
-        self.block.ctx.decorrelated_probes += len(rows)
-        # A probe table holds no null key under SQL nulls, so a null
-        # outer key misses; under marked nulls keys match by label.
+            return buckets.answers(rows, slotmap, env)
         keys = _key_stream(rows, [slotmap[key] for _local, key in self.decor])
-        truth = self._truth
-        if truth is not None:
-            return [
-                row
-                for row, key in zip(rows, keys)
-                if truth((slotmap, row), env, table.get(key, ())) is TRUE
-            ]
-        if self.negated:
-            return [row for row, key in zip(rows, keys) if key not in table]
-        return [row for row, key in zip(rows, keys) if key in table]
+        return map(self._table.get, keys, repeat(self._from_bucket(None)))
 
     def _open(self) -> None:
         """Decide the statement's strategy at its first probe: the bucket
@@ -533,7 +535,7 @@ class _CorrelatedSubquery(_Cond):
             if cond.has_outer:
                 pre.append(fn)
             elif fn(_EMPTY_CURSOR, {}) is not TRUE:
-                break  # no probe finds a witness
+                break  # no probe finds a row
         else:
             kept = _constant_free(source)
             rows = block._kept_source(kept).rows
@@ -566,7 +568,7 @@ class _CorrelatedSubquery(_Cond):
                 for _local, expr in block.probes
                 if not expr.has_outer
             ),
-            {(source.binding, col): i for i, col in enumerate(source.columns)},
+            source.slotmap,
             keep,
             [compile_cond(cond) for cond in checks],
             pre,
@@ -577,42 +579,43 @@ class _CorrelatedSubquery(_Cond):
         )
 
     def _build_table(self) -> None:
-        """One-pass hash semi-join build: the inner rows grouped by their
-        correlated key, each bucket holding their ``_out`` values."""
+        """One-pass hash semi-join build: the inner block's rows grouped
+        by their correlated key, each key mapped to the subquery's
+        answer (:meth:`_from_bucket` of its rows' ``_out`` values).  The
+        block stops listing once its rows pass ``max_probe_build_rows``,
+        which abandons the build."""
         block = self.block
         ctx = block.ctx
         if self._saved_probes is None:  # else a cut-short build stripped them
             self._saved_probes = block.probes
             block.probes = [(k, e) for k, e in block.probes if not e.has_outer]
-        locals_ = tuple(local for local, _key in self.decor)
-        out = self._out
         cap = None if ctx.limits is None else ctx.limits.max_probe_build_rows
         before = ctx.rows_examined
-        cursors = block.iterate({})
-        first = next(cursors, None)  # planning fixes the shared slotmap
-        table: Optional[Dict[Tuple, List[object]]] = {}
-        if first is not None:
-            cursors = chain((first,), cursors)
-            items = repeat(None)  # keys only: an EXISTS bucket just exists
-            if out is not None:
-                cursors, items = tee(cursors)
-            keys = _key_stream(map(itemgetter(1), cursors), [first[0][k] for k in locals_])
-            table = _hash_group(
-                ctx,
-                TableBytesMeter(),
-                zip(keys, items),
-                block._null_slots(locals_),
-                None if cap is None else lambda: ctx.rows_examined - before > cap,
-                None if out is None else lambda cursor: out(cursor, {}),
-            )
+        listed = block.run({}, cap)
         # Abandoned builds count their rows like finished ones.
         ctx.probe_build_rows += ctx.rows_examined - before
         ctx.rows_examined = before
+        table: Optional[Dict[Tuple, List[object]]] = None  # abandoned
+        if listed is not None:
+            slotmap, rows = listed
+            table = {}
+            if rows:
+                locals_ = tuple(local for local, _key in self.decor)
+                out = self._out
+                items: Iterable = repeat(None)  # keys only: an EXISTS bucket just exists
+                if out is not None:
+                    items = [out((slotmap, row), {}) for row in rows]
+                table = _hash_group(
+                    ctx,
+                    TableBytesMeter(),
+                    zip(_key_stream(rows, [slotmap[k] for k in locals_]), items),
+                    block._null_slots(locals_),
+                )
         if table is None:
             self._degrade()
         else:
             ctx.probe_tables_built += 1
-            self._table = table
+            self._table = {key: self._from_bucket(bucket) for key, bucket in table.items()}
 
     def _degrade(self) -> None:
         """Abandon the bucket path or the probe table for good: the kept
@@ -630,8 +633,9 @@ class _CorrelatedSubquery(_Cond):
 
 
 class _Exists(_CorrelatedSubquery):
-    """``[NOT] EXISTS`` — two-valued; a bucket or probe-table hit is a
-    witness."""
+    """``[NOT] EXISTS`` — two-valued: TRUE when the inner block lists a
+    row (a bucket row passes its checks, a probe-table key is found),
+    unless negated."""
 
     __slots__ = ()
 
@@ -639,11 +643,8 @@ class _Exists(_CorrelatedSubquery):
         super().__init__(block, negated, parent_scope, None)
 
     def _run(self, env) -> ThreeValued:
-        found = False
-        for _ in self.block.iterate(env, witness=True):
-            found = True
-            break
-        return from_bool(found != self.negated)
+        _slotmap, rows = self.block.run(env)
+        return from_bool(bool(rows) != self.negated)
 
     def _from_bucket(self, bucket) -> ThreeValued:
         return TRUE if (bucket is not None) != self.negated else FALSE
@@ -678,7 +679,8 @@ class _InSubquery(_CorrelatedSubquery):
 
     def _run(self, env) -> List[object]:
         out = self._out
-        return [out(cursor, env) for cursor in self.block.iterate(env)]
+        slotmap, rows = self.block.run(env)
+        return [out((slotmap, row), env) for row in rows]
 
     def _from_bucket(self, bucket) -> Sequence[object]:
         return () if bucket is None else bucket
@@ -691,10 +693,9 @@ class _InSubquery(_CorrelatedSubquery):
 
 
 class _Buckets:
-    """The bucket path of one correlated subquery for one statement:
-    per outer row (:meth:`probe`) or as one pass over a statement block's
-    rows (:meth:`keep_rows`), both scanning a found bucket with
-    :meth:`_scan`.
+    """The bucket path of one correlated subquery for one statement: one
+    loop over the outer rows of a pass (:meth:`answers`), scanning each
+    found bucket with :meth:`_scan`.
 
     A probe's key is the outer row's values at ``outer``, then the values
     of the constant probes (``consts``, computed once); its bucket is
@@ -714,7 +715,7 @@ class _Buckets:
 
     __slots__ = (
         "ctx", "index", "outer", "consts", "slotmap", "keep", "checks",
-        "pre", "needed", "out", "miss", "hit", "_one_key",
+        "pre", "needed", "out", "miss", "hit",
     )
 
     def __init__(
@@ -732,44 +733,11 @@ class _Buckets:
         self.out = out
         self.miss = miss
         self.hit = hit
-        #: the common case: one outer key column and no constant probe
-        self._one_key = outer[0] if len(outer) == 1 and not consts else None
 
-    def probe(self, cursor, env):
-        """The subquery's answer for the outer row at *cursor* (what
-        :meth:`_CorrelatedSubquery.answer` returns)."""
-        ctx = self.ctx
-        ctx.decorrelated_probes += 1
-        slotmap, row = cursor
-        one_key = self._one_key
-        if one_key is not None:
-            value = row[slotmap[one_key]]
-            if isinstance(value, Null) and not ctx.marked_nulls:
-                return self.miss  # a null key never compares TRUE
-            bucket = self.index.get((value,))
-        else:
-            key = tuple([row[slotmap[k]] for k in self.outer]) + self.consts
-            if not ctx.marked_nulls and any(map(isinstance, key, _NULL_TYPES)):
-                return self.miss
-            bucket = self.index.get(key)
-        if bucket is None:
-            return self.miss
-        needed = self.needed
-        if needed is not None:
-            env = dict(env)
-            for k in needed:
-                env[k] = row[slotmap[k]]
-        return self._scan(bucket, env)
-
-    def keep_rows(self, rows: List[Row], slotmap: Dict[Key, int], env, truth) -> List[Row]:
-        """One pass over the outer *rows*: those whose answer makes the
-        predicate TRUE, where *truth* ``(cursor, env, answer)`` gives the
-        predicate's value, or is ``None`` when the answer is that value
-        (``EXISTS``).  One environment serves the whole pass, updated in
+    def answers(self, rows: Sequence[Row], slotmap: Dict[Key, int], env) -> Iterator:
+        """The subquery's answer for each of the outer *rows*, laid out
+        by *slotmap*.  One environment serves the whole loop, updated in
         place with each row's outer values."""
-        self.ctx.decorrelated_probes += len(rows)
-        # The index holds no null key under SQL nulls, so a null outer
-        # key misses; under marked nulls keys match by label.
         keys = _key_stream(rows, [slotmap[k] for k in self.outer])
         consts = self.consts
         if consts:
@@ -778,25 +746,21 @@ class _Buckets:
         scan = self._scan
         miss = self.miss
         needed = self.needed
-        if needed is not None:
-            env = dict(env)
-            fill = [(k, slotmap[k]) for k in needed]
-        kept = []
+        if needed is None:
+            for key in keys:
+                bucket = get(key)
+                yield miss if bucket is None else scan(bucket, env)
+            return
+        env = dict(env)
+        fill = [(k, slotmap[k]) for k in needed]
         for row, key in zip(rows, keys):
             bucket = get(key)
             if bucket is None:
-                answer = miss
-            else:
-                if needed is not None:
-                    for k, p in fill:
-                        env[k] = row[p]
-                answer = scan(bucket, env)
-            if truth is None:
-                if answer is TRUE:
-                    kept.append(row)
-            elif truth((slotmap, row), env, answer) is TRUE:
-                kept.append(row)
-        return kept
+                yield miss
+                continue
+            for k, p in fill:
+                env[k] = row[p]
+            yield scan(bucket, env)
 
     def _scan(self, bucket: List[Row], env):
         """The answer from one found *bucket*: ``hit`` at the first row
@@ -900,14 +864,16 @@ def _membership(x, values, marked: bool = False) -> ThreeValued:
 class _Source:
     """One FROM entry with its pushed single-table filters and, once they
     are compiled, their key in the relation's store (:func:`_source_key`)
-    and their row tests (built at the first filter run)."""
+    and their row tests (built at the first filter run).  ``slotmap``
+    lays out the source's own rows."""
 
-    __slots__ = ("binding", "table", "columns", "filters", "key", "tests")
+    __slots__ = ("binding", "table", "columns", "slotmap", "filters", "key", "tests")
 
     def __init__(self, binding: str, table: str, columns: Tuple[str, ...]):
         self.binding = binding
         self.table = table
         self.columns = columns
+        self.slotmap: Dict[Key, int] = {(binding, col): i for i, col in enumerate(columns)}
         self.filters: List[_Cond] = []
         self.key: Optional[frozenset] = None
         self.tests: Optional[List[object]] = None
@@ -936,7 +902,7 @@ class CompiledBlock:
             source.key = _source_key(source.filters)
 
         # Uncorrelated/outer-only residuals (no local keys): computed
-        # eagerly so iterate() can evaluate them *before* any planning
+        # eagerly so run() can evaluate them *before* any planning
         # or filtering work — a FALSE short-circuits the whole block
         # without touching base tables (Q+2's win).
         self._pre: List[_Cond] = [c for c in self.residuals if not c.local_keys]
@@ -1379,137 +1345,146 @@ class CompiledBlock:
                 matches.append(row)
         return matches
 
-    def iterate(
-        self, env: Dict[Key, object], witness: bool = False
-    ) -> Iterator[Tuple[Dict[Key, int], Row]]:
-        """Stream result rows as ``(slotmap, flat_tuple)`` cursors.
+    def run(
+        self, env: Dict[Key, object], cap: Optional[int] = None
+    ) -> Optional[Tuple[Dict[Key, int], Sequence[Row]]]:
+        """The block's rows for the outer values *env*: its slot map and
+        its last step's row list, each row laid out by the slot map.
 
-        A block without correlated references runs the residuals
-        attached to its first step as passes (:meth:`_first_step`),
-        unless the caller stops at the first row (*witness*: an
-        ``EXISTS``), which the per-row loop reaches without examining
-        the rest."""
+        Step 0 lists the first source's filtered rows, or the bucket of
+        its constant or environment probe.  Each later step is one loop
+        over the previous step's list: it lists every row of the step's
+        source that joins a partial row (:meth:`_joiner`), with that
+        partial row.  After each step, the residuals attached to it run
+        as passes over its list in conjunct order, each after one
+        ``ctx.check()`` and over the rows earlier passes kept; a
+        subquery predicate runs its own pass
+        (:meth:`_CorrelatedSubquery.keep_rows`).  A pass that reads only
+        the step's source runs over the source's bare rows; the rows are
+        joined to their partial rows, ``partial + row``, at the first
+        pass that reads an earlier binding or at the end of the step, so
+        only rows that such passes keep are joined.  A step with no row
+        left ends the block.
+
+        Each listed row counts one ``rows_examined``: a step adds a
+        bucket's length at once, or, under a governor, counts and checks
+        every row.  With *cap*, the block returns
+        ``None`` instead of listing another bucket once its run has
+        counted more than *cap* rows, its pre-join conditions included
+        (a probe-table build over ``max_probe_build_rows``): it lists at
+        most *cap* rows and one bucket."""
         ctx = self.ctx
+        limit = None if cap is None else ctx.rows_examined + cap
 
         # Uncorrelated/outer-only conditions first: a non-TRUE result
         # short-circuits the whole block (Q+2's win) before any
         # planning, filtering or statistics work happens.
-        if self._pre:
-            for fn in self._pre_fns:
-                if fn(_EMPTY_CURSOR, env) is not TRUE:
-                    return
+        for fn in self._pre_fns:
+            if fn(_EMPTY_CURSOR, env) is not TRUE:
+                return _NO_ROWS
 
         self._prepare(env_available=bool(self.external) or bool(env) or bool(self.probes))
         assert self._order is not None and self._slotmap is not None
         assert self._attached_fns is not None and self._step_actual is not None
-
         slotmap = self._slotmap
-        attached_fns = self._attached_fns
-        step_actual = self._step_actual
-
-        def rows_for(step_index: int, partial: Row) -> Sequence[Row]:
-            binding, keys = self._order[step_index]
-            if keys:
-                columns = tuple(col for col, _src in keys)
-                index = self._index(binding, columns)
-                probe: List[object] = []
-                for _col, src in keys:
-                    kind, payload = src
-                    if kind == "env":
-                        probe.append(payload((slotmap, partial), env))
-                    else:
-                        probe.append(partial[slotmap[payload]])
-                if not ctx.marked_nulls and any(is_null(v) for v in probe):
-                    return ()
-                key = tuple(probe)
-                if index is None:  # over the byte budget: linear probe
-                    return self._linear_matches(binding, columns, key)
-                return index.get(key, ())
-            return self._get_filtered(binding)
-
-        passes = bool(attached_fns[0]) and not self.external and not witness
-        if len(self._order) == 1:
-            # One step: a flat loop saves the pipeline's generator level
-            # on every (memoized) probe of the block.
-            if passes:
-                for row in self._first_step(rows_for(0, ()), env):
-                    yield (slotmap, row)
-                return
-            checks = attached_fns[0]
-            for row in rows_for(0, ()):
-                ctx.rows_examined += 1
-                step_actual[0] += 1
-                ctx.check()
-                cursor = (slotmap, row)
-                if checks:
-                    ok = True
-                    for fn in checks:
-                        if fn(cursor, env) is not TRUE:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                yield cursor
-            return
-
-        def pipeline(step_index: int, partial: Row) -> Iterator[Row]:
-            checks = attached_fns[step_index]
-            last = step_index == len(self._order) - 1
-            for row in rows_for(step_index, partial):
-                combined = partial + row
-                ctx.rows_examined += 1
-                step_actual[step_index] += 1
-                ctx.check()
-                cursor = (slotmap, combined)
-                if checks:
-                    ok = True
-                    for fn in checks:
-                        if fn(cursor, env) is not TRUE:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                if last:
-                    yield cursor
+        governor = ctx.governor
+        rows: Sequence[Row] = ()
+        for step, (binding, _keys) in enumerate(self._order):
+            join = self._joiner(step, env)
+            partials: Optional[List[Row]] = None  # each row's partial row
+            if step == 0:
+                rows = join(())
+                if governor is None:
+                    ctx.rows_examined += len(rows)
                 else:
-                    yield from pipeline(step_index + 1, combined)
-
-        try:
-            if passes:
-                for row in self._first_step(rows_for(0, ()), env):
-                    yield from pipeline(1, row)
+                    for _row in rows:
+                        ctx.rows_examined += 1
+                        ctx.check()
             else:
-                yield from pipeline(0, ())
-        finally:
-            # pipeline refers to itself through its closure cell: clear
-            # the cell, or the cycle keeps this block alive until the
-            # cyclic GC runs
-            pipeline = None  # type: ignore[assignment]
-
-    def _first_step(self, rows: Sequence[Row], env) -> Sequence[Row]:
-        """The first join step as passes over its row list *rows*: the
-        step counts them all at once (as the per-row loop does when it
-        runs to the end), then each residual attached to the step runs
-        as one pass over the rows the earlier ones kept, in conjunct
-        order, after one ``ctx.check()``.  At step 0 a residual reads
-        only the step's binding, which the slot map lays out first, so
-        the rows themselves are its cursors.  A decorrelated subquery
-        predicate runs its own pass (:meth:`_CorrelatedSubquery.keep_rows`);
-        any other residual calls its compiled closure per row."""
-        ctx = self.ctx
-        assert self._attached is not None and self._attached_fns is not None
-        ctx.rows_examined += len(rows)
-        self._step_actual[0] += len(rows)
-        slotmap = self._slotmap
-        for cond, fn in zip(self._attached[0], self._attached_fns[0]):
+                partials, listed = [], []
+                for partial in rows:
+                    if limit is not None and ctx.rows_examined > limit:
+                        return None
+                    matches = join(partial)
+                    if not matches:
+                        continue
+                    if governor is None:
+                        ctx.rows_examined += len(matches)
+                    else:
+                        for _row in matches:
+                            ctx.rows_examined += 1
+                            ctx.check()
+                    listed += matches
+                    partials += repeat(partial, len(matches))
+                rows = listed
+            self._step_actual[step] += len(rows)
+            local = self.sources[binding].slotmap
+            for cond, fn in zip(self._attached[step], self._attached_fns[step]):
+                if not rows:
+                    break
+                ctx.check()
+                cursors = slotmap
+                if partials is not None:
+                    if all(b == binding for b, _col in cond.local_keys):
+                        cursors = local
+                    else:
+                        rows, partials = list(map(add, partials, rows)), None
+                if isinstance(cond, _CorrelatedSubquery):
+                    keep = cond.keep_rows(rows, cursors, fn, env)
+                else:
+                    keep = [fn((cursors, row), env) is TRUE for row in rows]
+                rows = list(compress(rows, keep))
+                if partials is not None:
+                    partials = list(compress(partials, keep))
+            if partials is not None:
+                rows = list(map(add, partials, rows))
             if not rows:
                 break
-            ctx.check()
-            if isinstance(cond, _CorrelatedSubquery) and cond.decor is not None:
-                rows = cond.keep_rows(rows, slotmap, fn, env)
-            else:
-                rows = [row for row in rows if fn((slotmap, row), env) is TRUE]
-        return rows
+        return slotmap, rows
+
+    def _joiner(self, step: int, env) -> Callable[[Row], Sequence[Row]]:
+        """``partial row → the rows of step *step* that join it``, for one
+        run: the step's filtered rows when it has no equality key, else
+        the bucket of its hash index (or, over the byte budget,
+        :meth:`_linear_matches`) at the key read from the partial row and,
+        for its probes, from *env* (computed once here)."""
+        assert self._order is not None and self._slotmap is not None
+        binding, keys = self._order[step]
+        if not keys:
+            rows = self._get_filtered(binding)
+            return lambda partial: rows
+        columns = tuple(col for col, _src in keys)
+        index = self._index(binding, columns)
+        slotmap = self._slotmap
+        # (slot in the partial row, None) or (None, the probe's value)
+        parts = [
+            (slotmap[payload], None) if kind == "row" else (None, payload(_EMPTY_CURSOR, env))
+            for _col, (kind, payload) in keys
+        ]
+
+        def key_of(partial: Row) -> Tuple:
+            return tuple(value if slot is None else partial[slot] for slot, value in parts)
+
+        if index is None:  # over the byte budget: linear probe
+            marked = self.ctx.marked_nulls
+
+            def linear(partial: Row) -> Sequence[Row]:
+                key = key_of(partial)
+                if not marked and any(map(isinstance, key, _NULL_TYPES)):
+                    return ()  # a null key never compares TRUE
+                return self._linear_matches(binding, columns, key)
+
+            return linear
+        # The index holds no null key under SQL nulls, so a null key
+        # misses; under marked nulls keys match by label.
+        get = index.get
+        if all(slot is None for slot, _value in parts):  # one bucket per run
+            bucket = get(key_of(()), ())
+            return lambda partial: bucket
+        if len(parts) == 1:
+            slot = parts[0][0]
+            return lambda partial: get((partial[slot],), ())
+        return lambda partial: get(key_of(partial), ())
 
 
 def _probe_plan(

@@ -114,12 +114,9 @@ def _compile_scalar_subquery(sub: "B._ScalarSubquery") -> Callable:
     func = sub.func
 
     def aggregate():
-        values = []
-        count_star = 0
-        for sub_cursor in sub.block.iterate({}):
-            count_star += 1
-            if arg is not None:
-                values.append(arg(sub_cursor, _EMPTY_ENV))
+        slotmap, rows = sub.block.run({})
+        count_star = len(rows)
+        values = [] if arg is None else [arg((slotmap, row), _EMPTY_ENV) for row in rows]
         non_null = [v for v in values if not isinstance(v, Null)]
         if func == "count":
             return count_star if arg is None else len(non_null)
@@ -553,7 +550,7 @@ def row_tests(source: "B._Source", conds: Sequence["B._Cond"]) -> List[Callable]
     anything else calls the compiled condition with the source's slot
     map.  The block's filter passes and the bucket path both run them.
     """
-    slotmap = {(source.binding, col): i for i, col in enumerate(source.columns)}
+    slotmap = source.slotmap
     tests: List[Callable] = []
     for cond in conds:
         test = (

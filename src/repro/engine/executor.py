@@ -9,17 +9,15 @@ Two amortisation layers live here (see ``docs/engine.md``):
 * a module-level LRU plan cache keyed on SQL text lets
   :func:`execute_sql` skip re-parsing repeated statements.
 
-A SELECT list of plain columns (every paper query and every ``Q+``)
-projects each result row with one ``itemgetter`` over the slots of the
-block's slot map; any other expression goes through its compiled
-closure.
+A block hands its SELECT list its slot map and its result rows.  A list
+of plain columns (every paper query and every ``Q+``) projects them
+with one ``itemgetter`` over their slots; any other expression goes
+through its compiled closure.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
-from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple, Union as TUnion
 
 from repro.data.database import Database
@@ -183,27 +181,23 @@ class Executor:
         exprs = [expr for _name, expr in outputs]
         distinct = select.distinct
         if exprs and all(isinstance(expr, _Col) and expr.depth == 0 for expr in exprs):
-            # Plain columns: one itemgetter over slots the first cursor's
-            # slot map fixes for the whole run.
+            # Plain columns: one itemgetter over their slots.
             keys = [expr.key for expr in exprs]
 
-            def project(cursors):
-                first = next(cursors, None)
-                if first is None:
+            def project(slotmap, rows):
+                if not rows:
                     return []
-                slotmap = first[0]
-                rows = map(itemgetter(1), chain((first,), cursors))
                 return list(_key_stream(rows, [slotmap[key] for key in keys]))
 
         else:
             fns = [compile_expr(expr) for expr in exprs]
 
-            def project(cursors):
-                return [tuple(fn(cursor, _EMPTY_ENV) for fn in fns) for cursor in cursors]
+            def project(slotmap, rows):
+                return [tuple(fn((slotmap, row), _EMPTY_ENV) for fn in fns) for row in rows]
 
         def run_select() -> Relation:
             # ``project`` builds tuples of the output width.
-            rows = project(block.iterate({}))
+            rows = project(*block.run({}))
             if distinct:
                 rows = list(dict.fromkeys(rows))
             return Relation._unchecked(names, rows)

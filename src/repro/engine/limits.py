@@ -18,8 +18,8 @@ without a deadline; this module supplies the vocabulary:
   abort an in-flight execution (or brute-force certain-answer search)
   at its next governed checkpoint;
 * :class:`LimitGovernor` — the amortised run-time checker carried by
-  ``ExecContext`` and consulted from the engine's row-iteration and
-  hash/probe-build loops.
+  ``ExecContext`` and consulted from the engine's join steps, passes,
+  bucket scans and hash builds.
 
 ``max_probe_build_rows`` is different from the two hard caps: tripping
 it does not raise.  The engine *degrades* instead — it abandons the
@@ -137,9 +137,10 @@ class ResourceLimits:
         raises :class:`RowBudgetExceeded`.
     ``max_probe_build_rows``
         Soft cap on the rows any *single* decorrelated probe-table build
-        may consume, and on the rows of the kept index a bucket-path
-        subquery reads (compared with the index's row count before any
-        bucket is read, whether the index is built or reused).
+        may consume (checked before each bucket it lists), and on the
+        rows of the kept index a bucket-path subquery reads (compared
+        with the index's row count before any bucket is read, whether
+        the index is built or reused).
         Exceeding it abandons decorrelation for that subquery (falling
         back to memoized probing, results unchanged) and bumps
         ``ExecContext.degradations`` instead of raising; ``0`` forces
@@ -200,13 +201,15 @@ CHECK_INTERVAL = 64
 class LimitGovernor:
     """Amortised enforcement of one :class:`ResourceLimits` bundle.
 
-    The engine calls :meth:`check` once per row produced by a scan or
-    join step.  The row-budget comparison runs every call; the clock and
-    the cancellation token are read on the first call after :meth:`arm`
-    and every :data:`CHECK_INTERVAL` calls thereafter, keeping the
-    common case to two attribute loads and an integer compare.  A fired
-    :class:`CancelToken` therefore stops evaluation within one check
-    interval (at most the time it takes to examine 64 rows).
+    Under a governor the engine calls :meth:`check` once per row a
+    join step lists, a hash build reads or a bucket scan examines, and
+    once per filter or residual pass.  The row-budget comparison runs
+    every call; the clock and the cancellation token are read on the
+    first call after :meth:`arm` and every :data:`CHECK_INTERVAL` calls
+    thereafter, keeping the common case to two attribute loads and an
+    integer compare.  A fired :class:`CancelToken` therefore stops
+    evaluation within one check interval (at most the time it takes to
+    examine 64 rows).
     """
 
     __slots__ = ("limits", "_started", "_deadline", "_cancel", "_ticks")

@@ -1,5 +1,7 @@
 """Tuple unification (Definition 2): cases and laws."""
 
+from itertools import product
+
 from hypothesis import given, strategies as st
 
 from repro.algebra.unify import positionwise_unifiable, unifiable, unify_rows
@@ -102,3 +104,29 @@ def test_unifiable_implies_positionwise(r, s):
 @given(r=tuples3, s=tuples3)
 def test_unify_rows_consistent_with_unifiable(r, s):
     assert (unify_rows(r, s) is not None) == unifiable(r, s)
+
+
+def _brute_unifiable(r, s):
+    """``r ⇑ s`` by search: some valuation of the pair's nulls into its
+    constants plus one fresh constant per null makes the tuples equal
+    (a null sent elsewhere could as well take its own fresh constant)."""
+    nulls = sorted({v.label for v in r + s if isinstance(v, Null)})
+    constants = {v for v in r + s if not isinstance(v, Null)}
+    domain = sorted(constants) + [f"fresh{i}" for i in range(len(nulls))]
+    for values in product(domain, repeat=len(nulls)):
+        v = Valuation({Null(label): value for label, value in zip(nulls, values)})
+        if v.apply_row(r) == v.apply_row(s):
+            return True
+    return False
+
+
+short_tuples = st.integers(0, 4).flatmap(
+    lambda n: st.tuples(st.tuples(*[cells] * n), st.tuples(*[cells] * n))
+)
+
+
+@given(pair=short_tuples)
+def test_unifiable_matches_brute_force(pair):
+    """Repeated labels, null-free pairs and mixed positions alike."""
+    r, s = pair
+    assert unifiable(r, s) == _brute_unifiable(r, s)

@@ -73,8 +73,9 @@ class TestDecorrelation:
     def test_pure_probe_not_exists_reads_one_bucket_row_per_probe(self, skewed_db):
         """A single-source block takes the bucket path: no probe table,
         no memo lookup, and each NOT EXISTS stops at the first row of its
-        bucket.  The memoized fallback pays once per distinct key (5),
-        the bucket path once per outer row (200)."""
+        bucket.  The memoized fallback runs the inner block once per
+        distinct key (5), the bucket path reads one row per outer row
+        (200)."""
         fast, fast_ctx = run_counted(skewed_db, NOT_EXISTS_PROBE)
         slow, slow_ctx = run_counted(skewed_db, NOT_EXISTS_PROBE, limits=FORCE_FALLBACK)
         assert slow_ctx.degradations == 1
@@ -86,7 +87,11 @@ class TestDecorrelation:
         assert fast_ctx.probe_cache_hits + fast_ctx.probe_cache_misses == 0
         assert fast_ctx.decorrelated_probes == 200
         assert fast_ctx.rows_examined == 200 + 200
-        assert slow_ctx.rows_examined == 200 + 5
+        # A memo probe's block lists its whole step, with no stop at the
+        # first witness: each of the 5 keys' buckets holds 10 of inner_t's
+        # rows (k = i % 7 over 70 rows), so 5 * 10, where the per-row
+        # loop that stopped at the first witness read 5 * 1.
+        assert slow_ctx.rows_examined == 200 + 5 * 10
 
     def test_multi_table_inner_block_decorrelates(self):
         """A join inside the subquery used to re-run once per outer row."""

@@ -114,10 +114,11 @@ def test_cap_crossed_after_last_check_point_does_not_degrade(budget_db, sql):
         # the index is abandoned at its first key; each of r's rows then
         # scans s linearly
         (JOIN, 1, 1 + 40 + 40 * KEYS + 40),
-        # the bucket path's index build rows, one check before the
-        # EXISTS pass over r's 40 rows (the statement's first step),
-        # the one row of each probe's bucket
-        (EXISTS, None, KEYS + 1 + 40),
+        # the bucket path's index build rows, r's 40 rows (under a
+        # governor a step checks every row it lists, the first step
+        # included), one check before the EXISTS pass over them, the
+        # one row of each probe's bucket
+        (EXISTS, None, KEYS + 40 + 1 + 40),
     ],
 )
 def test_governor_checks_once_per_row(sql, cap, checks, monkeypatch):

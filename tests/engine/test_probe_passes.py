@@ -178,9 +178,10 @@ def test_counts_are_those_of_per_row_probing(monkeypatch):
     rows_examined: 4 (the scalar subquery's scan of s) + 5 (r's step)
     + 1 + 1 (the two bucket rows read) = 11.
     decorrelated_probes: 4, one per row reaching the probe.
-    checks: 4 (the scalar subquery's per-row scan of s) + 1 + 1 (one
+    checks: 4 (the scalar subquery's per-row scan of s) + 5 (r's step:
+    under a governor a step checks every row it lists) + 1 + 1 (one
     before each of the two passes) + 4 (the kept index's build over s)
-    + 1 + 1 (the two bucket rows read) = 12."""
+    + 1 + 1 (the two bucket rows read) = 17."""
     calls = []
     check = LimitGovernor.check
     monkeypatch.setattr(
@@ -192,7 +193,7 @@ def test_counts_are_those_of_per_row_probing(monkeypatch):
     assert len(result.rows) == 3 and isinstance(result.rows[2][0], Null)
     assert ctx.rows_examined == 11
     assert ctx.decorrelated_probes == 4
-    assert len(calls) == 12
+    assert len(calls) == 17
     assert engine_bag(result.rows) == sqlite_rows(db, COUNT_SQL)
 
 
@@ -247,8 +248,9 @@ def test_cancel_fires_inside_a_pass(monkeypatch):
 @pytest.mark.parametrize(
     "budget, where, examined",
     [
-        # r's 3 rows are counted at once; the check before the pass sees them
-        (2, "_first_step", 3),
+        # under a governor r's step counts and checks its rows one by
+        # one: over the budget at its 3rd row, before the pass
+        (2, "run", 3),
         # 3 + the first bucket's rows: over the budget at its 8th row
         (10, "_scan", 11),
     ],

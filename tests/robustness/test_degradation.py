@@ -171,3 +171,46 @@ class TestDegradationAccounting:
         assert executor.ctx.degradations == 1
         assert degraded.rows == full.rows
         assert engine_bag(degraded.rows) == sqlite_rows(probe_db, NOT_EXISTS_SQL)
+
+
+def make_fanout_db():
+    """The inner block u ⋈ v ⋈ w runs u (4 rows), then v (each u row
+    joins a bucket of 100 rows: a 400-row step), then w, whose 2 rows
+    join only the bucket of u's last row, so the block's last step lists
+    2 rows, both after the first 300 of v's."""
+    return Database(
+        {
+            "r": Relation(("a", "b"), [(i, i % 6) for i in range(12)] + [(3, Null())]),
+            "u": Relation(("c", "x"), [(k, k) for k in range(4)]),
+            "v": Relation(("x", "y"), [(i % 4, i) for i in range(400)]),
+            "w": Relation(("y",), [(3,), (7,)] + [(10_000 + i,) for i in range(2000)]),
+        }
+    )
+
+
+FANOUT_INNER = "FROM u, v, w WHERE u.c = r.b AND u.x = v.x AND v.y = w.y"
+FANOUT_CASES = [
+    f"SELECT a FROM r WHERE EXISTS (SELECT * {FANOUT_INNER})",
+    f"SELECT a FROM r WHERE NOT EXISTS (SELECT * {FANOUT_INNER})",
+    f"SELECT a FROM r WHERE a IN (SELECT w.y {FANOUT_INNER})",
+]
+
+
+@pytest.mark.parametrize("sql", FANOUT_CASES, ids=CASE_IDS)
+def test_build_cap_stops_an_intermediate_step(sql):
+    """A probe-table build stops listing once its rows pass
+    ``max_probe_build_rows``, at the end of the bucket that crossed it,
+    not at the inner join's first output row: its rows stay within the
+    cap plus the largest bucket a step reads (100 of v's rows)."""
+    db = make_fanout_db()
+    full, full_ctx = run(db, sql)
+    assert full_ctx.probe_tables_built == 1
+    assert full_ctx.probe_build_rows == 4 + 400 + 2
+    cap = 50
+    capped, ctx = run(db, sql, limits=ResourceLimits(max_probe_build_rows=cap))
+    assert ctx.degradations == 1
+    assert ctx.probe_tables_built == 0
+    assert capped.rows == full.rows
+    assert engine_bag(capped.rows) == sqlite_rows(db, sql)
+    largest_bucket = 100
+    assert ctx.probe_build_rows <= cap + largest_bucket
