@@ -3,14 +3,14 @@
 The certain-answer rewritings ``Q+`` are exactly the workloads that
 multiply correlated ``NOT EXISTS`` probes (one per nullable attribute
 in scope).  This bench runs each rewritten TPC-H query twice: as the
-engine runs it by default (the bucket path over kept indexes for
-single-source subqueries, hash-decorrelated probe tables for the
-others), and with a zero probe-build budget, which forces every probe
-table and every bucket index that holds a row to degrade to the
+engine runs it by default (grouped probes: kept indexes for
+single-source subqueries, one build of the block for the others), and
+with a zero probe-build budget, which forces every grouped probe whose
+build lists a row or whose kept index holds one to degrade to the
 memoized fallback.  Both runs must return the same rows in the same
 order, and the default run must examine no more rows.  Where the
-fallback really ran, the default run must build no probe table for
-the bucket path, not degrade, and be no slower in wall clock.
+fallback really ran, the default run must build no probe table for a
+single-source subquery, not degrade, and be no slower in wall clock.
 """
 
 import time
@@ -50,9 +50,9 @@ class TestDecorrelationOnRewrites:
     # is meaningful there.  Q3+'s single-source NOT EXISTS degrades under
     # the zero budget; both runs read the same buckets (o_orderkey is a
     # key, so the fallback's memo never hits), so they examine the same
-    # rows, and the bucket path must win on what it no longer builds.
-    # Q4+'s probe tables read at most one row each, too few to trip the
-    # zero budget, so both runs take the table path.
+    # rows, and the grouped probe must win on what it no longer builds.
+    # Q4+'s multi-source builds read at most one row each, too few to
+    # trip the zero budget, so both runs take the grouped probe.
     @pytest.mark.parametrize("qid", ["Q1", "Q2", "Q3", "Q4"])
     def test_optimised_examines_no_more_rows(
         self, benchmark, qid, perf_db, perf_params, rewritten

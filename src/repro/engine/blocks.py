@@ -32,13 +32,14 @@ its filtered rows (or an index bucket), each later step is one loop
 over the previous step's list into its index, and the residuals
 attached to a step run as passes over its list, in conjunct order, as
 the filter passes do: a ``[NOT] EXISTS``/``[NOT] IN`` as one loop over
-the rows into its kept index or probe table
-(:meth:`_CorrelatedSubquery.keep_rows`), any other residual as its
-closure per row.  The block hands its caller the last list.
+the rows into its groups (:meth:`_CorrelatedSubquery.keep_rows`), any
+other residual as its closure per row.  The block hands its caller the
+last list.
 """
 
 from __future__ import annotations
 
+import copy
 from itertools import compress, repeat
 from operator import add, itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -101,11 +102,11 @@ class ExecContext:
         #: hash semi-/anti-join decorrelation instrumentation
         self.decorrelated_probes = 0
         self.probe_tables_built = 0
-        #: rows consumed building decorrelated probe tables; kept out of
-        #: ``rows_examined`` the same way hash-index builds are
+        #: rows consumed by multi-source grouped-probe builds; kept out
+        #: of ``rows_examined`` the same way hash-index builds are
         self.probe_build_rows = 0
-        #: decorrelations abandoned because a probe-table build exceeded
-        #: ``max_probe_build_rows`` — graceful degradation, not an error
+        #: optimisations abandoned under a resource cap (a grouped-probe
+        #: build, a hash index) — graceful degradation, not an error
         self.degradations = 0
         #: approximate bytes of the probe/equi hash tables this context
         #: built or reused (:class:`~repro.engine.stats.TableBytesMeter`
@@ -119,8 +120,8 @@ class ExecContext:
 
     def check(self) -> None:
         """Enforce resource limits; called once per row a join step
-        lists (under a governor), a hash build reads or a bucket scan
-        examines, and once before each filter or residual pass.
+        lists (under a governor), a hash build reads or a grouped probe's
+        scan examines, and once before each filter or residual pass.
 
         Amortised: with no limits this is a single attribute test, and
         the governor only reads the clock every
@@ -358,42 +359,48 @@ class _CorrelatedSubquery(_Cond):
     """Probe machinery shared by ``[NOT] EXISTS`` and ``[NOT] IN (SELECT …)``.
 
     An uncorrelated subquery runs once per statement.  A correlated one
-    takes one of three strategies (Section 7's engine story):
+    whose outer references all resolve in the immediate parent, through
+    at least one ``local = parent.col`` probe and no other kind of probe
+    (:func:`_probe_plan`), is a **grouped probe**:
 
-    * **bucket**: an inner block with one source, correlated by
-      ``local = outer.col`` probes on the immediate parent, reads each
-      outer row's bucket from the kept hash index over the source's
-      constant-free-filtered rows and runs the remaining checks on the
-      bucket's rows (:class:`_Buckets`); its residuals and output may
-      read the outer row;
-    * **probe table**: a multi-source inner block whose correlation is
-      purely such probes runs once, grouped by the correlated key, and
-      every outer row becomes a hash semi-/anti-join lookup;
-    * **memo**: everything else — and a bucket index or probe table over
-      its ``ResourceLimits`` budget — runs the inner block per probe,
-      memoized on the tuple of correlated values, so repeated outer
-      keys re-execute nothing.
+    * its **build**, once per statement at the first probe
+      (:meth:`_build`), groups the inner block's rows under its
+      outer-free conditions by the correlated key.  One source reads the
+      kept index over the source's constant-free-filtered rows; several
+      run the block once without the outer probes and the conditions
+      that read the outer row (:meth:`_block_groups`);
+    * its **scan**, one loop per pass (:meth:`_answers`), finds each
+      outer row's group and runs the conditions the build left out on
+      its rows (:meth:`_scan`), or, when a multi-source build left none
+      out and the output reads no outer column, reads the answer the
+      build stored for the key.
+
+    Everything else runs the inner block per probe, memoized on the
+    tuple of correlated values, so repeated outer keys re-execute
+    nothing (**memo probing**); a build over ``max_probe_build_rows`` or
+    ``max_probe_table_bytes`` degrades to it.
 
     The outer block runs the predicate as a pass over a step's rows
-    (:meth:`keep_rows`); the bucket path and the probe table answer the
-    pass in one loop (:meth:`_answers`).  The compiled closure's per-row
-    :meth:`answer` is reached only by memo probing, an uncorrelated
-    subquery, or a predicate nested under ``AND``/``OR``/``NOT``, and
-    runs the same loop over a one-row list.
+    (:meth:`keep_rows`).  The compiled closure's per-row :meth:`answer`
+    is reached only by memo probing, an uncorrelated subquery, or a
+    predicate nested under ``AND``/``OR``/``NOT``, and runs the same
+    loop over a one-row list.
 
     Subclasses supply :meth:`_run` (the subquery's result for one binding
-    of the correlated values), :meth:`_from_bucket` (that result from a
-    bucket's or a probe table's output values, ``None`` for none),
-    ``_truth`` (the predicate's value at an outer row given that result;
-    ``None`` for ``EXISTS``, whose result is its value) and ``_out``,
-    the compiled output expression whose values ``IN`` collects
-    (``None``: ``EXISTS`` only asks whether a row exists).
+    of the correlated values), :meth:`_from_group` (that result from a
+    group's output values, ``None`` for no group), ``_truth`` (the
+    predicate's value at an outer row given that result; ``None`` for
+    ``EXISTS``, whose result is its value) and ``_out``, the compiled
+    output expression whose values ``IN`` collects (``None``: ``EXISTS``
+    only asks whether a row exists).
     """
 
     __slots__ = (
-        "block", "negated", "needed", "local_keys", "has_outer", "_out",
-        "_out_has_outer", "_cache", "decor", "_buckets", "_table", "_memo",
-        "_memo_keys", "_saved_probes",
+        "block", "ctx", "negated", "needed", "local_keys", "has_outer", "_out",
+        "_out_has_outer", "_cache", "decor", "_memo", "_memo_keys",
+        # the grouped probe's state, set by its build
+        "_groups", "_answered", "_consts", "_inner", "_keep", "_checks",
+        "_pre", "_fill", "_miss", "_hit",
     )
 
     def __init__(
@@ -404,6 +411,7 @@ class _CorrelatedSubquery(_Cond):
         out: Optional[_Expr],
     ):
         self.block = block
+        self.ctx = block.ctx
         self.negated = negated
         self.needed = tuple(
             res.key for res in block.external if res.scope is parent_scope
@@ -411,31 +419,25 @@ class _CorrelatedSubquery(_Cond):
         self.local_keys = frozenset(self.needed)
         self.has_outer = any(res.scope is not parent_scope for res in block.external)
         self._cache: object = None
-        self.decor = _probe_plan(block, parent_scope, out)
-        self._buckets: Optional[_Buckets] = None
-        #: the probe table: correlated key → the subquery's answer
-        self._table: Optional[Dict[Tuple, object]] = None
+        self.decor = _probe_plan(block, parent_scope)
+        #: correlated key → the key's group, or its answer when
+        #: ``_answered``; ``None`` until the build
+        self._groups: Optional[Dict[Tuple, object]] = None
         self._memo: Dict[Tuple, object] = {}
         self._memo_keys = tuple(dict.fromkeys(res.key for res in block.external))
-        self._saved_probes = None
         from repro.engine.compile import compile_expr
 
         self._out = None if out is None else compile_expr(out)
         self._out_has_outer = out is not None and out.has_outer
 
-    @property
-    def bucketed(self) -> bool:
-        """Whether probes take the bucket path (until it degrades)."""
-        return self.decor is not None and len(self.block.sources) == 1
-
     def _decorrelated(self) -> bool:
-        """Whether probes take the bucket path or the probe table,
-        opening the statement's strategy at its first probe (which may
-        degrade it to memo probing)."""
-        if self._buckets is None and self._table is None:
+        """Whether probes take the grouped probe, building its groups at
+        the statement's first probe (which may degrade it to memo
+        probing)."""
+        if self._groups is None:
             if self.decor is None:
                 return False
-            self._open()
+            self._build()
         return self.decor is not None
 
     def answer(self, cursor, env):
@@ -469,31 +471,87 @@ class _CorrelatedSubquery(_Cond):
         ]
 
     def _answers(self, rows: Sequence[Row], slotmap: Dict[Key, int], env) -> Iterator:
-        """The subquery's answer for each of the outer *rows*, from the
-        bucket path or the probe table: one loop, counting one
-        ``decorrelated_probes`` per row.  Neither a kept index nor a
-        probe table holds a null key under SQL nulls, so a null outer key
-        misses; under marked nulls keys match by label."""
-        self.block.ctx.decorrelated_probes += len(rows)
-        buckets = self._buckets
-        if buckets is not None:
-            return buckets.answers(rows, slotmap, env)
+        """The subquery's answer for each of the outer *rows*, laid out
+        by *slotmap*: one loop into the groups, counting one
+        ``decorrelated_probes`` per row.  A probe's key is the row's
+        values at the correlated outer columns, then the values of the
+        constant probes of a one-source build.  No group has a null key
+        under SQL nulls, so a null outer key misses; under marked nulls
+        keys match by label."""
+        self.ctx.decorrelated_probes += len(rows)
         keys = _key_stream(rows, [slotmap[key] for _local, key in self.decor])
-        return map(self._table.get, keys, repeat(self._from_bucket(None)))
+        consts = self._consts
+        if consts:
+            keys = (key + consts for key in keys)
+        get = self._groups.get
+        if self._answered:
+            return map(get, keys, repeat(self._miss))
+        return self._scans(get, rows, keys, slotmap, env)
 
-    def _open(self) -> None:
-        """Decide the statement's strategy at its first probe: the bucket
-        path for one source, the probe table for several (either may
-        degrade to memo probing)."""
-        if len(self.block.sources) == 1:
-            self._open_buckets()
-        else:
-            self._build_table()
+    def _scans(self, get, rows, keys, slotmap: Dict[Key, int], env) -> Iterator:
+        """:meth:`_answers` over groups of rows (*get* finds a key's):
+        each found group is scanned.  One environment serves the whole
+        loop, updated in place with each row's outer values when the
+        scan reads them."""
+        scan = self._scan
+        miss = self._miss
+        if self._fill is None:
+            for key in keys:
+                group = get(key)
+                yield miss if group is None else scan(group, env)
+            return
+        env = dict(env)
+        fill = [(k, slotmap[k]) for k in self._fill]
+        for row, key in zip(rows, keys):
+            group = get(key)
+            if group is None:
+                yield miss
+                continue
+            for k, p in fill:
+                env[k] = row[p]
+            yield scan(group, env)
+
+    def _scan(self, group: List[Row], env):
+        """The answer from one found *group*, after the conditions
+        without local columns that read the outer row (``_pre``): ``hit``
+        at the first row that passes every check (``EXISTS``), the
+        output values of all of them (``IN``), or ``miss``.  A row must
+        first pass ``_keep`` (a one-source build's filters that hold a
+        constant; uncounted, as pushed filters are), then counts one
+        ``rows_examined`` and one governor check before the ``_checks``
+        decide it."""
+        for fn in self._pre:
+            if fn(_EMPTY_CURSOR, env) is not TRUE:
+                return self._miss
+        ctx = self.ctx
+        keep = self._keep
+        governor = ctx.governor
+        inner = self._inner
+        checks = self._checks
+        out = self._out
+        values = None
+        for item in group:
+            if keep is not None and not keep(item):
+                continue
+            ctx.rows_examined += 1
+            if governor is not None:
+                ctx.check()
+            inner_cursor = (inner, item)
+            for fn in checks:
+                if fn(inner_cursor, env) is not TRUE:
+                    break
+            else:
+                if out is None:
+                    return self._hit
+                if values is None:
+                    values = []
+                values.append(out(inner_cursor, env))
+        return self._miss if values is None else values
 
     def _memo_probe(self, cursor, env):
         """Correlated probing: :meth:`_run` with the outer row's
         correlated values bound, memoized on those values."""
-        ctx = self.block.ctx
+        ctx = self.ctx
         slotmap, row = cursor
         env2 = dict(env)
         for key in self.needed:
@@ -510,132 +568,143 @@ class _CorrelatedSubquery(_Cond):
         result = self._memo[memo_key] = self._run(env2)
         return result
 
-    def bucket_keys(self) -> List[Key]:
-        """The bucket path's key columns: the local sides of the
-        correlated probes, then of the constant probes."""
-        return [local for local, _key in self.decor] + [
-            local for local, expr in self.block.probes if not expr.has_outer
-        ]
+    def group_keys(self) -> List[Key]:
+        """The local columns the groups are keyed by: the correlated
+        probes' local sides, then, for one source, its constant probes'
+        (a multi-source build applies those itself)."""
+        keys = [local for local, _key in self.decor]
+        if len(self.block.sources) == 1:
+            keys += [local for local, expr in self.block.probes if not expr.has_outer]
+        return keys
 
-    def _open_buckets(self) -> None:
-        """The bucket path's state, decided once per statement: the
-        uncorrelated pre-join conditions (one that is not TRUE leaves
-        every bucket empty), the compiled checks and slot map, and the
-        kept index, whose row count is held against
-        ``max_probe_build_rows`` and whose bytes against
-        ``max_probe_table_bytes``, on build and on reuse alike; over
-        either, it degrades to memo probing."""
+    def _build(self) -> None:
+        """The grouped probe's build, once per statement: the groups and
+        what the scan runs on them.  The conditions without local columns
+        that read the outer row run once per found group, the residuals
+        the build did not apply on each group row.  Over
+        ``max_probe_build_rows`` or ``max_probe_table_bytes`` the
+        predicate degrades to memo probing for good, whose results
+        bit-match by construction."""
         block = self.block
-        ctx = block.ctx
+        ctx = self.ctx
+        cap = None if ctx.limits is None else ctx.limits.max_probe_build_rows
+        one_source = len(block.sources) == 1
+        checks = [
+            cond for cond in block.residuals if cond.local_keys and (one_source or cond.has_outer)
+        ]
+        self._pre = [fn for cond, fn in zip(block._pre, block._pre_fns) if cond.has_outer]
+        reads_outer = (
+            self._out_has_outer or bool(self._pre) or any(cond.has_outer for cond in checks)
+        )
+        self._answered = not one_source and not reads_outer
+        groups = self._index_groups(cap) if one_source else self._block_groups(cap)
+        if groups is None:
+            self.decor = None
+            ctx.degradations += 1
+            return
+        from repro.engine.compile import compile_cond
+
+        self._checks = [compile_cond(cond) for cond in checks]
+        self._fill = self.needed if reads_outer else None
+        self._miss = self._from_group(None)
+        self._hit = self._from_group(())
+        self._groups = groups
+
+    def _index_groups(self, cap: Optional[int]) -> Optional[Dict[Tuple, object]]:
+        """One source's build: the kept index over its rows under its
+        constant-free filters, read from the relation's store (or built
+        there), so it costs a statement nothing once kept.  Its row count
+        is held against *cap* and its bytes against
+        ``max_probe_table_bytes``, on build and on reuse alike (``None``
+        over either).  An outer-free pre-join condition that is not TRUE
+        leaves every group empty.  The scan runs the source's filters
+        that hold a constant, then every residual, on a group's rows."""
+        block = self.block
         (source,) = block.sources.values()
-        keys = self.bucket_keys()
-        pre = []
-        index: Optional[Dict[Tuple, List[Row]]] = {}
-        for cond, fn in zip(block._pre, block._pre_fns):
-            if cond.has_outer:
-                pre.append(fn)
-            elif fn(_EMPTY_CURSOR, {}) is not TRUE:
-                break  # no probe finds a row
-        else:
+        groups: Optional[Dict[Tuple, object]] = {}
+        if all(
+            fn(_EMPTY_CURSOR, {}) is TRUE
+            for cond, fn in zip(block._pre, block._pre_fns)
+            if not cond.has_outer
+        ):
             kept = _constant_free(source)
             rows = block._kept_source(kept).rows
-            cap = None if ctx.limits is None else ctx.limits.max_probe_build_rows
             if cap is not None and len(rows) > cap:
-                index = None
-            else:
-                columns = tuple(col for _binding, col in keys)
-                index = block._kept_index(kept, rows, columns, block._null_slots(keys))
-        if index is None:
-            self._degrade()
-            return
-        from repro.engine.compile import compile_cond, compile_expr, row_tests
+                return None
+            keys = self.group_keys()
+            columns = tuple(col for _binding, col in keys)
+            groups = block._kept_index(kept, rows, columns, block._null_slots(keys))
+            if groups is None:
+                return None
+        from repro.engine.compile import compile_expr, row_tests
 
         tests = row_tests(source, [cond for cond in source.filters if _cond_key(cond) is None])
         if len(tests) > 1:
-            keep = lambda row: all(test(row) for test in tests)
+            self._keep = lambda row: all(test(row) for test in tests)
         else:
-            keep = tests[0] if tests else None
-        checks = [cond for cond in block.residuals if cond.local_keys]
-        reads_outer = self._out_has_outer or any(
-            cond.has_outer for cond in checks + block._pre
+            self._keep = tests[0] if tests else None
+        self._consts = tuple(
+            compile_expr(expr)(_EMPTY_CURSOR, {})
+            for _local, expr in block.probes
+            if not expr.has_outer
         )
-        self._buckets = _Buckets(
-            ctx,
-            index,
-            tuple(key for _local, key in self.decor),
-            tuple(
-                compile_expr(expr)(_EMPTY_CURSOR, {})
-                for _local, expr in block.probes
-                if not expr.has_outer
-            ),
-            source.slotmap,
-            keep,
-            [compile_cond(cond) for cond in checks],
-            pre,
-            self.needed if reads_outer else None,
-            self._out,
-            self._from_bucket(None),
-            self._from_bucket(()),
-        )
+        self._inner = source.slotmap
+        return groups
 
-    def _build_table(self) -> None:
-        """One-pass hash semi-join build: the inner block's rows grouped
-        by their correlated key, each key mapped to the subquery's
-        answer (:meth:`_from_bucket` of its rows' ``_out`` values).  The
-        block stops listing once its rows pass ``max_probe_build_rows``,
-        which abandons the build."""
+    def _block_groups(self, cap: Optional[int]) -> Optional[Dict[Tuple, object]]:
+        """Several sources' build: one run of a copy of the inner block
+        without the outer probes and without the residuals and pre-join
+        conditions that read the outer row (the scan runs those), its
+        rows grouped by the correlated key.  When the copy withholds no
+        condition and the output reads no outer column (``_answered``),
+        each key's answer is stored instead of its rows.  The run counts
+        its rows as ``probe_build_rows`` and stops once they pass *cap*,
+        which abandons the build (``None``), as the byte meter does."""
         block = self.block
-        ctx = block.ctx
-        if self._saved_probes is None:  # else a cut-short build stripped them
-            self._saved_probes = block.probes
-            block.probes = [(k, e) for k, e in block.probes if not e.has_outer]
-        cap = None if ctx.limits is None else ctx.limits.max_probe_build_rows
+        ctx = self.ctx
+        build = copy.copy(block)
+        build._reset_runtime()
+        build.probes = [(key, expr) for key, expr in block.probes if not expr.has_outer]
+        build.residuals = [cond for cond in block.residuals if not cond.has_outer]
+        pre = [(cond, fn) for cond, fn in zip(block._pre, block._pre_fns) if not cond.has_outer]
+        build._pre = [cond for cond, _fn in pre]
+        build._pre_fns = [fn for _cond, fn in pre]
         before = ctx.rows_examined
-        listed = block.run({}, cap)
+        listed = build.run({}, cap)
         # Abandoned builds count their rows like finished ones.
         ctx.probe_build_rows += ctx.rows_examined - before
         ctx.rows_examined = before
-        table: Optional[Dict[Tuple, List[object]]] = None  # abandoned
-        if listed is not None:
-            slotmap, rows = listed
-            table = {}
-            if rows:
-                locals_ = tuple(local for local, _key in self.decor)
+        if listed is None:
+            return None
+        slotmap, rows = listed
+        self._consts = ()
+        self._inner = slotmap
+        self._keep = None
+        groups: Optional[Dict[Tuple, object]] = {}
+        if rows:
+            locals_ = [local for local, _key in self.decor]
+            items: Iterable = rows
+            if self._answered:
                 out = self._out
-                items: Iterable = repeat(None)  # keys only: an EXISTS bucket just exists
-                if out is not None:
-                    items = [out((slotmap, row), {}) for row in rows]
-                table = _hash_group(
-                    ctx,
-                    TableBytesMeter(),
-                    zip(_key_stream(rows, [slotmap[k] for k in locals_]), items),
-                    block._null_slots(locals_),
-                )
-        if table is None:
-            self._degrade()
-        else:
-            ctx.probe_tables_built += 1
-            self._table = {key: self._from_bucket(bucket) for key, bucket in table.items()}
-
-    def _degrade(self) -> None:
-        """Abandon the bucket path or the probe table for good: the kept
-        index or the table would cost more than ``max_probe_build_rows``
-        (or ``max_probe_table_bytes``).  The inner block gets its
-        correlated shape back and the predicate falls back to memoized
-        probing, whose results bit-match by construction."""
-        block = self.block
-        if self._saved_probes is not None:
-            block.probes = self._saved_probes
-            self._saved_probes = None
-        self.decor = None
-        block._reset_runtime()
-        block.ctx.degradations += 1
+                # keys only: an EXISTS group just exists
+                items = repeat(None) if out is None else [out((slotmap, row), {}) for row in rows]
+            groups = _hash_group(
+                ctx,
+                TableBytesMeter(),
+                zip(_key_stream(rows, [slotmap[k] for k in locals_]), items),
+                build._null_slots(locals_),
+            )
+            if groups is None:
+                return None
+        ctx.probe_tables_built += 1
+        if self._answered:
+            groups = {key: self._from_group(group) for key, group in groups.items()}
+        return groups
 
 
 class _Exists(_CorrelatedSubquery):
     """``[NOT] EXISTS`` — two-valued: TRUE when the inner block lists a
-    row (a bucket row passes its checks, a probe-table key is found),
-    unless negated."""
+    row (a group row passes its checks), unless negated."""
 
     __slots__ = ()
 
@@ -646,16 +715,16 @@ class _Exists(_CorrelatedSubquery):
         _slotmap, rows = self.block.run(env)
         return from_bool(bool(rows) != self.negated)
 
-    def _from_bucket(self, bucket) -> ThreeValued:
-        return TRUE if (bucket is not None) != self.negated else FALSE
+    def _from_group(self, group) -> ThreeValued:
+        return TRUE if (group is not None) != self.negated else FALSE
 
-    #: a bucket answer is the predicate's truth value
+    #: a group's answer is the predicate's truth value
     _truth = None
 
 
 class _InSubquery(_CorrelatedSubquery):
-    """``x [NOT] IN (SELECT …)`` — a bucket or probe-table hit holds the
-    inner output values for its key; the membership test is the compiled
+    """``x [NOT] IN (SELECT …)`` — a group's answer holds the inner
+    output values for its key; the membership test is the compiled
     closure's."""
 
     __slots__ = ("expr", "marked", "_expr_fn")
@@ -682,117 +751,14 @@ class _InSubquery(_CorrelatedSubquery):
         slotmap, rows = self.block.run(env)
         return [out((slotmap, row), env) for row in rows]
 
-    def _from_bucket(self, bucket) -> Sequence[object]:
-        return () if bucket is None else bucket
+    def _from_group(self, group) -> Sequence[object]:
+        return () if group is None else group
 
     def _truth(self, cursor, env, values) -> ThreeValued:
         """The predicate's truth value at the outer row at *cursor*,
-        given its bucket answer *values*."""
+        given its group's answer *values*."""
         found = _membership(self._expr_fn(cursor, env), values, self.marked)
         return ~found if self.negated else found
-
-
-class _Buckets:
-    """The bucket path of one correlated subquery for one statement: one
-    loop over the outer rows of a pass (:meth:`answers`), scanning each
-    found bucket with :meth:`_scan`.
-
-    A probe's key is the outer row's values at ``outer``, then the values
-    of the constant probes (``consts``, computed once); its bucket is
-    read from ``index``, the kept index over the source's rows under its
-    constant-free filters.  A bucket row must pass the source's filters
-    that hold a constant (``keep``, their row tests, the ones the
-    block's filter passes run; uncounted, as pushed filters are;
-    ``None`` without such a filter), then counts one ``rows_examined``
-    and one governor check before the residuals (``checks``) decide it.
-    ``pre`` are the conditions without local columns that read the outer
-    row, run once per found bucket; ``needed`` the outer keys the checks
-    read from the environment, or ``None`` when they read none; ``out``
-    the output expression of an ``IN``, ``None`` for an ``EXISTS``;
-    ``miss`` and ``hit`` the subquery's answers without a row and, for
-    an ``EXISTS``, with one.
-    """
-
-    __slots__ = (
-        "ctx", "index", "outer", "consts", "slotmap", "keep", "checks",
-        "pre", "needed", "out", "miss", "hit",
-    )
-
-    def __init__(
-        self, ctx, index, outer, consts, slotmap, keep, checks, pre, needed, out, miss, hit
-    ):
-        self.ctx = ctx
-        self.index = index
-        self.outer = outer
-        self.consts = consts
-        self.slotmap = slotmap
-        self.keep = keep
-        self.checks = checks
-        self.pre = pre
-        self.needed = needed
-        self.out = out
-        self.miss = miss
-        self.hit = hit
-
-    def answers(self, rows: Sequence[Row], slotmap: Dict[Key, int], env) -> Iterator:
-        """The subquery's answer for each of the outer *rows*, laid out
-        by *slotmap*.  One environment serves the whole loop, updated in
-        place with each row's outer values."""
-        keys = _key_stream(rows, [slotmap[k] for k in self.outer])
-        consts = self.consts
-        if consts:
-            keys = (key + consts for key in keys)
-        get = self.index.get
-        scan = self._scan
-        miss = self.miss
-        needed = self.needed
-        if needed is None:
-            for key in keys:
-                bucket = get(key)
-                yield miss if bucket is None else scan(bucket, env)
-            return
-        env = dict(env)
-        fill = [(k, slotmap[k]) for k in needed]
-        for row, key in zip(rows, keys):
-            bucket = get(key)
-            if bucket is None:
-                yield miss
-                continue
-            for k, p in fill:
-                env[k] = row[p]
-            yield scan(bucket, env)
-
-    def _scan(self, bucket: List[Row], env):
-        """The answer from one found *bucket*: ``hit`` at the first row
-        that passes every check (``EXISTS``), the output values of all of
-        them (``IN``), or ``miss``."""
-        for fn in self.pre:
-            if fn(_EMPTY_CURSOR, env) is not TRUE:
-                return self.miss
-        ctx = self.ctx
-        keep = self.keep
-        governor = ctx.governor
-        inner = self.slotmap
-        checks = self.checks
-        out = self.out
-        values = None
-        for item in bucket:
-            if keep is not None and not keep(item):
-                continue
-            ctx.rows_examined += 1
-            if governor is not None:
-                ctx.check()
-            inner_cursor = (inner, item)
-            for fn in checks:
-                if fn(inner_cursor, env) is not TRUE:
-                    break
-            else:
-                if out is None:
-                    return self.hit
-                if values is None:
-                    values = []
-                values.append(out(inner_cursor, env))
-        return self.miss if values is None else values
 
 
 class _InValues(_Cond):
@@ -924,9 +890,9 @@ class CompiledBlock:
         self._step_actual: Optional[List[int]] = None
 
     def _reset_runtime(self) -> None:
-        """Drop lazily-built plan state so the next iteration re-plans
-        (used when a degraded probe-table build restores the block's
-        probes after planning stripped them)."""
+        """Drop lazily-built plan state so the next run re-plans (a
+        multi-source grouped probe's build runs a copy of the block with
+        fewer conditions, planned afresh)."""
         self._filtered = None
         self._order = None
         self._slotmap = None
@@ -1371,7 +1337,8 @@ class CompiledBlock:
         every row.  With *cap*, the block returns
         ``None`` instead of listing another bucket once its run has
         counted more than *cap* rows, its pre-join conditions included
-        (a probe-table build over ``max_probe_build_rows``): it lists at
+        (a multi-source grouped probe's build over
+        ``max_probe_build_rows``): it lists at
         most *cap* rows and one bucket."""
         ctx = self.ctx
         limit = None if cap is None else ctx.rows_examined + cap
@@ -1488,20 +1455,16 @@ class CompiledBlock:
 
 
 def _probe_plan(
-    block: "CompiledBlock", parent_scope: BlockScope, out: Optional[_Expr]
+    block: "CompiledBlock", parent_scope: BlockScope
 ) -> Optional[Tuple[Tuple[Key, Key], ...]]:
-    """``((local key, outer key), …)`` when *block*'s correlated probes
-    can be answered without running it per outer row, else ``None``.
+    """``((local key, outer key), …)`` when *block* is answered by a
+    grouped probe, else ``None`` (memo probing).
 
     Every outer reference must resolve in the immediate parent scope, and
-    every probe that mentions one must be ``local = outer.col``.  A
-    single-source block then takes the bucket path, whose residuals and
-    output may read the outer row too.  A multi-source block takes the
-    probe-table path only if nothing else reads the outer row: no
-    residual, no output expression (*out*), and no reference the probes
-    do not cover.  Then the subquery's result, as a function of the outer
-    row, depends only on the probed key tuple, so a single pass over the
-    inner block grouped by the local key columns answers every probe.
+    every probe that mentions one must be ``local = outer.col``.  The
+    subquery's result at an outer row then depends only on the probed
+    key tuple and on the conditions and output that read the outer row,
+    which the scan runs on the key's group.
     """
     if not block.external:
         return None
@@ -1513,23 +1476,12 @@ def _probe_plan(
             if not isinstance(expr, _Col):
                 return None
             pairs.append((local_key, expr.key))
-    if not pairs:
-        return None
-    if len(block.sources) == 1:
-        return tuple(pairs)
-    if out is not None and out.has_outer:
-        return None
-    if any(cond.has_outer for cond in block.residuals):
-        return None
-    covered = {outer for _local, outer in pairs}
-    if any(res.key not in covered for res in block.external):
-        return None
-    return tuple(pairs)
+    return tuple(pairs) or None
 
 
 def _constant_free(source: _Source) -> _Source:
-    """*source* under only its constant-free filters: the rows the bucket
-    path's kept index is built over (the source itself when it has no
+    """*source* under only its constant-free filters: the rows a
+    one-source grouped probe's kept index is built over (the source itself when it has no
     filter with a constant)."""
     if source.key is not None:
         return source

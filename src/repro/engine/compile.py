@@ -18,10 +18,10 @@ those trees, at prepare time, into plain Python closures
 * **row tests for pushed filters** — each pushed single-table filter
   becomes one ``row → keep?`` test (:func:`row_tests`) that reads its
   cells directly where the shape allows; the block runs one pass over
-  its row list per conjunct, and the bucket path runs the same tests
-  on a bucket's rows.
+  its row list per conjunct, and a one-source grouped probe runs the
+  same tests on a group's rows.
 
-Subquery nodes keep their state (decorrelated probe tables, memo
+Subquery nodes keep their state (grouped probes' groups, memo
 caches, cached uncorrelated results) on the IR node, so recompiling a
 condition after a replan reuses it; their closures call into that
 state (``_Exists.answer``, ``_InSubquery.answer``) with the operand
@@ -548,7 +548,8 @@ def row_tests(source: "B._Source", conds: Sequence["B._Cond"]) -> List[Callable]
     Single-column filters, same-source column-column comparisons and
     two-arm ``OR``s of single-column filters read their cells directly;
     anything else calls the compiled condition with the source's slot
-    map.  The block's filter passes and the bucket path both run them.
+    map.  The block's filter passes and one-source grouped probes both
+    run them.
     """
     slotmap = source.slotmap
     tests: List[Callable] = []

@@ -46,7 +46,7 @@ class PreparedQuery:
     """A compiled statement bound to one database and parameter set.
 
     ``run()`` may be called repeatedly; compilation artefacts (CTE
-    materialisations, join orders, hash indexes, subquery probe tables
+    materialisations, join orders, hash indexes, grouped probes' groups
     and memo caches) persist across runs, so only the streaming work is
     repeated.  Instrumentation counters on :attr:`ctx` accumulate over
     runs.
@@ -89,11 +89,12 @@ class Executor:
     materialised once, uncorrelated subqueries are cached, and the
     ``rows_examined`` / probe-cache counters on :attr:`ctx` report how
     much work evaluation did (used by tests and the benchmarks).
-    Correlated subqueries take the bucket path over a kept index (one
-    source) or a probe table (several), falling back to memoized
-    probing when either goes over the ``limits`` budget or the
-    correlation has another shape.  :meth:`prepare` compiles without executing
-    and returns a re-runnable :class:`PreparedQuery`.
+    A correlated subquery takes a grouped probe, its inner rows grouped
+    by the correlated key (a kept index for one source, one run of the
+    block for several), falling back to memoized probing when the build
+    goes over the ``limits`` budget or the correlation has another
+    shape.  :meth:`prepare` compiles without executing and returns a
+    re-runnable :class:`PreparedQuery`.
     """
 
     def __init__(
@@ -252,7 +253,7 @@ def execute_query(
     ``limits`` attaches a deadline/row budget to the run (see
     :mod:`repro.engine.limits`); exceeding a hard cap raises
     :class:`~repro.engine.limits.ResourceError`, while an over-budget
-    probe-table build degrades to memoized probing with the same
+    grouped-probe build degrades to memoized probing with the same
     result (``ResourceLimits(max_probe_build_rows=0)`` forces that
     fallback everywhere it can trip).
     """

@@ -5,15 +5,15 @@ selectivity-driven planner ordered it by
 (:func:`repro.engine.stats.choose_join_order`, reached through
 ``CompiledBlock._join_model``), and a step costs those rows — the unit
 of ``ExecContext.rows_examined``.  Subquery predicates cost what the
-engine does with them: a bucket-path one reads one bucket of a kept
-index per row of the step it is attached to; a probe-table one builds
-its table once (the unit of ``probe_build_rows``) and is listed with
-the per-row plan it falls back to over budget, uncounted; a memoized
-one runs its plan once per row of that step; an uncorrelated one runs
-once.  That is enough to *show* the Section 7 optimizer story: without
-disjunction splitting, ``Q+4``'s subquery joins its tables by nested
-loops, and its estimated cost is orders of magnitude above both the
-original query's and the split rewriting's.
+engine does with them: a grouped probe over one source reads one group
+of a kept index per row of the step it is attached to; one over several
+sources builds its probe table once (the unit of ``probe_build_rows``)
+and is listed with the per-row plan it falls back to over budget,
+uncounted; a memoized one runs its plan once per row of that step; an
+uncorrelated one runs once.  That is enough to *show* the Section 7
+optimizer story: without disjunction splitting, ``Q+4``'s subquery
+joins its tables by nested loops, and its estimated cost is orders of
+magnitude above both the original query's and the split rewriting's.
 
 EXPLAIN reads each block through a throwaway copy, planned the way its
 first run plans it, so it changes no state a later run reads.
@@ -110,7 +110,7 @@ def estimate_block(
 ) -> PlanNode:
     """The plan of one block (children: its steps, then its subquery
     predicates).  *probes* plans it afresh over other equality probes,
-    as a decorrelated predicate's probe-table build does."""
+    as a multi-source grouped probe's build does."""
     env_available = correlated or bool(block.probes if probes is None else probes)
     plan = _planned(block, probes, env_available)
     estimates = plan._order_estimates
@@ -153,41 +153,45 @@ def _subquery_node(
     else:
         kind = "EXISTS" if isinstance(sub, _Exists) else "IN"
         label = f"NOT {kind}" if sub.negated else kind
-    if isinstance(sub, _CorrelatedSubquery) and sub.bucketed:
-        # Each probe reads one bucket of the kept index: its rows are the
-        # index's average bucket, and it finds one if its key is among
-        # the index's keys (probe keys taken as distinct and covering
-        # them, the foreign-key case).  The model lets residuals pass,
-        # so an EXISTS examines one row of a found bucket (it stops at
-        # the first witness) and an IN all of them.  Subqueries under
-        # it run per examined row, per probe if they read only the
-        # outer row, and once if they read neither.
-        keys = sub.bucket_keys()
-        rows, distinct = _index_size(block, keys)
-        per_probe = rows / distinct
-        found = min(1.0, distinct / max(invocations, 1.0)) if rows else 0.0
-        examined = found * (1.0 if isinstance(sub, _Exists) else per_probe)
-        nested = []
-        for cond in block.residuals:
-            if cond.local_keys:
-                runs = invocations * examined
-            else:
-                runs = invocations if cond.has_outer else 1.0
-            nested.extend(_subquery_node(inner, runs) for inner in _subqueries_of(cond))
-        return PlanNode(
-            f"{label} (kept index [{', '.join(col for _b, col in keys)}],"
-            f" ×{invocations:.0f} probes)",
-            per_probe,
-            nested,
-            cost=invocations * examined,
-        )
     if isinstance(sub, _CorrelatedSubquery) and sub.decor is not None:
-        # Costed as one pass over the block without its correlated
-        # probes; listed with the per-row plan the predicate falls back
-        # to when that build goes over budget, run zero times.
+        # A grouped probe's line names its build, which costs what it
+        # costs per statement; its scan reads one group per probe.
+        if len(block.sources) == 1:
+            # The build is the kept index, free once kept.  A group's
+            # rows are the index's average bucket, and a probe finds one
+            # if its key is among the index's keys (probe keys taken as
+            # distinct and covering them, the foreign-key case).  The
+            # model lets residuals pass, so an EXISTS examines one row
+            # of a found group (it stops at the first witness) and an IN
+            # all of them.  Subqueries under it run per examined row,
+            # per probe if they read only the outer row, and once if
+            # they read neither.
+            keys = sub.group_keys()
+            rows, distinct = _index_size(block, keys)
+            per_probe = rows / distinct
+            found = min(1.0, distinct / max(invocations, 1.0)) if rows else 0.0
+            examined = found * (1.0 if isinstance(sub, _Exists) else per_probe)
+            nested = []
+            for cond in block.residuals:
+                if cond.local_keys:
+                    runs = invocations * examined
+                else:
+                    runs = invocations if cond.has_outer else 1.0
+                nested.extend(_subquery_node(inner, runs) for inner in _subqueries_of(cond))
+            return PlanNode(
+                f"{label} (kept index [{', '.join(col for _b, col in keys)}],"
+                f" ×{invocations:.0f} probes)",
+                per_probe,
+                nested,
+                cost=invocations * examined,
+            )
+        # The build is one pass over the block without its correlated
+        # probes, costed as such (the scan of a group's rows is not);
+        # listed with the per-row plan the predicate falls back to when
+        # that build goes over budget, run zero times.
         kept = [(key, expr) for key, expr in block.probes if not expr.has_outer]
         build = estimate_block(block, True, kept)
-        per_row = estimate_block(block, True, sub._saved_probes or block.probes)
+        per_row = estimate_block(block, True)
         return PlanNode(
             f"{label} (probe table, one build)",
             build.est_rows,
@@ -204,9 +208,9 @@ def _subquery_node(
 
 
 def _index_size(block: CompiledBlock, keys: Sequence[Tuple[str, str]]) -> Tuple[int, float]:
-    """The rows of the index a bucket-path predicate reads (its source's
-    constant-free-filtered rows) and its estimated number of keys (the
-    join-order model's NDV product, between 1 and the rows)."""
+    """The rows of the index a one-source grouped probe reads (its
+    source's constant-free-filtered rows) and its estimated number of
+    keys (the join-order model's NDV product, between 1 and the rows)."""
     (source,) = block.sources.values()
     stats = block._kept_source(_constant_free(source))
     distinct = 1.0

@@ -19,12 +19,12 @@ without a deadline; this module supplies the vocabulary:
   at its next governed checkpoint;
 * :class:`LimitGovernor` — the amortised run-time checker carried by
   ``ExecContext`` and consulted from the engine's join steps, passes,
-  bucket scans and hash builds.
+  grouped-probe scans and hash builds.
 
 ``max_probe_build_rows`` is different from the two hard caps: tripping
 it does not raise.  The engine *degrades* instead — it abandons the
-bucket path or the probe table of the offending subquery and falls
-back to memoized probing, which bit-matches the naive path (counted in
+grouped probe of the offending subquery and falls back to memoized
+probing, which bit-matches the naive path (counted in
 ``ExecContext.degradations``).  That is the paper-adjacent "anytime"
 stance: when an optimisation's up-front cost is out of budget, a slower
 sound strategy beats an error.
@@ -136,11 +136,11 @@ class ResourceLimits:
         Hard cap on ``rows_examined + probe_build_rows``.  Exceeding it
         raises :class:`RowBudgetExceeded`.
     ``max_probe_build_rows``
-        Soft cap on the rows any *single* decorrelated probe-table build
-        may consume (checked before each bucket it lists), and on the
-        rows of the kept index a bucket-path subquery reads (compared
-        with the index's row count before any bucket is read, whether
-        the index is built or reused).
+        Soft cap on the rows any *single* grouped-probe build may
+        consume: for a multi-source inner block, the rows its run lists
+        (checked before each bucket it lists); for one source, the rows
+        of the kept index it reads (compared with the index's row count
+        before any group is read, whether the index is built or reused).
         Exceeding it abandons decorrelation for that subquery (falling
         back to memoized probing, results unchanged) and bumps
         ``ExecContext.degradations`` instead of raising; ``0`` forces
@@ -150,8 +150,8 @@ class ResourceLimits:
         equi-join hash tables one execution context uses (tracked on
         ``ExecContext.table_bytes`` via
         :class:`~repro.engine.stats.TableBytesMeter`).  A build that
-        would cross the cap degrades gracefully — probe tables and
-        bucket indexes fall back to memoized probing, equi-join indexes
+        would cross the cap degrades gracefully — grouped-probe builds
+        fall back to memoized probing, equi-join indexes
         to linear probing of the filtered rows — with identical results, counted in
         ``ExecContext.degradations``.  Reusing an index kept on a
         relation charges and degrades exactly as its build would.
@@ -202,7 +202,7 @@ class LimitGovernor:
     """Amortised enforcement of one :class:`ResourceLimits` bundle.
 
     Under a governor the engine calls :meth:`check` once per row a
-    join step lists, a hash build reads or a bucket scan examines, and
+    join step lists, a hash build reads or a grouped-probe scan examines, and
     once per filter or residual pass.  The row-budget comparison runs
     every call; the clock and the cancellation token are read on the
     first call after :meth:`arm` and every :data:`CHECK_INTERVAL` calls

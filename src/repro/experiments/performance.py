@@ -25,7 +25,7 @@ from repro.sql.rewrite import rewrite_certain
 from repro.testing.faults import check_task_fault
 from repro.tpch.dbgen import generate_instance
 from repro.tpch.nullify import inject_nulls
-from repro.tpch.queries import QUERIES, sample_parameters
+from repro.tpch.queries import QUERIES, sample_parameters, supplied_nations
 from repro.tpch.schema import tpch_schema
 from repro.experiments.report import format_ratio, render_run_footer, render_series
 from repro.experiments.runner import RunReport, run_tasks
@@ -106,12 +106,17 @@ def _instance_ratios(task: tuple) -> Dict[str, object]:
     base = generate_instance(scale=scale, seed=instance_seed)
     db = inject_nulls(base, rate, seed=null_seed)
     rng = random.Random(param_seed)
+    # At scale 1 most nations have no supplier, and Q1 and Q4 stop at
+    # once for them: time the work the query does, not its overhead.
+    nations = supplied_nations(db)
     ratios: Dict[str, List[float]] = {qid: [] for qid in query_ids}
     discarded = 0
     for qid in query_ids:
         original, plus = queries[qid]
         for _ in range(param_draws):
             params = sample_parameters(qid, db, rng=rng)
+            if "nation" in params:
+                params["nation"] = rng.choice(nations)
             t_orig, _n = time_query(db, original, params, repeats)
             t_plus, _n = time_query(db, plus, params, repeats)
             if t_orig > 0:

@@ -1,10 +1,10 @@
-"""The bucket path of correlated subqueries.
+"""Grouped probes of correlated subqueries over one inner source.
 
 An ``[NOT] EXISTS`` or ``[NOT] IN`` whose inner block has one source and
 is correlated by ``local = outer.col`` probes on the immediate parent
-reads, per outer row, the bucket of the kept index over the source's
-constant-free-filtered rows, and runs the source's filters with a
-constant and the residuals on the bucket's rows.  These tests pin that
+reads, per outer row, its group: the bucket of the kept index over the
+source's constant-free-filtered rows.  It runs the source's filters with
+a constant and the residuals on the group's rows.  These tests pin that
 it answers as the memoized fallback does (row for row, both null
 semantics) and as sqlite does under SQL nulls, that a second statement
 reuses the kept index, that a cancel inside a bucket loop stops the
@@ -16,22 +16,19 @@ References: the memoized fallback forced by
 same statement on a fresh database.
 """
 
-import random
-
 import pytest
 
-from repro.data import Database, Null, Relation
-from repro.engine import CancelToken, Executor, QueryCancelled, ResourceLimits
+from repro.data import Database, Relation
+from repro.engine import CancelToken, QueryCancelled, ResourceLimits
 from repro.engine import blocks
-from repro.sql.parser import parse_sql
 
+from .probe_instances import random_db, run
 from .sqlite_ref import engine_bag, sqlite_rows
 from .test_hash_build import entry_bytes
 
-#: Every bucket path whose index has a row degrades to memoized probing.
+#: Every one-source grouped probe whose index has a row degrades to
+#: memoized probing.
 FORCE_FALLBACK = ResourceLimits(max_probe_build_rows=0)
-
-PARAMS = {"p": 2}
 
 #: the residual or filter beside ``s.c = r.a``: one reading the outer
 #: row, one with a parameter (a filter checked per bucket row), the
@@ -53,39 +50,11 @@ SHAPES = [
 CASES = [shape.format(extra) for shape in SHAPES for extra in EXTRAS]
 
 
-def run(db, sql, marked=False, limits=None):
-    executor = Executor(db, PARAMS, marked_nulls=marked, limits=limits)
-    result = executor.execute(parse_sql(sql))
-    return result, executor.ctx
-
-
-def random_db(seed, repeat_labels):
-    """r(a, x) and s(c, y, z) over small domains, a quarter of their cells
-    null; labels repeat (equal under marked nulls) or are all distinct."""
-    rng = random.Random(seed)
-    labels = iter(range(10**6))
-
-    def cell():
-        if rng.random() < 0.25:
-            return Null(rng.choice("pq")) if repeat_labels else Null(f"u{next(labels)}")
-        return rng.randint(1, 4)
-
-    def rows(width, count):
-        return [tuple(cell() for _ in range(width)) for _ in range(count)]
-
-    return Database(
-        {
-            "r": Relation(("a", "x"), rows(2, rng.randint(1, 12))),
-            "s": Relation(("c", "y", "z"), rows(3, rng.randint(1, 20))),
-        }
-    )
-
-
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("repeat_labels", [False, True], ids=["distinct-labels", "repeated-labels"])
 @pytest.mark.parametrize("marked", [False, True], ids=["sql-nulls", "marked-nulls"])
 def test_bucket_path_matches_the_fallback_and_sqlite(seed, repeat_labels, marked):
-    db = random_db(seed, repeat_labels)
+    db = random_db(seed, repeat_labels, max_outer=12, with_t=False)
     for sql in CASES:
         fast, ctx = run(db, sql, marked)
         slow, _ = run(db, sql, marked, FORCE_FALLBACK)
@@ -103,7 +72,7 @@ def test_second_statement_reuses_the_index(monkeypatch):
     monkeypatch.setattr(
         blocks, "_hash_group", lambda *args, **kwargs: builds.append(1) or hash_group(*args, **kwargs)
     )
-    db = random_db(0, repeat_labels=False)
+    db = random_db(0, repeat_labels=False, max_outer=12, with_t=False)
     sql = CASES[0]
     first, ctx1 = run(db, sql)
     assert len(builds) == 1  # the index on s.c
@@ -128,13 +97,13 @@ def test_cancel_inside_a_bucket_loop_raises(monkeypatch):
     """A statement's probes run as one pass over its rows, which scans
     each found bucket with the same loop a per-row probe uses."""
     token = CancelToken()
-    scan = blocks._Buckets._scan
+    scan = blocks._CorrelatedSubquery._scan
 
-    def cancelling_scan(self, bucket, env):
+    def cancelling_scan(self, group, env):
         token.cancel("bucket loop")
-        return scan(self, bucket, env)
+        return scan(self, group, env)
 
-    monkeypatch.setattr(blocks._Buckets, "_scan", cancelling_scan)
+    monkeypatch.setattr(blocks._CorrelatedSubquery, "_scan", cancelling_scan)
     sql = "SELECT r.a FROM r WHERE EXISTS (SELECT * FROM s WHERE s.c = r.a AND s.y < r.x)"
     with pytest.raises(QueryCancelled, match="bucket loop") as info:
         run(bucket_db(), sql, limits=ResourceLimits(cancel=token))
@@ -155,7 +124,7 @@ def test_cancel_inside_a_bucket_loop_raises(monkeypatch):
 )
 def test_byte_cap_degrades_on_reuse_where_a_build_would(cap, degradations):
     """The kept index on s.c has 2 keys.  Where the cap stops its build,
-    the bucket path degrades to memoized probing, whose probe index is
+    the grouped probe degrades to memoized probing, whose probe index is
     the same kept entry and degrades too, to linear probing; a database
     that kept the index and a fresh one agree on every counter."""
     sql = "SELECT r.a FROM r WHERE NOT EXISTS (SELECT * FROM s WHERE s.c = r.a AND s.y < r.x)"

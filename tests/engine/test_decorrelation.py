@@ -1,17 +1,18 @@
-"""Correlated-subquery strategies: bucket path, probe tables, memoization.
+"""Correlated-subquery strategies: grouped probes and memoization.
 
-Regression tests for the engine's three probe-amortisation strategies:
+Regression tests for the engine's two probe-amortisation strategies:
 
-* the bucket path for single-source inner blocks correlated by
-  ``local = outer.col`` probes: each outer row reads its bucket of the
-  kept index and runs the residuals on it;
-* hash semi-/anti-join probe tables for pure equi-correlated
-  multi-source blocks;
+* the grouped probe for inner blocks correlated by ``local = outer.col``
+  probes on the immediate parent: a build groups the inner rows by the
+  correlated key (one source: the kept index over its rows; several:
+  one run of the block, each key's answer stored when nothing else
+  reads the outer row), and each outer row scans its group with the
+  conditions that read the outer row;
 * memoized probing keyed on the correlated values for everything else
   (e.g. the ``x = outer.y OR x IS NULL`` residual shape).
 
 Results are checked against two references that share no probe code
-path with the bucket path or the hash tables: stdlib ``sqlite3`` for
+path with the grouped probe: stdlib ``sqlite3`` for
 standard SQL nulls, and the engine's own memoized fallback, forced
 everywhere by a zero probe-build budget
 (``ResourceLimits(max_probe_build_rows=0)``).  The fallback is compared
@@ -29,8 +30,8 @@ from repro.sql.parser import parse_sql
 
 from .sqlite_ref import engine_bag, sqlite_rows
 
-#: Every probe-table build degrades to memoized probing at its first row,
-#: and so does every bucket path whose index has a row.
+#: Every grouped probe degrades to memoized probing wherever its build
+#: lists a row or its kept index holds one.
 FORCE_FALLBACK = ResourceLimits(max_probe_build_rows=0)
 
 
@@ -71,10 +72,10 @@ NOT_EXISTS_RESIDUAL = (
 
 class TestDecorrelation:
     def test_pure_probe_not_exists_reads_one_bucket_row_per_probe(self, skewed_db):
-        """A single-source block takes the bucket path: no probe table,
+        """A single-source block reads the kept index: no probe table,
         no memo lookup, and each NOT EXISTS stops at the first row of its
         bucket.  The memoized fallback runs the inner block once per
-        distinct key (5), the bucket path reads one row per outer row
+        distinct key (5), the grouped probe reads one row per outer row
         (200)."""
         fast, fast_ctx = run_counted(skewed_db, NOT_EXISTS_PROBE)
         slow, slow_ctx = run_counted(skewed_db, NOT_EXISTS_PROBE, limits=FORCE_FALLBACK)
@@ -128,7 +129,7 @@ class TestDecorrelation:
         fast, fast_ctx = run_counted(skewed_db, sql)
         assert engine_bag(fast.rows) == sqlite_rows(skewed_db, sql)
         assert_matches_fallback(skewed_db, sql)
-        assert fast_ctx.probe_tables_built == 0  # one source: the bucket path
+        assert fast_ctx.probe_tables_built == 0  # one source: the kept index
         assert fast_ctx.decorrelated_probes == 200
         assert fast_ctx.probe_cache_hits + fast_ctx.probe_cache_misses == 0
 
@@ -143,8 +144,8 @@ class TestDecorrelation:
 
     def test_deeper_correlation_not_decorrelated_but_correct(self):
         """Two-level correlation (grandparent reference) must take the
-        memo path, never the bucket or hash-table path.  The outer EXISTS
-        reads r only, so it takes the bucket path (one probe per r row);
+        memo path, never a grouped probe.  The outer EXISTS reads r only,
+        so it takes a grouped probe (one probe per r row);
         the nested EXISTS reads no column of s, so each probe that finds
         a bucket runs it once, memoized on r.a."""
         db = Database(

@@ -188,9 +188,9 @@ def test_filters_with_a_literal_or_a_parameter_are_never_kept(sql, params, pass_
     ],
 )
 def test_bucket_path_checks_a_constant_filter_per_bucket_row(sql, params, pass_runs):
-    """The bucket path keeps the index over the source's constant-free
-    rows (the whole table, or s.y > s.d) and runs a filter with a
-    constant on the rows of each bucket it reads: no pass runs for it,
+    """A one-source grouped probe keeps the index over the source's
+    constant-free rows (the whole table, or s.y > s.d) and runs a filter
+    with a constant on the rows of each bucket it reads: no pass runs for it,
     and nothing under it is kept."""
     db = make_db()
     for _ in range(2):

@@ -1,7 +1,8 @@
 """Hash builds: byte-budget check points and null keys.
 
-Every engine hash table (equi-join and probe indexes, the bucket path's
-kept indexes, decorrelated probe tables) is built by one loop.  These tests pin what that loop must keep:
+Every engine hash table (equi-join and probe indexes, the kept indexes
+and multi-source groups of grouped probes) is built by one loop.  These
+tests pin what that loop must keep:
 
 * the byte meter is consulted on the first new key and then every 256th,
   so a ``max_probe_table_bytes`` cap degrades exactly the tables whose
@@ -75,7 +76,7 @@ EXISTS = "SELECT r.x FROM r WHERE EXISTS (SELECT * FROM s WHERE s.c = r.a)"
     "sql, degradations",
     [
         (JOIN, 1),  # the equi index falls back to linear probing
-        # the bucket path's index falls back to memoized probing, whose
+        # the grouped probe's kept index falls back to memoized probing, whose
         # probe index (the same kept entry) crosses the same cap and
         # falls back to linear probing
         (EXISTS, 2),
@@ -114,7 +115,7 @@ def test_cap_crossed_after_last_check_point_does_not_degrade(budget_db, sql):
         # the index is abandoned at its first key; each of r's rows then
         # scans s linearly
         (JOIN, 1, 1 + 40 + 40 * KEYS + 40),
-        # the bucket path's index build rows, r's 40 rows (under a
+        # the grouped probe's index build rows, r's 40 rows (under a
         # governor a step checks every row it lists, the first step
         # included), one check before the EXISTS pass over them, the
         # one row of each probe's bucket
@@ -144,13 +145,13 @@ QUERIES = {
     # equi index, one and two key columns (multi-table block: statistics)
     "join1": "SELECT r.x, s.y FROM r, s WHERE r.a = s.c",
     "join2": "SELECT r.x, s.y FROM r, s WHERE r.a = s.c AND r.b = s.d",
-    # kept index of the bucket path, whose residual reads the outer row
+    # kept index of a grouped probe, whose residual reads the outer row
     # (single-table block)
     "probe1": "SELECT r.x FROM r WHERE NOT EXISTS "
     "(SELECT * FROM s WHERE s.c = r.a AND s.y > r.x)",
     "probe2": "SELECT r.x FROM r WHERE EXISTS "
     "(SELECT * FROM s WHERE s.c = r.a AND s.d = r.b AND s.y <> r.x)",
-    # kept index of the bucket path, single-table inner block
+    # kept index of a grouped probe, single-table inner block
     "exists1": "SELECT r.x FROM r WHERE EXISTS (SELECT * FROM s WHERE s.c = r.a)",
     "exists2": "SELECT r.x FROM r WHERE NOT EXISTS "
     "(SELECT * FROM s WHERE s.c = r.a AND s.d = r.b)",

@@ -89,7 +89,7 @@ def test_reuse_degrades_where_a_build_would(sql, cap_entries):
     assert ctx_r.table_bytes == ctx_b.table_bytes
     assert ctx_r.rows_examined == ctx_b.rows_examined
     # the one index degrades unless it is under the cap at entry 512,
-    # its last check point; PROBE's bucket path then falls back to
+    # its last check point; PROBE's grouped probe then falls back to
     # memoized probing, whose probe index is the same kept entry and
     # degrades again, to linear probing
     per_index = 0 if cap_entries is None or cap_entries >= 512 else 1

@@ -2,13 +2,15 @@
 
 A block with no correlated reference runs the residuals attached to its
 first join step as passes over that step's row list, in conjunct order.
-A decorrelated ``[NOT] EXISTS`` or ``[NOT] IN`` runs its own pass: one
-loop over the rows into the kept index (the bucket path) or a membership
-test against the probe table; any other residual calls its compiled
-closure per row.  These tests pin that the passes answer as the memoized
-fallback does (row for row, both null semantics) and as sqlite does
-under SQL nulls, that they count what per-row probing counts, and that a
-cancel or a row budget stops a statement inside a pass.
+A grouped ``[NOT] EXISTS`` or ``[NOT] IN`` runs its own pass: one loop
+over the rows into its groups, which scans a found group's rows or reads
+the answer a multi-source build stored for its key; any other residual
+calls its compiled closure per row.  These tests pin that the passes
+answer as the memoized fallback does (row for row, both null semantics)
+and as sqlite does under SQL nulls, that a multi-source block whose
+conditions or output read the outer row is grouped too, that they count
+what per-row probing counts, and that a cancel or a row budget stops a
+statement inside a pass.
 
 References: the memoized fallback forced by
 ``ResourceLimits(max_probe_build_rows=0)`` (every predicate then calls
@@ -16,38 +18,29 @@ its closure per row inside the pass), stdlib ``sqlite3``, and counts
 worked out by hand.
 """
 
-import random
-
 import pytest
 
 from repro.data import Database, Null, Relation
-from repro.engine import (
-    CancelToken,
-    Executor,
-    QueryCancelled,
-    ResourceLimits,
-    RowBudgetExceeded,
-)
+from repro.engine import CancelToken, QueryCancelled, ResourceLimits, RowBudgetExceeded
 from repro.engine import blocks
 from repro.engine.limits import LimitGovernor
-from repro.sql.parser import parse_sql
 
+from .probe_instances import random_db, run
 from .sqlite_ref import engine_bag, sqlite_rows
 
-#: Every bucket path and probe table with a row degrades to memo probing.
+#: Every grouped probe whose build has a row degrades to memo probing.
 FORCE_FALLBACK = ResourceLimits(max_probe_build_rows=0)
 
-PARAMS = {"p": 2}
-
-#: Bucket path (one inner source): the bare key probe, a filter with a
-#: parameter (checked per bucket row) and a residual reading the outer row.
+#: One inner source (the kept index): the bare key probe, a filter with a
+#: parameter (checked per group row) and a residual reading the outer row.
 BUCKET_INNER = [
     "FROM s WHERE s.c = r.a",
     "FROM s WHERE s.c = r.a AND s.y <> $p",
     "FROM s WHERE s.c = r.a AND s.y <> r.x",
 ]
 
-#: Probe-table path (two inner sources), with and without a constant.
+#: Two inner sources whose conditions and output read no outer column
+#: (each key's answer stored), with and without a constant.
 TABLE_INNER = [
     "FROM s, t WHERE s.c = r.a AND s.z = t.e",
     "FROM s, t WHERE s.c = r.a AND s.z = t.e AND t.f <> $p",
@@ -63,9 +56,25 @@ def predicates(inner, out):
     ]
 
 
-PREDICATES = [p for inner in BUCKET_INNER for p in predicates(inner, "s.y")] + [
-    p for inner in TABLE_INNER for p in predicates(inner, "t.f")
+#: Two inner sources with a residual, a pre-join condition or an output
+#: that reads the outer row: the build leaves it out and the scan runs it
+#: on the key's group.
+OUTER_READING = [
+    "EXISTS (SELECT * FROM s, t WHERE s.c = r.a AND t.e = s.y AND t.f <> r.x)",
+    "NOT EXISTS (SELECT * FROM s, t WHERE s.c = r.a AND t.e = s.y AND t.f <> r.x)",
+    "NOT EXISTS (SELECT * FROM s, t WHERE s.c = r.a AND t.e = s.y "
+    "AND (t.f <> r.x OR t.f IS NULL))",
+    "r.x IN (SELECT t.f FROM s, t WHERE s.c = r.a AND t.e = s.y AND s.z <> r.x)",
+    "r.x NOT IN (SELECT t.f FROM s, t WHERE s.c = r.a AND t.e = s.y AND s.z <> r.x)",
+    "EXISTS (SELECT * FROM s, t WHERE s.c = r.a AND t.e = s.y AND r.x <> $p)",
+    "r.a NOT IN (SELECT r.x FROM s, t WHERE s.c = r.a AND t.e = s.y)",
 ]
+
+PREDICATES = (
+    [p for inner in BUCKET_INNER for p in predicates(inner, "s.y")]
+    + [p for inner in TABLE_INNER for p in predicates(inner, "t.f")]
+    + OUTER_READING
+)
 
 #: A scalar-subquery residual ahead of the probe: the probe's pass sees
 #: only the rows the first pass kept.
@@ -97,36 +106,6 @@ def cases():
 
 
 CASES = list(cases())
-
-
-def run(db, sql, marked=False, limits=None):
-    executor = Executor(db, PARAMS, marked_nulls=marked, limits=limits)
-    result = executor.execute(parse_sql(sql))
-    return result, executor.ctx
-
-
-def random_db(seed, repeat_labels):
-    """r(a, x), s(c, y, z) and t(e, f) over small domains, a quarter of
-    their cells null; labels repeat (equal under marked nulls) or are all
-    distinct."""
-    rng = random.Random(seed)
-    labels = iter(range(10**6))
-
-    def cell():
-        if rng.random() < 0.25:
-            return Null(rng.choice("pq")) if repeat_labels else Null(f"u{next(labels)}")
-        return rng.randint(1, 4)
-
-    def rows(width, count):
-        return [tuple(cell() for _ in range(width)) for _ in range(count)]
-
-    return Database(
-        {
-            "r": Relation(("a", "x"), rows(2, rng.randint(1, 14))),
-            "s": Relation(("c", "y", "z"), rows(3, rng.randint(1, 20))),
-            "t": Relation(("e", "f"), rows(2, rng.randint(1, 8))),
-        }
-    )
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -195,6 +174,36 @@ def test_counts_are_those_of_per_row_probing(monkeypatch):
     assert ctx.decorrelated_probes == 4
     assert len(calls) == 17
     assert engine_bag(result.rows) == sqlite_rows(db, COUNT_SQL)
+
+
+def test_multi_source_scan_counts():
+    """s ⋈ t on s.y = t.e has 3 rows, whichever source comes first (3
+    rows, then 3 matches): the build counts 6 ``probe_build_rows`` and
+    groups them by s.c as 1 → [t.f 10, t.f 11] and 2 → [t.f 10].  The
+    scan runs t.f <> r.x on a group's rows: (1, 10) reads 2 (11 is a
+    witness: dropped), (2, 10) reads 1 (none: kept), (3, 10) has no
+    group and (⊥, 10) a null key, both kept without reading a row.
+
+    rows_examined: 4 (r's step) + 2 + 1 = 7."""
+    db = Database(
+        {
+            "r": Relation(("a", "x"), [(1, 10), (2, 10), (3, 10), (Null(), 10)]),
+            "s": Relation(("c", "y", "z"), [(1, 5, 0), (1, 6, 0), (2, 5, 0)]),
+            "t": Relation(("e", "f"), [(5, 10), (6, 11), (7, 10)]),
+        }
+    )
+    sql = (
+        "SELECT r.a FROM r WHERE NOT EXISTS "
+        "(SELECT * FROM s, t WHERE s.c = r.a AND t.e = s.y AND t.f <> r.x)"
+    )
+    result, ctx = run(db, sql)
+    assert [row[0] for row in result.rows[:2]] == [2, 3]
+    assert len(result.rows) == 3 and isinstance(result.rows[2][0], Null)
+    assert ctx.probe_build_rows == 6
+    assert ctx.probe_tables_built == 1
+    assert ctx.rows_examined == 7
+    assert ctx.decorrelated_probes == 4
+    assert engine_bag(result.rows) == sqlite_rows(db, sql)
 
 
 @pytest.mark.parametrize("inner", ["FROM s WHERE s.c = r.a", TABLE_INNER[0]])

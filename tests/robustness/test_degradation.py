@@ -1,5 +1,6 @@
-"""Graceful degradation: abandoned probe-table builds and bucket paths
-bit-match the undegraded run and agree with stdlib sqlite3."""
+"""Graceful degradation: grouped probes whose build goes over budget
+fall back to memo probing, which bit-matches the undegraded run and
+agrees with stdlib sqlite3."""
 
 import pytest
 
@@ -29,13 +30,23 @@ def make_probe_db():
     )
 
 
-# Multi-source inner blocks: a probe table, built once.
+# Multi-source inner blocks: one run of the block, grouped by s.c.
 EXISTS_SQL = "SELECT a FROM r WHERE EXISTS (SELECT c FROM s, t WHERE s.c = r.b AND s.d = t.e)"
 NOT_EXISTS_SQL = (
     "SELECT a FROM r WHERE NOT EXISTS (SELECT c FROM s, t WHERE s.c = r.b AND s.d = t.e)"
 )
 CORRELATED_IN_SQL = "SELECT a FROM r WHERE a IN (SELECT d FROM s, t WHERE s.c = r.b AND s.d = t.e)"
-# Single-source inner blocks: the bucket path over the kept index on s.c.
+# Multi-source inner blocks whose residual reads the outer row: the build
+# leaves it out and the scan runs it on each group's rows.
+OUTER_EXISTS_SQL = (
+    "SELECT a FROM r WHERE EXISTS (SELECT c FROM s, t WHERE s.c = r.b AND s.d = t.e "
+    "AND t.e <> r.a)"
+)
+OUTER_IN_SQL = (
+    "SELECT a FROM r WHERE a IN (SELECT d FROM s, t WHERE s.c = r.b AND s.d = t.e "
+    "AND s.d <> r.b)"
+)
+# Single-source inner blocks: groups read from the kept index on s.c.
 BUCKET_EXISTS_SQL = "SELECT a FROM r WHERE EXISTS (SELECT c FROM s WHERE s.c = r.b)"
 BUCKET_NOT_EXISTS_SQL = (
     "SELECT a FROM r WHERE NOT EXISTS (SELECT c FROM s WHERE s.c = r.b AND s.d <> r.a)"
@@ -43,9 +54,10 @@ BUCKET_NOT_EXISTS_SQL = (
 BUCKET_IN_SQL = "SELECT a FROM r WHERE a IN (SELECT d FROM s WHERE s.c = r.b)"
 IN_SQL = "SELECT a FROM r WHERE b IN (SELECT c FROM s WHERE s.d < 100)"
 
-TABLE_CASES = [EXISTS_SQL, NOT_EXISTS_SQL, CORRELATED_IN_SQL]
+TABLE_CASES = [EXISTS_SQL, NOT_EXISTS_SQL, CORRELATED_IN_SQL, OUTER_EXISTS_SQL, OUTER_IN_SQL]
 BUCKET_CASES = [BUCKET_EXISTS_SQL, BUCKET_NOT_EXISTS_SQL, BUCKET_IN_SQL]
 CASE_IDS = ["exists", "not-exists", "in"]
+TABLE_IDS = CASE_IDS + ["outer-residual-exists", "outer-residual-in"]
 
 
 def run(db, sql, **executor_kwargs):
@@ -57,7 +69,7 @@ def run(db, sql, **executor_kwargs):
 @pytest.mark.parametrize(
     "sql",
     TABLE_CASES + BUCKET_CASES,
-    ids=CASE_IDS + [f"bucket-{case}" for case in CASE_IDS],
+    ids=TABLE_IDS + [f"bucket-{case}" for case in CASE_IDS],
 )
 class TestDegradationEquivalence:
     def test_degraded_matches_full(self, probe_db, sql):
@@ -73,11 +85,13 @@ class TestDegradationEquivalence:
         assert engine_bag(degraded.rows) == sqlite_rows(probe_db, sql)
 
 
-@pytest.mark.parametrize("sql", TABLE_CASES, ids=CASE_IDS)
+@pytest.mark.parametrize("sql", TABLE_CASES, ids=TABLE_IDS)
 def test_undegraded_run_builds_the_table(probe_db, sql):
     full, ctx = run(probe_db, sql, limits=ResourceLimits(max_probe_build_rows=10**6))
     assert ctx.degradations == 0
     assert ctx.probe_tables_built == 1
+    assert ctx.decorrelated_probes == 41
+    assert ctx.probe_cache_hits + ctx.probe_cache_misses == 0
     assert engine_bag(full.rows) == sqlite_rows(probe_db, sql)
 
 

@@ -109,8 +109,8 @@ class TestRowBudget:
             )
 
     def test_budget_counts_probe_build_rows(self):
-        # The decorrelated probe-table build of a multi-source inner
-        # block charges the same budget.
+        # The grouped probe's build of a multi-source inner block
+        # charges the same budget.
         db = Database(
             {
                 "r": Relation(("a",), [(i,) for i in range(5)]),
